@@ -215,12 +215,24 @@ def _bench_row(family: str, n: int, strategy: str) -> tuple[int, simpath.RunStat
 
 
 def cmd_bench(args) -> int:
+    """Rows that fail are reported on stderr, one JSON line each, and the
+    sweep goes on; the exit code is 2 when any row failed."""
     rows = ["benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"]
+    failed = 0
     for spec in args.suite:
         family, ns, strategies = _parse_suite(spec)
         for n in ns:
             for strategy in strategies:
-                gates, stats = _bench_row(family, n, strategy)
+                try:
+                    gates, stats = _bench_row(family, n, strategy)
+                except InternalError:
+                    raise
+                except DdpathError as exc:
+                    failed += 1
+                    payload = {"family": family, "n": n, "strategy": strategy}
+                    payload.update(_error_payload(type(exc).__name__, exc))
+                    print(json.dumps(payload), file=sys.stderr)
+                    continue
                 rows.append(f"{family},{n},{gates},{strategy},"
                             f"{stats.peak_nodes},{stats.final_nodes},{stats.elapsed_ns}")
     text = "\n".join(rows)
@@ -229,7 +241,7 @@ def cmd_bench(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return EXIT_OK
+    return EXIT_INPUT if failed else EXIT_OK
 
 
 # ----------------------------------------------------------------------

@@ -112,9 +112,11 @@ class Kernel:
         self._ct_mm = _Cache(table_bits)
         self._ct_add_v = _Cache(table_bits)
         self._ct_add_m = _Cache(table_bits)
-        # canonical identity chain, level -> node (shortcut in multiplication)
-        self._ident_nodes: dict[int, Node] = {}
-        self._ident_edges: list[Edge] = []
+        # canonical identity chain, indexed by level (shortcut in multiplication)
+        self._ident: list[Node] = []
+        # gate diagrams by (kind, parameter, matrix, controls, targets, n);
+        # emptied by gc, never a root
+        self._gates: dict = {}
 
     # ------------------------------------------------------------------
     # value interning
@@ -237,13 +239,12 @@ class Kernel:
         """Identity operator diagram over ``n`` qubits (n nodes)."""
         if n < 1:
             raise InvalidArgumentError(f"qubit count must be >= 1, got {n}")
-        while len(self._ident_edges) < n:
-            level = len(self._ident_edges)
-            below = self._ident_edges[-1] if self._ident_edges else self.one_terminal
-            e = self._mnode(level, below, self.zero_edge, self.zero_edge, below)
-            self._ident_edges.append(e)
-            self._ident_nodes[level] = e.node
-        return self._ident_edges[n - 1]
+        ident = self._ident
+        while len(ident) < n:
+            below = Edge(self.ONE, ident[-1]) if ident else self.one_terminal
+            ident.append(self._mnode(len(ident), below, self.zero_edge, self.zero_edge,
+                                     below).node)
+        return Edge(self.ONE, ident[n - 1])
 
     def _terminal(self, value: complex) -> Edge:
         w = self.intern(value)
@@ -253,10 +254,16 @@ class Kernel:
         """Operator diagram of ``gate`` extended to ``n`` qubits.
 
         ``gate`` needs fields kind / parameter / controls / targets (and
-        matrix for kind "u").  Positive controls only.
+        matrix for kind "u").  Positive controls only.  Gate diagrams are
+        memoised per kernel until the next ``gc``, which empties the memo.
         """
         targets = tuple(gate.targets)
         controls = tuple(gate.controls)
+        matrix = getattr(gate, "matrix", None)
+        key = (gate.kind, gate.parameter, matrix, controls, targets, n)
+        e = self._gates.get(key)
+        if e is not None:
+            return e
         used = targets + controls
         if len(set(used)) != len(used):
             raise InvalidArgumentError(f"duplicate qubit in gate {gate.kind}: {used}")
@@ -266,22 +273,28 @@ class Kernel:
         if gate.kind == "swap":
             if controls:
                 raise InvalidArgumentError("controls on swap are not supported")
-            a, b = targets
-            x = _gates.base_matrix("x")
-            cx1 = self._controlled_single(x, b, (a,), n)
-            cx2 = self._controlled_single(x, a, (b,), n)
-            return self.multiply_mm(cx1, self.multiply_mm(cx2, cx1))
-        if len(targets) != 1:
-            raise InvalidArgumentError(f"gate {gate.kind} expects one target, got {targets}")
-        mat = _gates.base_matrix(gate.kind, gate.parameter, getattr(gate, "matrix", None))
-        return self._controlled_single(mat, targets[0], controls, n)
+            e = self._swap(min(targets), max(targets), n)
+        else:
+            if len(targets) != 1:
+                raise InvalidArgumentError(
+                    f"gate {gate.kind} expects one target, got {targets}")
+            mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
+            e = self._controlled_single(mat, targets[0], controls, n)
+        self._gates[key] = e
+        return e
 
     def _controlled_single(self, mat, target: int, controls: tuple, n: int) -> Edge:
         cset = frozenset(controls)
-        em = [self._terminal(mat[0]), self._terminal(mat[1]),
-              self._terminal(mat[2]), self._terminal(mat[3])]
         zero = self.zero_edge
-        for level in range(target):
+        # below the lowest control under the target, each quadrant is a scaled
+        # identity, which normalisation would reduce to the identity chain
+        low = min((c for c in controls if c < target), default=target)
+        below = self.identity(low).node if low > 0 else None
+        em = []
+        for x in mat:
+            w = self.intern(x)
+            em.append(zero if w == 0 else Edge(w, below))
+        for level in range(low, target):
             if level in cset:
                 # inactive control branch acts as the identity on lower levels,
                 # which only the diagonal entry blocks pick up
@@ -291,16 +304,49 @@ class Kernel:
                 em[2] = self._mnode(level, zero, zero, zero, em[2])
                 em[3] = self._mnode(level, ident, zero, zero, em[3])
             else:
-                for i in range(4):
-                    em[i] = self._mnode(level, em[i], zero, zero, em[i])
+                em = [self._lift(x, level, level + 1) for x in em]
         e = self._mnode(target, em[0], em[1], em[2], em[3])
-        for level in range(target + 1, n):
+        return self._lift(e, target + 1, n, cset)
+
+    def _lift(self, e: Edge, start: int, stop: int, cset=frozenset()) -> Edge:
+        """Extend ``e`` from level ``start`` up to ``stop`` qubits; levels in
+        ``cset`` are positive controls, the others act as the identity.
+
+        At an identity level, ``_mnode(level, e, 0, 0, e)`` would normalise
+        to weight ``e.w`` over the node (ONE·e.node, 0, 0, ONE·e.node), so
+        that node is looked up directly and the weight carried unchanged.
+        """
+        w, node = e
+        if node is None and w == 0:
+            return e
+        one = self.ONE
+        zero = self.zero_edge
+        table = self._mat_unique
+        for level in range(start, stop):
             if level in cset:
-                ident = self.identity(level)
-                e = self._mnode(level, ident, zero, zero, e)
-            else:
-                e = self._mnode(level, e, zero, zero, e)
-        return e
+                w, node = self._mnode(level, self.identity(level), zero, zero, Edge(w, node))
+                continue
+            key = (level, one, node, zero.w, None, zero.w, None, one, node)
+            up = table.get(key)
+            if up is None:
+                self._uid += 1
+                half = Edge(one, node)
+                up = Node(level, (half, zero, zero, half), self._uid)
+                table[key] = up
+            node = up
+        return Edge(w, node)
+
+    def _swap(self, a: int, b: int, n: int) -> Edge:
+        """swap(a, b), a < b: quadrant (r, c) at level b is |c><r| on qubit a."""
+        unit = self.identity(a) if a > 0 else self.one_terminal
+        zero = self.zero_edge
+        blocks = []
+        for r in (0, 1):
+            for c in (0, 1):
+                succ = [zero] * 4
+                succ[2 * c + r] = unit
+                blocks.append(self._lift(self._mnode(a, *succ), a + 1, b))
+        return self._lift(self._mnode(b, *blocks), b + 1, n)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -376,7 +422,8 @@ class Kernel:
             return Edge(w, None)
         mn = m.node
         vn = v.node
-        if mn is self._ident_nodes.get(level):
+        ident = self._ident
+        if level < len(ident) and mn is ident[level]:
             return Edge(w, vn)
         key = (mn, vn)
         memo = self.use_compute_table
@@ -417,7 +464,7 @@ class Kernel:
             return Edge(w, None)
         an = a.node
         bn = b.node
-        ident = self._ident_nodes.get(level)
+        ident = self._ident[level] if level < len(self._ident) else None
         if an is ident:
             return Edge(w, bn)
         if bn is ident:
@@ -622,8 +669,8 @@ class Kernel:
     def gc(self, roots: Iterable[Edge] = ()) -> int:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
-        Compute tables are invalidated wholesale; the value table is kept so
-        interning stays stable across collections.
+        Compute tables and the gate memo are invalidated wholesale; the value
+        table is kept so interning stays stable across collections.
         """
         marked: set = set()
         stack = [e.node for e in roots if e.node is not None]
@@ -649,16 +696,14 @@ class Kernel:
         self._ct_mm.clear()
         self._ct_add_v.clear()
         self._ct_add_m.clear()
-        self._ident_nodes = {
-            lvl: node for lvl, node in self._ident_nodes.items() if node in marked
-        }
+        self._gates.clear()
         keep = 0
-        for e in self._ident_edges:
-            if e.node in marked:
+        for node in self._ident:
+            if node in marked:
                 keep += 1
             else:
                 break
-        del self._ident_edges[keep:]
+        del self._ident[keep:]
         return removed
 
     # ------------------------------------------------------------------

@@ -161,11 +161,13 @@ class PathValidation:
 
 
 class _Operand:
-    __slots__ = ("positions", "has_state")
+    __slots__ = ("positions", "has_state", "lo", "hi")
 
-    def __init__(self, positions: frozenset, has_state: bool):
+    def __init__(self, positions: set, has_state: bool, lo: int, hi: int):
         self.positions = positions
         self.has_state = has_state
+        self.lo = lo
+        self.hi = hi
 
 
 def _order_conflict(left: _Operand, right: _Operand, supports) -> tuple | None:
@@ -176,9 +178,8 @@ def _order_conflict(left: _Operand, right: _Operand, supports) -> tuple | None:
     A right position r above a left position l (r > l) is only harmless
     when the two act on disjoint qubits.
     """
-    lmin = min(left.positions)
-    rmax = max(right.positions)
-    if rmax < lmin:
+    lmin = left.lo
+    if right.hi < lmin:
         return None
     for r in right.positions:
         if r <= lmin or r == 0:
@@ -191,7 +192,15 @@ def _order_conflict(left: _Operand, right: _Operand, supports) -> tuple | None:
 
 
 def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
-    """Check usage and ordering rules and fix each task's operand orientation."""
+    """Check usage and ordering rules and fix each task's operand orientation.
+
+    Each operand keeps the hull (lo, hi) of the positions it covers.  A pair
+    is order-safe outright when the right factor's hull ends below the left
+    factor's; only pairs whose hulls overlap are scanned position by
+    position.  The smaller position set is merged into the larger one and
+    consumed operands are dropped, so apart from those scans a path over G
+    gates is checked in O(G log G) time and O(G) memory.
+    """
     count = len(circuit.gates)
     if path.gate_count != count:
         raise PathValidationError(
@@ -200,12 +209,10 @@ def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
         raise PathValidationError(
             f"expected exactly {count} tasks, got {len(path.tasks)}")
     supports = [frozenset(g.qubits) for g in circuit.gates]
-    operands: dict[int, _Operand] = {0: _Operand(frozenset([0]), True)}
-    for k in range(1, count + 1):
-        operands[k] = _Operand(frozenset([k]), False)
-    live = set(operands)
+    # the live operands; consumed ones are dropped
+    operands = {k: _Operand({k}, k == 0, k, k) for k in range(count + 1)}
     consumed: set[int] = set()
-    intervals = {i: (min(op.positions), max(op.positions)) for i, op in operands.items()}
+    intervals = {k: (k, k) for k in range(count + 1)}
     out: list[ValidatedTask] = []
     for ti, (a, b) in enumerate(path.tasks, start=1):
         if a == b:
@@ -213,22 +220,23 @@ def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
         for idx in (a, b):
             if idx in consumed:
                 raise PathValidationError(f"index {idx} already consumed", ti)
-            if idx not in live:
+            if idx not in operands:
                 raise PathValidationError(f"index {idx} is not available", ti)
-        oa, ob = operands[a], operands[b]
+        pair = {a: operands.pop(a), b: operands.pop(b)}
+        oa, ob = pair[a], pair[b]
         has_state = oa.has_state or ob.has_state
         if has_state:
             # the state side must stay the right factor
             left, right = (b, a) if oa.has_state else (a, b)
             orientations = [(left, right)]
-        elif max(oa.positions) > max(ob.positions):
+        elif oa.hi > ob.hi:
             orientations = [(a, b), (b, a)]
         else:
             orientations = [(b, a), (a, b)]
         chosen = None
         conflict = None
         for left, right in orientations:
-            conflict = _order_conflict(operands[left], operands[right], supports)
+            conflict = _order_conflict(pair[left], pair[right], supports)
             if conflict is None:
                 chosen = (left, right)
                 break
@@ -237,19 +245,18 @@ def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
             raise PathValidationError(
                 f"pair ({a}, {b}) would reorder gate {r} above gate {l} "
                 f"although they share qubit(s) {shared}", ti)
-        pos = oa.positions | ob.positions
+        big, small = (oa, ob) if len(oa.positions) >= len(ob.positions) else (ob, oa)
+        big.positions |= small.positions
         result = count + ti
-        operands[result] = _Operand(pos, has_state)
-        intervals[result] = (min(pos), max(pos))
-        live.discard(a)
-        live.discard(b)
+        lo, hi = min(oa.lo, ob.lo), max(oa.hi, ob.hi)
+        operands[result] = _Operand(big.positions, has_state, lo, hi)
+        intervals[result] = (lo, hi)
         consumed.update((a, b))
-        live.add(result)
         out.append(ValidatedTask(ti, chosen[0], chosen[1], result, has_state))
     final = 2 * count
-    if live != {final}:
-        raise PathValidationError(f"path does not reduce to one result: {sorted(live)}")
-    if operands[final].positions != frozenset(range(count + 1)):
+    if set(operands) != {final}:
+        raise PathValidationError(f"path does not reduce to one result: {sorted(operands)}")
+    if operands[final].positions != set(range(count + 1)):
         raise PathValidationError("final result does not cover the whole sequence")
     return PathValidation(tuple(out), intervals)
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: random circuits and equivalence-preserving rewrites."""
+"""Shared test utilities: random circuits, equivalence-preserving rewrites
+and the reference path validator."""
 from __future__ import annotations
 
 import cmath
@@ -6,6 +7,8 @@ import math
 import random
 
 from ddpath.circuit import Circuit, Gate
+from ddpath.errors import PathValidationError
+from ddpath.simpath import PathValidation, ValidatedTask
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
 TWO_KINDS = ["cx", "cz", "cp", "swap"]
@@ -86,3 +89,90 @@ def equivalent_rewrite(rng: random.Random, c: Circuit) -> Circuit:
         g = Gate("u", (rng.randrange(c.num_qubits),), matrix=random_unitary_2x2(rng))
         gates += [g, g.inverse()]
     return Circuit(c.num_qubits, tuple(gates))
+
+
+class _RefOperand:
+    __slots__ = ("positions", "has_state")
+
+    def __init__(self, positions: frozenset, has_state: bool):
+        self.positions = positions
+        self.has_state = has_state
+
+
+def _ref_order_conflict(left: _RefOperand, right: _RefOperand, supports):
+    lmin = min(left.positions)
+    rmax = max(right.positions)
+    if rmax < lmin:
+        return None
+    for r in right.positions:
+        if r <= lmin or r == 0:
+            continue
+        sr = supports[r - 1]
+        for l in left.positions:
+            if l < r and sr & supports[l - 1]:
+                return (l, r, sorted(sr & supports[l - 1]))
+    return None
+
+
+def reference_validate(path, circuit):
+    """Frozenset-per-operand form of ``simpath.validate``, kept as the
+    reference the hull-based validator is compared against."""
+    count = len(circuit.gates)
+    if path.gate_count != count:
+        raise PathValidationError(
+            f"path covers {path.gate_count} gates but circuit has {count}")
+    if len(path.tasks) != count:
+        raise PathValidationError(
+            f"expected exactly {count} tasks, got {len(path.tasks)}")
+    supports = [frozenset(g.qubits) for g in circuit.gates]
+    operands = {0: _RefOperand(frozenset([0]), True)}
+    for k in range(1, count + 1):
+        operands[k] = _RefOperand(frozenset([k]), False)
+    live = set(operands)
+    consumed = set()
+    intervals = {i: (min(op.positions), max(op.positions)) for i, op in operands.items()}
+    out = []
+    for ti, (a, b) in enumerate(path.tasks, start=1):
+        if a == b:
+            raise PathValidationError(f"pair ({a}, {b}) repeats one index", ti)
+        for idx in (a, b):
+            if idx in consumed:
+                raise PathValidationError(f"index {idx} already consumed", ti)
+            if idx not in live:
+                raise PathValidationError(f"index {idx} is not available", ti)
+        oa, ob = operands[a], operands[b]
+        has_state = oa.has_state or ob.has_state
+        if has_state:
+            left, right = (b, a) if oa.has_state else (a, b)
+            orientations = [(left, right)]
+        elif max(oa.positions) > max(ob.positions):
+            orientations = [(a, b), (b, a)]
+        else:
+            orientations = [(b, a), (a, b)]
+        chosen = None
+        conflict = None
+        for left, right in orientations:
+            conflict = _ref_order_conflict(operands[left], operands[right], supports)
+            if conflict is None:
+                chosen = (left, right)
+                break
+        if chosen is None:
+            l, r, shared = conflict
+            raise PathValidationError(
+                f"pair ({a}, {b}) would reorder gate {r} above gate {l} "
+                f"although they share qubit(s) {shared}", ti)
+        pos = oa.positions | ob.positions
+        result = count + ti
+        operands[result] = _RefOperand(pos, has_state)
+        intervals[result] = (min(pos), max(pos))
+        live.discard(a)
+        live.discard(b)
+        consumed.update((a, b))
+        live.add(result)
+        out.append(ValidatedTask(ti, chosen[0], chosen[1], result, has_state))
+    final = 2 * count
+    if live != {final}:
+        raise PathValidationError(f"path does not reduce to one result: {sorted(live)}")
+    if operands[final].positions != frozenset(range(count + 1)):
+        raise PathValidationError("final result does not cover the whole sequence")
+    return PathValidation(tuple(out), intervals)

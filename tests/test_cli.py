@@ -175,6 +175,20 @@ class TestBench:
             assert by_key[(str(n), "sequential")] >= 2 ** n - 1
             assert by_key[(str(n), "alternating")] <= 8 * n
 
+    def test_failed_row_does_not_stop_the_sweep(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "ghz:4:sequential", "qft:6:greedy",
+                                 "ghz:5:sequential")
+        assert code == 2
+        rows = out.strip().splitlines()
+        assert rows[0] == "benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"
+        assert [r.split(",")[:2] for r in rows[1:]] == [["ghz", "4"], ["ghz", "5"]]
+        records = [json.loads(line) for line in err.strip().splitlines()]
+        assert len(records) == 1
+        rec = records[0]
+        assert (rec["family"], rec["n"], rec["strategy"]) == ("qft", 6, "greedy")
+        assert rec["error"] == "PathValidationError"
+        assert rec["task_index"] == 18
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "bench", "nope:3")
         assert code == 2

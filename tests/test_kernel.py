@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,7 @@ from ddpath import oracle
 from ddpath.circuit import Gate, cp, cx, ghz, entangled_qft, h, qft, swap
 from ddpath.errors import InvalidArgumentError
 
-from helpers import random_circuit
+from helpers import random_circuit, random_unitary_2x2
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -93,6 +94,21 @@ class TestGateDiagrams:
         for g in (cp(0.9, 7, 0), swap(2, 6), Gate("x", (4,), (0, 7))):
             u = k.to_matrix(k.make_gate(g, 8))
             assert np.max(np.abs(u.conj().T @ u - np.eye(256))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_controlled_gates_match_oracle(self, n):
+        # every control set: below, above and on both sides of the target
+        rng = random.Random(n)
+        k = Kernel()
+        for target in range(n):
+            others = [q for q in range(n) if q != target]
+            for size in range(len(others) + 1):
+                for controls in itertools.combinations(others, size):
+                    for g in (Gate("u", (target,), controls, matrix=random_unitary_2x2(rng)),
+                              Gate("x", (target,), controls),
+                              Gate("p", (target,), controls, rng.uniform(-3, 3))):
+                        got = k.to_matrix(k.make_gate(g, n))
+                        assert np.max(np.abs(got - oracle.gate_matrix(g, n))) < 1e-10, g
 
     def test_gate_matches_oracle_matrix(self):
         rng = random.Random(11)
@@ -286,6 +302,19 @@ class TestGarbageCollection:
         k.gc([])
         assert k.unique_size == 0
 
+    def test_gate_rebuilt_after_gc_is_unchanged(self):
+        k = Kernel()
+        u = random_unitary_2x2(random.Random(2))
+        for g in (Gate("u", (2,), (0, 4), matrix=u), swap(3, 1), cp(0.7, 1, 3)):
+            before = k.signature(k.make_gate(g, 5))
+            k.gc([])
+            assert k.unique_size == 0
+            e = k.make_gate(g, 5)
+            # rebuilt into the emptied table, not handed out from before gc
+            assert k.unique_size == k.node_count(e)
+            assert k.signature(e) == before
+            assert root_equal(k.multiply_mm(e, k.make_gate(g.inverse(), 5)), k.identity(5))
+
     def test_rerun_after_gc_is_identical(self):
         k = Kernel()
         first = run_gates(k, entangled_qft(3))
@@ -303,12 +332,13 @@ class TestGarbageCollection:
 
 
 class TestCanonicity:
-    def test_swap_equals_three_cx(self):
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(5) for b in range(5) if a != b])
+    def test_swap_equals_three_cx(self, a, b):
         k = Kernel()
-        direct = k.make_gate(swap(0, 2), 3)
+        direct = k.make_gate(swap(a, b), 5)
         via_cx = k.multiply_mm(
-            k.make_gate(cx(0, 2), 3),
-            k.multiply_mm(k.make_gate(cx(2, 0), 3), k.make_gate(cx(0, 2), 3)))
+            k.make_gate(cx(a, b), 5),
+            k.multiply_mm(k.make_gate(cx(b, a), 5), k.make_gate(cx(a, b), 5)))
         assert root_equal(direct, via_cx)
 
     def test_cz_equals_cp_pi(self):

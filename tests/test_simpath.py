@@ -22,7 +22,7 @@ from ddpath.circuit import Circuit, Gate, h
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.simpath import SimulationPath, load_path, make_path, save_path
 
-from helpers import random_circuit
+from helpers import random_circuit, reference_validate
 
 TREE_PATH_7 = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13))
 CHAIN_PATH_7 = ((0, 1), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12), (7, 13))
@@ -92,6 +92,60 @@ class TestValidate:
         c = Circuit(1, (h(0), h(0), h(0)))
         with pytest.raises(PathValidationError):
             validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
+
+
+    def test_matches_reference_validator(self):
+        rng = random.Random(41)
+        accepted = rejected = gap_accepted = 0
+        for trial in range(300):
+            c = random_circuit(rng, 6, rng.randint(1, 14))
+            tasks, gaps = _random_pairs(rng, len(c.gates))
+            path = SimulationPath(len(c.gates), tasks)
+            want = _outcome(reference_validate, path, c)
+            assert _outcome(validate, path, c) == want, (trial, tasks)
+            if want[0] == "accept":
+                accepted += 1
+                gap_accepted += gaps > 0
+            else:
+                rejected += 1
+        assert accepted > 50 and rejected > 50 and gap_accepted > 10
+
+
+def _outcome(fn, path, circuit):
+    try:
+        info = fn(path, circuit)
+    except PathValidationError as exc:
+        return ("reject", exc.task_index)
+    return ("accept", info.tasks, info.intervals)
+
+
+def _random_pairs(rng, count):
+    """Random pair sequence over ``count`` gates and the number of pairs it
+    took across a gap.  Most pairs join neighbours in hull order, some skip
+    one operand, some are arbitrary, and a few name a spent or unknown index."""
+    lo = {k: k for k in range(count + 1)}
+    tasks = []
+    gaps = 0
+    for ti in range(1, count + 1):
+        live = sorted(lo, key=lo.get)
+        roll = rng.random()
+        if roll < 0.03 or len(live) < 2:
+            pair = (rng.randrange(2 * count + 2), rng.choice(live))
+        elif roll < 0.6 or len(live) < 3:
+            i = rng.randrange(len(live) - 1)
+            pair = (live[i], live[i + 1])
+        elif roll < 0.85:
+            i = rng.randrange(len(live) - 2)
+            pair = (live[i], live[i + 2])
+            gaps += 1
+        else:
+            pair = tuple(rng.sample(live, 2))
+        if rng.random() < 0.5:
+            pair = pair[::-1]
+        tasks.append(pair)
+        spent = [lo.pop(x) for x in pair if x in lo]
+        lo[count + ti] = min(spent, default=0)
+    return tuple(tasks), gaps
 
 
 class TestAlternatingPath:
