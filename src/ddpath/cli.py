@@ -181,11 +181,13 @@ def _parse_suite(spec: str) -> tuple[str, list[int], list[str]]:
     family, span = parts[0], parts[1]
     strategies = parts[2].split(",") if len(parts) == 3 else ["sequential"]
     strategies = [s.strip().strip("{}") for s in strategies]
-    if ".." in span:
-        lo, _, hi = span.partition("..")
-        ns = list(range(int(lo), int(hi) + 1))
-    else:
-        ns = [int(span)]
+    lo, sep, hi = span.partition("..")
+    try:
+        ns = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise InvalidArgumentError(f"bad size {span!r} in suite spec {spec!r}")
+    if not ns:
+        raise InvalidArgumentError(f"empty size range {span!r} in suite spec {spec!r}")
     return family, ns, strategies
 
 
@@ -219,8 +221,8 @@ def cmd_bench(args) -> int:
     sweep goes on; the exit code is 2 when any row failed."""
     rows = ["benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"]
     failed = 0
-    for spec in args.suite:
-        family, ns, strategies = _parse_suite(spec)
+    # every spec is checked before the first row runs
+    for family, ns, strategies in [_parse_suite(spec) for spec in args.suite]:
         for n in ns:
             for strategy in strategies:
                 try:

@@ -15,6 +15,7 @@ not transferable between them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Iterable, NamedTuple
@@ -65,6 +66,11 @@ class Edge(NamedTuple):
     @property
     def num_qubits(self) -> int:
         return 0 if self.node is None else self.node.level + 1
+
+
+# ``_edge((w, node))`` builds an Edge without the NamedTuple's Python-level
+# ``__new__``; the hot paths below use it
+_edge = functools.partial(tuple.__new__, Edge)
 
 
 class _Cache:
@@ -146,13 +152,21 @@ class Kernel:
         return v
 
     def _scale(self, e: Edge, w: complex) -> Edge:
-        """``w`` times edge ``e``; ``w`` must already be interned."""
+        """``w`` times edge ``e``; ``w`` must already be interned.
+
+        A factor of exactly 1 skips ``intern``: an interned value sits at
+        its own key, which never rebinds, and ``x * 1`` rounds to that key.
+        """
+        if w == 1:
+            return e
         if w == 0 or e.node is None and e.w == 0:
             return self.zero_edge
+        if e.w == 1:
+            return _edge((w, e.node))
         nw = self.intern(e.w * w)
         if nw == 0:
             return self.zero_edge
-        return Edge(nw, e.node)
+        return _edge((nw, e.node))
 
     # ------------------------------------------------------------------
     # node construction (normalization + hash consing)
@@ -163,10 +177,10 @@ class Kernel:
         if a1 - a0 > _MAG_TOL:
             norm = e1.w
             n0 = self._scale_succ(e0, norm)
-            n1 = Edge(self.ONE, e1.node)
+            n1 = _edge((self.ONE, e1.node))
         elif a0 > 0.0:
             norm = e0.w
-            n0 = Edge(self.ONE, e0.node)
+            n0 = _edge((self.ONE, e0.node))
             n1 = self._scale_succ(e1, norm)
         else:
             return self.zero_edge
@@ -176,7 +190,7 @@ class Kernel:
             self._uid += 1
             node = Node(level, (n0, n1), self._uid)
             self._vec_unique[key] = node
-        return Edge(norm, node)
+        return _edge((norm, node))
 
     def _mnode(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
         edges = (e0, e1, e2, e3)
@@ -191,7 +205,7 @@ class Kernel:
                 break
         norm = edges[best].w
         out = tuple(
-            Edge(self.ONE, e.node) if i == best else self._scale_succ(e, norm)
+            _edge((self.ONE, e.node)) if i == best else self._scale_succ(e, norm)
             for i, e in enumerate(edges)
         )
         key = (level, out[0].w, out[0].node, out[1].w, out[1].node,
@@ -201,15 +215,17 @@ class Kernel:
             self._uid += 1
             node = Node(level, out, self._uid)
             self._mat_unique[key] = node
-        return Edge(norm, node)
+        return _edge((norm, node))
 
     def _scale_succ(self, e: Edge, norm: complex) -> Edge:
+        if norm == 1:
+            return e
         if e.node is None and e.w == 0:
             return self.zero_edge
         w = self.intern(e.w / norm)
         if w == 0:
             return self.zero_edge
-        return Edge(w, e.node)
+        return _edge((w, e.node))
 
     # ------------------------------------------------------------------
     # constructors
@@ -377,7 +393,7 @@ class Kernel:
             return self._terminal(a.w + b.w)
         if a.node.uid > b.node.uid:
             a, b = b, a
-        ratio = self.intern(b.w / a.w)
+        ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
         if ratio == 0:
             return a
         key = (a.node, b.node, ratio)
@@ -413,18 +429,18 @@ class Kernel:
         return self._mul_mv(m, v, m.node.level)
 
     def _mul_mv(self, m: Edge, v: Edge, level: int) -> Edge:
-        if (m.node is None and m.w == 0) or (v.node is None and v.w == 0):
+        mw, mn = m
+        vw, vn = v
+        if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
-        w = self.intern(m.w * v.w)
+        w = vw if mw == 1 else mw if vw == 1 else self.intern(mw * vw)
         if w == 0:
             return self.zero_edge
         if level < 0:
-            return Edge(w, None)
-        mn = m.node
-        vn = v.node
+            return _edge((w, None))
         ident = self._ident
         if level < len(ident) and mn is ident[level]:
-            return Edge(w, vn)
+            return _edge((w, vn))
         key = (mn, vn)
         memo = self.use_compute_table
         r = self._ct_mv.get(key) if memo else None
@@ -455,20 +471,20 @@ class Kernel:
         return self._mul_mm(a, b, a.node.level)
 
     def _mul_mm(self, a: Edge, b: Edge, level: int) -> Edge:
-        if (a.node is None and a.w == 0) or (b.node is None and b.w == 0):
+        aw, an = a
+        bw, bn = b
+        if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
-        w = self.intern(a.w * b.w)
+        w = bw if aw == 1 else aw if bw == 1 else self.intern(aw * bw)
         if w == 0:
             return self.zero_edge
         if level < 0:
-            return Edge(w, None)
-        an = a.node
-        bn = b.node
+            return _edge((w, None))
         ident = self._ident[level] if level < len(self._ident) else None
         if an is ident:
-            return Edge(w, bn)
+            return _edge((w, bn))
         if bn is ident:
-            return Edge(w, an)
+            return _edge((w, an))
         key = (an, bn)
         memo = self.use_compute_table
         r = self._ct_mm.get(key) if memo else None
@@ -561,21 +577,23 @@ class Kernel:
         if a.node.level != b.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in inner_product: {a.node.level} vs {b.node.level}")
-        memo: dict = {}
+        return self._inner(a, b, a.node.level, {})
 
-        def rec(ea: Edge, eb: Edge, level: int) -> complex:
-            if (ea.node is None and ea.w == 0) or (eb.node is None and eb.w == 0):
-                return 0j
-            if level < 0:
-                return ea.w.conjugate() * eb.w
-            key = (ea.node, eb.node)
-            s = memo.get(key)
-            if s is None:
-                s = sum(rec(ea.node.edges[i], eb.node.edges[i], level - 1) for i in (0, 1))
-                memo[key] = s
-            return ea.w.conjugate() * eb.w * s
-
-        return rec(a, b, a.node.level)
+    def _inner(self, ea: Edge, eb: Edge, level: int, memo: dict) -> complex:
+        # a method, not a nested closure: a closure that calls itself is a
+        # reference cycle, left for the cyclic collector with its memo
+        if (ea.node is None and ea.w == 0) or (eb.node is None and eb.w == 0):
+            return 0j
+        if level < 0:
+            return ea.w.conjugate() * eb.w
+        key = (ea.node, eb.node)
+        s = memo.get(key)
+        if s is None:
+            sa = ea.node.edges
+            sb = eb.node.edges
+            s = sum(self._inner(sa[i], sb[i], level - 1, memo) for i in (0, 1))
+            memo[key] = s
+        return ea.w.conjugate() * eb.w * s
 
     def signature(self, e: Edge):
         """Kernel-independent structural fingerprint (for cross-instance equality)."""

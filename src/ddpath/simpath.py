@@ -10,6 +10,7 @@ commute past the product, so any placement is equivalent).
 """
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass
@@ -296,74 +297,86 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     Intermediate results are dereferenced as soon as they are consumed;
     the returned final edge holds one reference owned by the caller.
     ``observer(task_index, result_edge)`` is called after every task.
-    """
-    if path is None:
-        path = sequential_path(len(circuit.gates))
-    info = validate(path, circuit)
-    if kernel is None:
-        kernel = Kernel()
-    n = circuit.num_qubits
-    t0 = time.perf_counter_ns()
-    if initial is None:
-        initial = kernel.make_zero_state(n)
-    if initial.num_qubits != n:
-        raise InvalidArgumentError(
-            f"initial state has {initial.num_qubits} qubits, circuit has {n}")
-    kernel.inc_ref(initial)
-    env: dict[int, Edge] = {0: initial}
-    peak = kernel.node_count(initial)
-    gc_threshold = _GC_FLOOR
 
-    def fetch(idx: int) -> Edge:
-        nonlocal peak
-        e = env.pop(idx, None)
-        if e is None:
-            e = kernel.make_gate(circuit.gates[idx - 1], n)
-            kernel.inc_ref(e)
-            size = kernel.node_count(e)
+    Python's cyclic garbage collector is paused while this runs and turned
+    back on afterwards only if it was on before.  Nodes, edges and
+    compute-table entries form a DAG and are freed by reference counting,
+    so the collector's walks over them free nothing.  This is unrelated to
+    ``Kernel.gc``, the unique-table sweep, which still runs here.
+    """
+    collector_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        if path is None:
+            path = sequential_path(len(circuit.gates))
+        info = validate(path, circuit)
+        if kernel is None:
+            kernel = Kernel()
+        n = circuit.num_qubits
+        t0 = time.perf_counter_ns()
+        if initial is None:
+            initial = kernel.make_zero_state(n)
+        if initial.num_qubits != n:
+            raise InvalidArgumentError(
+                f"initial state has {initial.num_qubits} qubits, circuit has {n}")
+        kernel.inc_ref(initial)
+        env: dict[int, Edge] = {0: initial}
+        peak = kernel.node_count(initial)
+        gc_threshold = _GC_FLOOR
+
+        def fetch(idx: int) -> Edge:
+            nonlocal peak
+            e = env.pop(idx, None)
+            if e is None:
+                e = kernel.make_gate(circuit.gates[idx - 1], n)
+                kernel.inc_ref(e)
+                size = kernel.node_count(e)
+                if size > peak:
+                    peak = size
+            return e
+
+        counts: list[int] = []
+        for vt in info.tasks:
+            left = fetch(vt.left)
+            right = fetch(vt.right)
+            if vt.matrix_vector:
+                if left.node is None or len(left.node.edges) != 4 \
+                        or right.node is None or len(right.node.edges) != 2:
+                    raise InternalError(
+                        f"task {vt.index}: operands do not form a matrix-vector product")
+                result = kernel.multiply_mv(left, right)
+            else:
+                if left.node is None or right.node is None \
+                        or len(left.node.edges) != 4 or len(right.node.edges) != 4:
+                    raise InternalError(
+                        f"task {vt.index}: operands do not form a matrix-matrix product")
+                result = kernel.multiply_mm(left, right)
+            kernel.inc_ref(result)
+            kernel.dec_ref(left)
+            kernel.dec_ref(right)
+            env[vt.result] = result
+            size = kernel.node_count(result)
+            counts.append(size)
             if size > peak:
                 peak = size
-        return e
-
-    counts: list[int] = []
-    for vt in info.tasks:
-        left = fetch(vt.left)
-        right = fetch(vt.right)
-        if vt.matrix_vector:
-            if left.node is None or len(left.node.edges) != 4 \
-                    or right.node is None or len(right.node.edges) != 2:
-                raise InternalError(
-                    f"task {vt.index}: operands do not form a matrix-vector product")
-            result = kernel.multiply_mv(left, right)
-        else:
-            if left.node is None or right.node is None \
-                    or len(left.node.edges) != 4 or len(right.node.edges) != 4:
-                raise InternalError(
-                    f"task {vt.index}: operands do not form a matrix-matrix product")
-            result = kernel.multiply_mm(left, right)
-        kernel.inc_ref(result)
-        kernel.dec_ref(left)
-        kernel.dec_ref(right)
-        env[vt.result] = result
-        size = kernel.node_count(result)
-        counts.append(size)
-        if size > peak:
-            peak = size
-        if observer is not None:
-            observer(vt.index, result)
-        if kernel.unique_size > gc_threshold:
-            kernel.gc(env.values())
-            gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
-    final = env[2 * len(circuit.gates)]
-    elapsed = time.perf_counter_ns() - t0
-    stats = RunStats(
-        task_count=len(info.tasks),
-        result_nodes=counts,
-        peak_nodes=peak,
-        final_nodes=counts[-1] if counts else kernel.node_count(final),
-        elapsed_ns=elapsed,
-    )
-    return final, stats
+            if observer is not None:
+                observer(vt.index, result)
+            if kernel.unique_size > gc_threshold:
+                kernel.gc(env.values())
+                gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
+        final = env[2 * len(circuit.gates)]
+        elapsed = time.perf_counter_ns() - t0
+        stats = RunStats(
+            task_count=len(info.tasks),
+            result_nodes=counts,
+            peak_nodes=peak,
+            final_nodes=counts[-1] if counts else kernel.node_count(final),
+            elapsed_ns=elapsed,
+        )
+        return final, stats
+    finally:
+        if collector_was_on:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from ddpath import emit_qasm, qft
 from ddpath.cli import main
 from ddpath.circuit import Circuit, Gate
@@ -192,6 +194,15 @@ class TestBench:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "bench", "nope:3")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["ghz:x", "ghz:3..2", "ghz:5.."])
+    def test_bad_size_spec_is_input_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "bench", "ghz:4", spec)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidArgumentError"
+        assert spec in payload["message"]
 
 
 class TestDot:

@@ -366,6 +366,21 @@ class TestCanonicity:
         with pytest.raises(InvalidArgumentError):
             Kernel().intern(complex(float("nan"), 0))
 
+    def test_unit_factor_skips_are_exact(self):
+        # multiplication and normalisation skip intern when a factor or
+        # divisor is exactly 1, which is exact only if every interned value
+        # is its own representative, also after * 1 and / 1
+        k = Kernel()
+        state = run_gates(k, random_circuit(random.Random(41), 5, 60))
+        values = list(k._values.values())
+        assert len(values) > 20
+        for v in values:
+            assert k.intern(v) is v
+            assert k.intern(v * k.ONE) is v
+            assert k.intern(v / k.ONE) is v
+        assert k._scale(state, k.ONE) is state
+        assert k._scale(k.zero_edge, k.ONE) is k.zero_edge
+
 
 def _walk_nodes(edge):
     seen = set()

@@ -1,5 +1,9 @@
+import gc
 import json
 import random
+import sys
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -7,9 +11,15 @@ from ddpath import (
     Kernel,
     alternating_path,
     concat_inverse,
+    deutsch_jozsa,
+    emit_qasm,
     execute,
+    export_tensor_network,
     ghz,
+    greedy_plan,
     heuristic_path,
+    import_path,
+    parse_qasm,
     qft,
     root_equal,
     sequential_path,
@@ -359,3 +369,91 @@ class TestPathFiles:
         assert make_path("alternating", g, g).tasks == alternating_path(7, 7).tasks
         with pytest.raises(InvalidArgumentError):
             make_path("nope", g, g)
+
+
+@contextmanager
+def collector_off():
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def _greedy_execute():
+    c = deutsch_jozsa(6)
+    return execute(c, import_path(greedy_plan(export_tensor_network(c)), c))
+
+
+class TestCollectorPause:
+    """execute pauses Python's cyclic collector.  That leaks nothing only
+    while everything the library builds is freed by reference counting."""
+
+    @pytest.mark.parametrize("job", [
+        lambda: execute(qft(5)),
+        _greedy_execute,
+        lambda: verify_equivalence(qft(4), transpile(qft(4)), "sequential"),
+        lambda: verify_equivalence(qft(4), transpile(qft(4)), "alternating"),
+        lambda: verify_equivalence(qft(4), transpile(qft(4)), "heuristic"),
+        lambda: parse_qasm(emit_qasm(transpile(qft(4)))),
+        lambda: greedy_plan(export_tensor_network(deutsch_jozsa(6))),
+    ], ids=["execute-sequential", "execute-greedy", "verify-sequential",
+            "verify-alternating", "verify-heuristic", "parse-qasm", "greedy-plan"])
+    def test_leaves_no_cyclic_garbage(self, job):
+        with collector_off():
+            job()
+            assert gc.collect() == 0
+
+    def test_enabled_stays_enabled(self):
+        assert gc.isenabled()
+        execute(ghz(4))
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self):
+        with collector_off():
+            execute(ghz(4))
+            assert not gc.isenabled()
+
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_restored_after_path_error(self, was_on):
+        with collector_off():
+            if was_on:
+                gc.enable()
+            with pytest.raises(PathValidationError):
+                execute(qft(3), SimulationPath(7, ((0, 2),) + CHAIN_PATH_7[1:]))
+            assert gc.isenabled() is was_on
+
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_restored_after_bad_initial_state(self, was_on):
+        k = Kernel()
+        with collector_off():
+            if was_on:
+                gc.enable()
+            with pytest.raises(InvalidArgumentError):
+                execute(ghz(3), kernel=k, initial=k.make_zero_state(2))
+            assert gc.isenabled() is was_on
+
+    def test_overlapping_threads_leave_it_enabled(self):
+        expected = execute(qft(6))[1].result_nodes
+        results = []
+
+        def work():
+            for _ in range(3):
+                results.append(execute(qft(6), kernel=Kernel())[1].result_nodes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 12
+        assert gc.isenabled()
