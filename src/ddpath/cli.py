@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import qasm, simpath, tnbridge
-from .circuit import Circuit, GENERATORS, concat_inverse, ghz, qft, transpile
+from .circuit import Circuit, GENERATORS, ghz, qft, transpile
 from .errors import (
     DdpathError,
     InternalError,
@@ -64,16 +64,6 @@ def _initial_edge(spec: str, kernel: Kernel, n: int) -> Edge:
     raise InvalidArgumentError(f"bad initial state spec {spec!r}")
 
 
-def _resolve_path(spec: str, circuit: Circuit) -> simpath.SimulationPath:
-    if spec == "sequential":
-        return simpath.sequential_path(len(circuit.gates))
-    if spec.startswith("file:"):
-        path = simpath.load_path(spec[len("file:"):])
-        simpath.validate(path, circuit)
-        return path
-    raise InvalidArgumentError(f"bad path spec {spec!r}; use sequential or file:<p>")
-
-
 def _circuit_meta(source: str, c: Circuit) -> dict:
     return {"source": source, "qubits": c.num_qubits, "gates": len(c.gates)}
 
@@ -84,7 +74,7 @@ def cmd_simulate(args) -> int:
         raise InvalidArgumentError("cannot simulate an empty circuit")
     kernel = Kernel()
     initial = _initial_edge(args.initial, kernel, circuit.num_qubits)
-    path = _resolve_path(args.path, circuit)
+    path = simpath.make_path(args.path, circuit)
     final, stats = simpath.execute(circuit, path, kernel, initial)
     report = {
         "command": "simulate",
@@ -110,29 +100,15 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     g = parse_circuit_source(args.circuit)
     gp = parse_circuit_source(args.circuit_prime)
-    if g.num_qubits != gp.num_qubits:
-        raise InvalidArgumentError(
-            f"qubit count mismatch: {g.num_qubits} vs {gp.num_qubits}")
     kernel = Kernel()
     initial = _initial_edge(args.initial, kernel, g.num_qubits)
-    strategy = args.strategy
-    path = None
-    if strategy.startswith("plan:"):
-        plan = tnbridge.load_plan(strategy[len("plan:"):])
-        path = tnbridge.import_path(plan, concat_inverse(g, gp))
-        strategy_name = strategy
-    elif strategy in simpath.STRATEGIES:
-        strategy_name = strategy
-    else:
-        raise InvalidArgumentError(
-            f"unknown strategy {strategy!r}; use one of {simpath.STRATEGIES} or plan:<p>")
-    result = simpath.verify_equivalence(g, gp, strategy, kernel, initial, path)
+    result = simpath.verify_equivalence(g, gp, args.strategy, kernel, initial)
     report = {
         "command": "verify",
         "argv": args.argv,
         "circuit": _circuit_meta(args.circuit, g),
         "circuit_prime": _circuit_meta(args.circuit_prime, gp),
-        "strategy": strategy_name,
+        "strategy": args.strategy,
         "combined_gates": len(result.combined.gates),
         "verdict": result.verdict,
         "fidelity": result.fidelity,
@@ -159,7 +135,7 @@ def cmd_dot(args) -> int:
     if not circuit.gates:
         raise InvalidArgumentError("cannot simulate an empty circuit")
     kernel = Kernel()
-    path = _resolve_path(args.path, circuit)
+    path = simpath.make_path(args.path, circuit)
     final, _ = simpath.execute(circuit, path, kernel)
     text = kernel.to_dot(final)
     if args.out:
@@ -174,7 +150,7 @@ def cmd_dot(args) -> int:
 # bench
 
 def _parse_suite(spec: str) -> tuple[str, list[int], list[str]]:
-    parts = spec.split(":")
+    parts = spec.split(":", 2)
     if len(parts) not in (2, 3):
         raise InvalidArgumentError(
             f"bad suite spec {spec!r}; use family:lo..hi[:strategy,...]")
@@ -195,24 +171,14 @@ def _bench_row(family: str, n: int, strategy: str) -> tuple[int, simpath.RunStat
     kernel = Kernel()
     if family == "qft-verify":
         g = qft(n)
-        combined = concat_inverse(g, g)
         initial = _initial_edge("ghz", kernel, n)
-        path = simpath.make_path(strategy, g, g)
-        _, stats = simpath.execute(combined, path, kernel, initial)
-        return len(combined.gates), stats
+        result = simpath.verify_equivalence(g, g, strategy, kernel, initial)
+        return len(result.combined.gates), result.stats
     gen = GENERATORS.get(family)
     if gen is None:
         raise InvalidArgumentError(f"unknown bench family {family!r}")
     circuit = gen(n)
-    if strategy == "sequential":
-        path = simpath.sequential_path(len(circuit.gates))
-    elif strategy == "greedy":
-        tn = tnbridge.export_tensor_network(circuit)
-        path = tnbridge.import_path(tnbridge.greedy_plan(tn), circuit)
-    else:
-        raise InvalidArgumentError(
-            f"strategy {strategy!r} does not apply to family {family!r}")
-    _, stats = simpath.execute(circuit, path, kernel)
+    _, stats = simpath.execute(circuit, simpath.make_path(strategy, circuit), kernel)
     return len(circuit.gates), stats
 
 
@@ -248,6 +214,10 @@ def cmd_bench(args) -> int:
 
 # ----------------------------------------------------------------------
 
+_STRATEGY_HELP = (f"{', '.join(simpath.STRATEGIES)}, file:<path.json> or plan:<plan.json>; "
+                  f"alternating and heuristic need two circuits")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddpath",
@@ -256,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a circuit and report statistics")
     p.add_argument("circuit", help="generator spec (ghz:5), transpile(...), or QASM path")
-    p.add_argument("--path", default="sequential", help="sequential or file:<path.json>")
+    p.add_argument("--path", default="sequential", help=_STRATEGY_HELP)
     p.add_argument("--amplitudes", default="", help="comma separated basis strings")
     p.add_argument("--stats-out", default="", help="write run statistics JSON here")
     p.add_argument("--initial", default="zeros", help="zeros, ghz, or a basis bitstring")
@@ -265,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check two circuits for equivalence")
     p.add_argument("circuit")
     p.add_argument("circuit_prime")
-    p.add_argument("--strategy", default="alternating",
-                   help="sequential, alternating, heuristic, or plan:<path.json>")
+    p.add_argument("--strategy", default="alternating", help=_STRATEGY_HELP)
     p.add_argument("--initial", default="zeros", help="zeros, ghz, or a basis bitstring")
     p.set_defaults(func=cmd_verify)
 
@@ -277,13 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run benchmark sweeps and emit CSV")
     p.add_argument("suite", nargs="+",
-                   help="family:lo..hi[:strategy,...], e.g. ghz:4..64:sequential")
+                   help="family:lo..hi[:strategy,...], e.g. ghz:4..64:sequential; "
+                        f"a strategy is {_STRATEGY_HELP}")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dot", help="export the final-state diagram as graphviz")
     p.add_argument("circuit")
-    p.add_argument("--path", default="sequential")
+    p.add_argument("--path", default="sequential", help=_STRATEGY_HELP)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_dot)
     return parser

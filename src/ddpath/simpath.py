@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 
+from . import tnbridge
 from .circuit import Circuit, concat_inverse, decomposition_cost
 from .errors import (
     InternalError,
@@ -25,7 +26,7 @@ from .errors import (
 from .kernel import Edge, Kernel
 
 FIDELITY_TOLERANCE = 1e-9
-STRATEGIES = ("sequential", "alternating", "heuristic")
+STRATEGIES = ("sequential", "alternating", "heuristic", "greedy")
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,12 @@ class SimulationPath:
 
 
 def load_path(path: str) -> SimulationPath:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SimulationPath.from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return SimulationPath.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InvalidArgumentError(
+            f"bad path file {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_path(p: SimulationPath, path: str) -> None:
@@ -131,16 +136,39 @@ def heuristic_path(g: Circuit, g_prime: Circuit, costs: dict[str, int] | None = 
 
 
 def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> SimulationPath:
+    """Turn a strategy name into a path: one of ``STRATEGIES``,
+    ``file:<path.json>`` or ``plan:<plan.json>``.
+
+    With ``g_prime`` the path runs over the miter ``concat_inverse(g,
+    g_prime)``, otherwise over ``g``.  ``alternating`` and ``heuristic``
+    weave the two halves of a miter; when one half is empty they fall back
+    to the chain.
+    """
     if strategy == "sequential":
         count = len(g.gates) + (len(g_prime.gates) if g_prime is not None else 0)
         return sequential_path(count)
-    if g_prime is None:
-        raise InvalidArgumentError(f"strategy {strategy!r} needs a second circuit")
-    if strategy == "alternating":
-        return alternating_path(len(g.gates), len(g_prime.gates))
-    if strategy == "heuristic":
+    if strategy in ("alternating", "heuristic"):
+        if g_prime is None:
+            raise InvalidArgumentError(f"strategy {strategy!r} needs a second circuit")
+        if not g.gates or not g_prime.gates:
+            return sequential_path(len(g.gates) + len(g_prime.gates))
+        if strategy == "alternating":
+            return alternating_path(len(g.gates), len(g_prime.gates))
         return heuristic_path(g, g_prime)
-    raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    if strategy != "greedy" and not strategy.startswith(("file:", "plan:")):
+        raise InvalidArgumentError(
+            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
+            f"file:<path.json> or plan:<plan.json>")
+    circuit = g if g_prime is None else concat_inverse(g, g_prime)
+    if strategy == "greedy":
+        plan = tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
+        return tnbridge.import_path(plan, circuit)
+    kind, _, source = strategy.partition(":")
+    if kind == "plan":
+        return tnbridge.import_path(tnbridge.load_plan(source), circuit)
+    path = load_path(source)
+    validate(path, circuit)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +424,8 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
                        kernel: Kernel | None = None, initial: Edge | None = None,
                        path: SimulationPath | None = None) -> VerificationResult:
     """Simulate g followed by the inverse of g_prime and test that the
-    initial state maps to itself up to global phase."""
+    initial state maps to itself up to global phase.  ``strategy`` is any
+    name ``make_path`` takes; an explicit ``path`` is used as given."""
     combined = concat_inverse(g, g_prime)
     if kernel is None:
         kernel = Kernel()
@@ -408,11 +437,7 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
         empty = SimulationPath(0, ())
         return VerificationResult("consistent", 1.0, stats, combined, empty, initial)
     if path is None:
-        if not g.gates or not g_prime.gates:
-            # two-sided strategies need both halves; the chain always applies
-            path = sequential_path(len(combined.gates))
-        else:
-            path = make_path(strategy, g, g_prime)
+        path = make_path(strategy, g, g_prime)
     kernel.inc_ref(initial)
     final, stats = execute(combined, path, kernel, initial)
     fidelity = abs(kernel.inner_product(initial, final))

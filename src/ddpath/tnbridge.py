@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import simpath
 from .circuit import Circuit
-from .errors import PlanningError
-from .simpath import SimulationPath, validate
+from .errors import InvalidArgumentError, PlanningError
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,12 @@ class ContractionPlan:
 
 
 def load_plan(path: str) -> ContractionPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ContractionPlan.from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ContractionPlan.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InvalidArgumentError(
+            f"bad plan file {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -128,17 +132,10 @@ def greedy_plan(tn: TensorNetworkDescription) -> ContractionPlan:
     return ContractionPlan(tuple(pairs))
 
 
-def sequential_plan(tn: TensorNetworkDescription) -> ContractionPlan:
-    """State-times-gate chain in circuit order, for cost comparisons."""
-    count = len(tn.tensors) - 1
-    pairs = [(0, 1)] + [(k, count + k - 1) for k in range(2, count + 1)]
-    return ContractionPlan(tuple(pairs))
-
-
-def import_path(plan: ContractionPlan, circuit: Circuit) -> SimulationPath:
+def import_path(plan: ContractionPlan, circuit: Circuit) -> simpath.SimulationPath:
     """Re-index a contraction plan as a simulation path and validate it."""
-    path = SimulationPath(len(circuit.gates), plan.pairs)
-    validate(path, circuit)
+    path = simpath.SimulationPath(len(circuit.gates), plan.pairs)
+    simpath.validate(path, circuit)
     return path
 
 

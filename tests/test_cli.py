@@ -6,6 +6,7 @@ import pytest
 from ddpath import emit_qasm, qft
 from ddpath.cli import main
 from ddpath.circuit import Circuit, Gate
+from ddpath.simpath import STRATEGIES
 
 
 def run_cli(capsys, *args):
@@ -145,6 +146,109 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "qft:3", "qft:4")
         assert code == 2
         assert "mismatch" in json.loads(err)["message"]
+
+
+def chain_pairs(count):
+    return [[0, 1]] + [[k, count + k - 1] for k in range(2, count + 1)]
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestStrategyNames:
+    """Every strategy name reaches simulate, verify and bench alike."""
+
+    @pytest.fixture
+    def spec_for(self, tmp_path):
+        """``file`` and ``plan`` become specs naming a chain over ``count``
+        gates; other names pass through."""
+        def spec_for(name, count):
+            if name == "file":
+                data = {"gate_count": count, "path": chain_pairs(count)}
+            elif name == "plan":
+                data = {"pairs": chain_pairs(count)}
+            else:
+                return name
+            return f"{name}:{write_json(tmp_path / f'{name}.json', data)}"
+        return spec_for
+
+    @pytest.mark.parametrize("name", ["sequential", "greedy", "file", "plan"])
+    def test_simulate_matches_sequential(self, capsys, spec_for, name):
+        amps = "000,011,101,111"
+        code, out, _ = run_cli(capsys, "simulate", "qft:3", "--path", spec_for(name, 7),
+                               "--amplitudes", amps)
+        assert code == 0
+        got = json.loads(out)["amplitudes"]
+        _, ref, _ = run_cli(capsys, "simulate", "qft:3", "--amplitudes", amps)
+        want = json.loads(ref)["amplitudes"]
+        for bits in amps.split(","):
+            assert abs(complex(*got[bits]) - complex(*want[bits])) < 1e-10
+
+    @pytest.mark.parametrize("name", list(STRATEGIES) + ["file", "plan"])
+    def test_verify_consistent(self, capsys, spec_for, name):
+        spec = spec_for(name, 14)
+        code, out, _ = run_cli(capsys, "verify", "qft:3", "qft:3", "--strategy", spec)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "consistent"
+        assert report["strategy"] == spec
+
+    def test_bench_qft_verify_every_name(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "qft-verify:4:" + ",".join(STRATEGIES))
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            ("qft-verify", "4", s) for s in STRATEGIES]
+
+    @pytest.mark.parametrize("name", ["file", "plan"])
+    def test_bench_takes_file_and_plan(self, capsys, spec_for, name):
+        spec = spec_for(name, 7)
+        code, out, _ = run_cli(capsys, "bench", f"qft:3:{spec}")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [("qft", "3", spec)]
+
+    @pytest.mark.parametrize("command", ["simulate", "dot"])
+    @pytest.mark.parametrize("spec", ["alternating", "heuristic"])
+    def test_two_sided_needs_second_circuit(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, command, "qft:3", "--path", spec)
+        assert code == 2
+        assert out == ""
+        assert "needs a second circuit" in json.loads(err)["message"]
+
+    def test_unknown_name_lists_every_choice(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "qft:3", "qft:3", "--strategy", "nope")
+        assert code == 2
+        message = json.loads(err)["message"]
+        for name in STRATEGIES + ("file:", "plan:"):
+            assert name in message
+
+
+BAD_FILES = {
+    "missing": None,
+    "not-json": "{not json",
+    "empty-object": "{}",
+    "non-integer-index": '{"gate_count": 7, "path": [[0, "a"]], "pairs": [[0, "a"]]}',
+}
+
+
+@pytest.mark.parametrize("content", list(BAD_FILES.values()), ids=list(BAD_FILES))
+@pytest.mark.parametrize("command", [
+    ("simulate", "qft:3", "--path", "file:{}"),
+    ("verify", "qft:3", "qft:3", "--strategy", "plan:{}"),
+], ids=["simulate-file", "verify-plan"])
+def test_bad_path_or_plan_file_is_input_error(capsys, tmp_path, command, content):
+    f = tmp_path / "bad.json"
+    if content is not None:
+        f.write_text(content)
+    code, out, err = run_cli(capsys, *command[:-1], command[-1].format(f))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidArgumentError"
+    assert str(f) in payload["message"]
 
 
 class TestExportTn:

@@ -6,6 +6,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddpath import (
     Kernel,
@@ -30,7 +31,7 @@ from ddpath import (
 from ddpath import oracle
 from ddpath.circuit import Circuit, Gate, h
 from ddpath.errors import InvalidArgumentError, PathValidationError
-from ddpath.simpath import SimulationPath, load_path, make_path, save_path
+from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
 from helpers import random_circuit, reference_validate
 
@@ -369,6 +370,25 @@ class TestPathFiles:
         assert make_path("alternating", g, g).tasks == alternating_path(7, 7).tasks
         with pytest.raises(InvalidArgumentError):
             make_path("nope", g, g)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 10), st.booleans())
+    def test_every_strategy_reproduces_sequential(self, seed, n, depth, transpiled):
+        # every circuit without "u" gates transpiles
+        g = random_circuit(random.Random(seed), n, depth, allow_u=False)
+        g_prime = transpile(g) if transpiled else g
+        combined = concat_inverse(g, g_prime)
+        k = Kernel()
+        reference, _ = execute(combined, kernel=k)
+        for name in STRATEGIES:
+            try:
+                path = make_path(name, g, g_prime)
+            except PathValidationError as exc:
+                # greedy plans are not yet limited to valid merges
+                assert name == "greedy" and exc.task_index is not None
+                continue
+            final, _ = execute(combined, path, k)
+            assert root_equal(final, reference), name
 
 
 @contextmanager
