@@ -33,7 +33,6 @@ from .tnbridge import (
     export_tensor_network,
     greedy_plan,
     import_path,
-    plan_cost,
 )
 
 __version__ = "0.1.0"
@@ -46,5 +45,5 @@ __all__ = [
     "SimulationPath", "RunStats", "sequential_path", "alternating_path",
     "heuristic_path", "validate", "execute", "verify_equivalence",
     "TensorNetworkDescription", "ContractionPlan", "export_tensor_network",
-    "greedy_plan", "import_path", "plan_cost",
+    "greedy_plan", "import_path",
 ]

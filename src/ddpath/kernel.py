@@ -324,32 +324,36 @@ class Kernel:
         e = self._mnode(target, em[0], em[1], em[2], em[3])
         return self._lift(e, target + 1, n, cset)
 
+    def _lift_node(self, level: int, node: Node | None) -> Node:
+        """The identity-level node (ONE·node, 0, 0, ONE·node) at ``level``.
+
+        For any nonzero ``e`` over ``node``, ``_mnode(level, e, 0, 0, e)``
+        normalises to weight ``e.w`` over this node, so callers look it up
+        here and carry the weight unchanged.
+        """
+        one = self.ONE
+        key = (level, one, node, 0j, None, 0j, None, one, node)
+        up = self._mat_unique.get(key)
+        if up is None:
+            self._uid += 1
+            half = Edge(one, node)
+            zero = self.zero_edge
+            up = Node(level, (half, zero, zero, half), self._uid)
+            self._mat_unique[key] = up
+        return up
+
     def _lift(self, e: Edge, start: int, stop: int, cset=frozenset()) -> Edge:
         """Extend ``e`` from level ``start`` up to ``stop`` qubits; levels in
-        ``cset`` are positive controls, the others act as the identity.
-
-        At an identity level, ``_mnode(level, e, 0, 0, e)`` would normalise
-        to weight ``e.w`` over the node (ONE·e.node, 0, 0, ONE·e.node), so
-        that node is looked up directly and the weight carried unchanged.
-        """
+        ``cset`` are positive controls, the others act as the identity."""
         w, node = e
         if node is None and w == 0:
             return e
-        one = self.ONE
         zero = self.zero_edge
-        table = self._mat_unique
         for level in range(start, stop):
             if level in cset:
                 w, node = self._mnode(level, self.identity(level), zero, zero, Edge(w, node))
-                continue
-            key = (level, one, node, zero.w, None, zero.w, None, one, node)
-            up = table.get(key)
-            if up is None:
-                self._uid += 1
-                half = Edge(one, node)
-                up = Node(level, (half, zero, zero, half), self._uid)
-                table[key] = up
-            node = up
+            else:
+                node = self._lift_node(level, node)
         return Edge(w, node)
 
     def _swap(self, a: int, b: int, n: int) -> Edge:
@@ -492,15 +496,30 @@ class Kernel:
             ae = an.edges
             be = bn.edges
             lo = level - 1
-            addc = self._ct_add_m
-            parts = []
-            for row in (0, 2):
-                for col in (0, 1):
-                    parts.append(self._add(
-                        self._mul_mm(ae[row], be[col], lo),
-                        self._mul_mm(ae[row + 1], be[col + 2], lo),
-                        lo, addc, 4))
-            r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
+            zero = self.zero_edge
+            if ae[1] == zero and ae[2] == zero and ae[0] == ae[3] \
+                    and be[1] == zero and be[2] == zero and be[0] == be[3]:
+                # both are identity lifts diag(A, A) and diag(B, B): the
+                # product is diag(x, x) with x = A·B, one sub-product instead
+                # of eight.  _mnode(level, x, 0, 0, x) would pick x as the
+                # norm (the first successor of largest magnitude), scale the
+                # last successor to x.w / x.w, which interns to ONE, and so
+                # return weight x.w over the lift node of x.node
+                x = self._mul_mm(ae[0], be[0], lo)
+                if x.node is None and x.w == 0:
+                    r = zero
+                else:
+                    r = _edge((x.w, self._lift_node(level, x.node)))
+            else:
+                addc = self._ct_add_m
+                parts = []
+                for row in (0, 2):
+                    for col in (0, 1):
+                        parts.append(self._add(
+                            self._mul_mm(ae[row], be[col], lo),
+                            self._mul_mm(ae[row + 1], be[col + 2], lo),
+                            lo, addc, 4))
+                r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
             if memo:
                 self._ct_mm.put(key, r)
         return self._scale(r, w)

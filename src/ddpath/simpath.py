@@ -29,6 +29,17 @@ FIDELITY_TOLERANCE = 1e-9
 STRATEGIES = ("sequential", "alternating", "heuristic", "greedy")
 
 
+def as_index(value, what: str) -> int:
+    """``value`` as an int; a non-integral value is an error, never truncated."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class SimulationPath:
     gate_count: int
@@ -36,14 +47,17 @@ class SimulationPath:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "tasks", tuple((int(a), int(b)) for a, b in self.tasks))
+            self, "tasks",
+            tuple((as_index(a, "path index"), as_index(b, "path index"))
+                  for a, b in self.tasks))
 
     def to_json(self) -> dict:
         return {"gate_count": self.gate_count, "path": [list(t) for t in self.tasks]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SimulationPath":
-        return cls(int(data["gate_count"]), tuple(tuple(p) for p in data["path"]))
+        return cls(as_index(data["gate_count"], "gate_count"),
+                   tuple(tuple(p) for p in data["path"]))
 
 
 def load_path(path: str) -> SimulationPath:
@@ -135,6 +149,14 @@ def heuristic_path(g: Circuit, g_prime: Circuit, costs: dict[str, int] | None = 
     return _woven_path(len(g.gates), len(g_prime.gates), budgets)
 
 
+def _check_strategy(strategy: str) -> None:
+    """Raise ``InvalidArgumentError`` unless ``make_path`` knows the name."""
+    if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
+        raise InvalidArgumentError(
+            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
+            f"file:<path.json> or plan:<plan.json>")
+
+
 def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> SimulationPath:
     """Turn a strategy name into a path: one of ``STRATEGIES``,
     ``file:<path.json>`` or ``plan:<plan.json>``.
@@ -144,6 +166,7 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
     weave the two halves of a miter; when one half is empty they fall back
     to the chain.
     """
+    _check_strategy(strategy)
     if strategy == "sequential":
         count = len(g.gates) + (len(g_prime.gates) if g_prime is not None else 0)
         return sequential_path(count)
@@ -155,10 +178,6 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
         if strategy == "alternating":
             return alternating_path(len(g.gates), len(g_prime.gates))
         return heuristic_path(g, g_prime)
-    if strategy != "greedy" and not strategy.startswith(("file:", "plan:")):
-        raise InvalidArgumentError(
-            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
-            f"file:<path.json> or plan:<plan.json>")
     circuit = g if g_prime is None else concat_inverse(g, g_prime)
     if strategy == "greedy":
         plan = tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
@@ -426,6 +445,8 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
     """Simulate g followed by the inverse of g_prime and test that the
     initial state maps to itself up to global phase.  ``strategy`` is any
     name ``make_path`` takes; an explicit ``path`` is used as given."""
+    if path is None:
+        _check_strategy(strategy)
     combined = concat_inverse(g, g_prime)
     if kernel is None:
         kernel = Kernel()

@@ -6,9 +6,15 @@ drop straight into ``SimulationPath`` without remapping.  The initial state
 is exported as one full rank-n tensor because the diagram kernel multiplies
 whole operators and state vectors only; per-qubit state tensors would ask
 for contractions it cannot perform.
+
+``greedy_plan`` contracts, at each step, the pair of live tensors sharing an
+index with the smallest result rank, breaking ties by the smaller combined
+input size and then by the lowest id pair.  It keeps its candidates in a
+heap, so planning costs O(E log E) in the number E of shared indices.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -45,10 +51,12 @@ class TensorNetworkDescription:
     @classmethod
     def from_json(cls, data: dict) -> "TensorNetworkDescription":
         tensors = tuple(
-            Tensor(int(t["id"]), tuple(t["indices"]), tuple(int(s) for s in t["shape"]),
+            Tensor(simpath.as_index(t["id"], "tensor id"), tuple(t["indices"]),
+                   tuple(simpath.as_index(s, "tensor shape") for s in t["shape"]),
                    t["tag"])
             for t in data["tensors"])
-        return cls(int(data["qubits"]), tensors, tuple(data["output_indices"]))
+        return cls(simpath.as_index(data["qubits"], "qubits"), tensors,
+                   tuple(data["output_indices"]))
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,9 @@ class ContractionPlan:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
+            self, "pairs",
+            tuple((simpath.as_index(a, "plan index"), simpath.as_index(b, "plan index"))
+                  for a, b in self.pairs))
 
     def to_json(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs]}
@@ -100,34 +110,55 @@ def export_tensor_network(c: Circuit) -> TensorNetworkDescription:
 
 
 def greedy_plan(tn: TensorNetworkDescription) -> ContractionPlan:
-    """Repeatedly contract the connected pair with the smallest result,
-    breaking ties by combined input size, then by lowest id pair."""
-    active: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
-    if len(active) != len(tn.tensors):
+    """Repeatedly contract the cheapest pair of live tensors that share an
+    index: the minimum of ``(2^|a△b|, 2^|a|+2^|b|, a, b)`` with ``a < b``,
+    so the smallest result wins, ties go to the smaller combined input and
+    then to the lowest id pair.
+
+    A pair's cost depends only on its two index sets, which never change
+    while both tensors are live, so candidates sit in one heap and an entry
+    goes stale only when one of its tensors is consumed; stale entries are
+    dropped as they are popped.  Each contraction pushes only the pairs of
+    the new tensor with the live holders of its indices.
+    """
+    live: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
+    if len(live) != len(tn.tensors):
         raise PlanningError("duplicate tensor ids")
-    next_id = max(active) + 1 if active else 0
+    holders: dict[str, set[int]] = {}
+    for tid, ix in live.items():
+        for label in ix:
+            holders.setdefault(label, set()).add(tid)
+
+    def entry(a: int, b: int) -> tuple[int, int, int, int]:
+        ia, ib = live[a], live[b]
+        return (1 << len(ia ^ ib), (1 << len(ia)) + (1 << len(ib)), a, b)
+
+    heap = [entry(a, b) for a, b in
+            {(a, b) for ids in holders.values() for a in ids for b in ids if a < b}]
+    heapq.heapify(heap)
+    next_id = max(live) + 1 if live else 0
     pairs: list[tuple[int, int]] = []
-    while len(active) > 1:
-        best = None
-        ids = sorted(active)
-        for i, a in enumerate(ids):
-            ia = active[a]
-            for b in ids[i + 1:]:
-                ib = active[b]
-                if not ia & ib:
-                    continue
-                result = ia ^ ib
-                rank_cost = 1 << len(result)
-                input_cost = (1 << len(ia)) + (1 << len(ib))
-                cand = (rank_cost, input_cost, a, b)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+    while len(live) > 1:
+        while heap:
+            _, _, a, b = heapq.heappop(heap)
+            if a in live and b in live:
+                break
+        else:
             raise PlanningError(
-                f"network is disconnected; {len(active)} tensors remain")
-        _, _, a, b = best
+                f"network is disconnected; {len(live)} tensors remain")
         pairs.append((a, b))
-        active[next_id] = active.pop(a) ^ active.pop(b)
+        ia = live.pop(a)
+        ib = live.pop(b)
+        for label in ia | ib:
+            holders[label].difference_update((a, b))
+        merged = ia ^ ib
+        live[next_id] = merged
+        partners: set[int] = set()
+        for label in merged:
+            partners |= holders[label]
+            holders[label].add(next_id)
+        for p in partners:
+            heapq.heappush(heap, entry(p, next_id))
         next_id += 1
     return ContractionPlan(tuple(pairs))
 
@@ -137,32 +168,3 @@ def import_path(plan: ContractionPlan, circuit: Circuit) -> simpath.SimulationPa
     path = simpath.SimulationPath(len(circuit.gates), plan.pairs)
     simpath.validate(path, circuit)
     return path
-
-
-@dataclass(frozen=True)
-class PlanCost:
-    flops: int
-    max_size: int
-
-
-def plan_cost(tn: TensorNetworkDescription, plan: ContractionPlan) -> PlanCost:
-    """Shape-only cost model: each step costs 2^(distinct indices involved),
-    the size of a step's result is 2^(result rank)."""
-    active: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
-    if len(plan.pairs) != max(len(active) - 1, 0):
-        raise PlanningError(
-            f"plan has {len(plan.pairs)} steps for {len(active)} tensors")
-    next_id = max(active) + 1 if active else 0
-    flops = 0
-    max_size = 0
-    for step, (a, b) in enumerate(plan.pairs, start=1):
-        if a == b or a not in active or b not in active:
-            raise PlanningError(f"step {step}: bad pair ({a}, {b})")
-        ia = active.pop(a)
-        ib = active.pop(b)
-        flops += 1 << len(ia | ib)
-        result = ia ^ ib
-        max_size = max(max_size, 1 << len(result))
-        active[next_id] = result
-        next_id += 1
-    return PlanCost(flops, max_size)

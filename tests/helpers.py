@@ -1,5 +1,5 @@
-"""Shared test utilities: random circuits, equivalence-preserving rewrites
-and the reference path validator."""
+"""Shared test utilities: random circuits, equivalence-preserving rewrites,
+the reference path validator and the reference greedy planner."""
 from __future__ import annotations
 
 import cmath
@@ -7,8 +7,9 @@ import math
 import random
 
 from ddpath.circuit import Circuit, Gate
-from ddpath.errors import PathValidationError
+from ddpath.errors import PathValidationError, PlanningError
 from ddpath.simpath import PathValidation, ValidatedTask
+from ddpath.tnbridge import ContractionPlan
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
 TWO_KINDS = ["cx", "cz", "cp", "swap"]
@@ -176,3 +177,37 @@ def reference_validate(path, circuit):
     if operands[final].positions != frozenset(range(count + 1)):
         raise PathValidationError("final result does not cover the whole sequence")
     return PathValidation(tuple(out), intervals)
+
+
+def reference_greedy_plan(tn):
+    """All-pairs form of ``tnbridge.greedy_plan``: rescans every pair of
+    live tensors at each step.  Kept as the reference the heap-driven
+    planner is compared against."""
+    active: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
+    if len(active) != len(tn.tensors):
+        raise PlanningError("duplicate tensor ids")
+    next_id = max(active) + 1 if active else 0
+    pairs: list[tuple[int, int]] = []
+    while len(active) > 1:
+        best = None
+        ids = sorted(active)
+        for i, a in enumerate(ids):
+            ia = active[a]
+            for b in ids[i + 1:]:
+                ib = active[b]
+                if not ia & ib:
+                    continue
+                result = ia ^ ib
+                rank_cost = 1 << len(result)
+                input_cost = (1 << len(ia)) + (1 << len(ib))
+                cand = (rank_cost, input_cost, a, b)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            raise PlanningError(
+                f"network is disconnected; {len(active)} tensors remain")
+        _, _, a, b = best
+        pairs.append((a, b))
+        active[next_id] = active.pop(a) ^ active.pop(b)
+        next_id += 1
+    return ContractionPlan(tuple(pairs))

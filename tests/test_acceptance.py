@@ -178,7 +178,8 @@ def test_negative_verification():
         res = verify_equivalence(g, gp, strategy, kernel, initial)
         assert res.verdict == "inconsistent", strategy
         assert abs(res.fidelity - oracle_fidelity) < 1e-9
-    # imported plan strategy on a smaller instance (greedy planning is cubic)
+    # imported plan strategy on a smaller instance (greedy plans for qft
+    # miters fail validate from n = 6)
     n_small = 5
     g_small = qft(n_small)
     gp_small = _perturbed_transpile(n_small)

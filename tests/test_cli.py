@@ -132,6 +132,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verdict"] == "consistent"
 
+    def test_unknown_strategy_on_empty_miter(self, capsys, tmp_path):
+        fempty = tmp_path / "empty.qasm"
+        fempty.write_text("OPENQASM 2.0;\nqreg q[1];\n")
+        code, out, err = run_cli(capsys, "verify", str(fempty), str(fempty),
+                                 "--strategy", "nope")
+        assert code == 2
+        assert out == ""
+        assert "unknown strategy 'nope'" in json.loads(err)["message"]
+
     def test_plan_strategy(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         count = 14
@@ -231,6 +240,9 @@ BAD_FILES = {
     "not-json": "{not json",
     "empty-object": "{}",
     "non-integer-index": '{"gate_count": 7, "path": [[0, "a"]], "pairs": [[0, "a"]]}',
+    # a truncated 1.9 would run the valid chain (0, 1), (2, 8), ...
+    "fractional-index": json.dumps({"gate_count": 7, "path": [[0, 1.9]] + chain_pairs(7)[1:],
+                                    "pairs": [[0, 1.9]] + chain_pairs(14)[1:]}),
 }
 
 

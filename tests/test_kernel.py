@@ -202,6 +202,35 @@ class TestMultiply:
             assert root_equal(k.multiply_mm(k.multiply_mm(a, b), c),
                               k.multiply_mm(a, k.multiply_mm(b, c)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gate_pair_products_match_oracle(self, n):
+        # controls above and below the target, and swaps, leave identity
+        # levels where both factors are lifts, which multiply_mm shortcuts
+        rng = random.Random(n)
+        gates = [swap(0, n - 1), swap(n - 2, n - 1)]
+        for t in range(n):
+            gates.append(Gate("u", (t,), (t + 1,) if t + 1 < n else (),
+                              matrix=random_unitary_2x2(rng)))
+            gates.append(Gate("p", (t,), (t - 1,) if t > 0 else (), rng.uniform(-3, 3)))
+        pairs = list(itertools.product(gates, repeat=2))
+        k_on = Kernel()
+        k_off = Kernel(use_compute_table=False)
+        for ga, gb in rng.sample(pairs, min(len(pairs), 80)):
+            on = k_on.multiply_mm(k_on.make_gate(ga, n), k_on.make_gate(gb, n))
+            off = k_off.multiply_mm(k_off.make_gate(ga, n), k_off.make_gate(gb, n))
+            want = oracle.gate_matrix(ga, n) @ oracle.gate_matrix(gb, n)
+            assert np.max(np.abs(k_on.to_matrix(on) - want)) < 1e-10, (ga, gb)
+            assert k_on.signature(on) == k_off.signature(off), (ga, gb)
+
+    def test_self_inverse_lands_on_identity_chain(self):
+        # x_k @ x_k has identity lifts above qubit k; they must come out as
+        # the unique-table nodes of the identity chain
+        for n in range(1, 9):
+            k = Kernel()
+            for q in range(n):
+                xq = k.make_gate(Gate("x", (q,)), n)
+                assert root_equal(k.multiply_mm(xq, xq), k.identity(n)), (n, q)
+
     def test_level_mismatch_rejected(self):
         k = Kernel()
         with pytest.raises(InvalidArgumentError):

@@ -2,26 +2,33 @@ import json
 
 import pytest
 
+import random
+
 from ddpath import (
     Kernel,
+    concat_inverse,
+    emit_qasm,
     execute,
     export_tensor_network,
     ghz,
     greedy_plan,
     import_path,
-    plan_cost,
+    parse_qasm,
     qft,
     root_equal,
     sequential_path,
+    transpile,
 )
-from ddpath.circuit import Circuit, graph_state
-from ddpath.errors import PathValidationError, PlanningError
+from ddpath.circuit import GENERATORS, Circuit, deutsch_jozsa, graph_state
+from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.tnbridge import (
     ContractionPlan,
     Tensor,
     TensorNetworkDescription,
     load_plan,
 )
+
+from helpers import random_circuit, reference_greedy_plan
 
 
 class TestExport:
@@ -86,6 +93,82 @@ class TestGreedyPlan:
             greedy_plan(tn)
 
 
+def _network(*index_sets):
+    tensors = tuple(Tensor(i, tuple(ix), (2,) * len(ix), i or "state")
+                    for i, ix in enumerate(index_sets))
+    return TensorNetworkDescription(1, tensors, ())
+
+
+class TestGreedyPlanMatchesReference:
+    """The heap-driven planner emits exactly the all-pairs reference's plan."""
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_generator_families(self, family):
+        for n in range(2, 15):
+            tn = export_tensor_network(GENERATORS[family](n))
+            assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs, n
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_qft_transpile_miters(self, n):
+        tn = export_tensor_network(concat_inverse(qft(n), transpile(qft(n))))
+        assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs
+
+    def test_random_qasm_circuits(self):
+        rng = random.Random(2203)
+        for i in range(200):
+            c = random_circuit(rng, rng.randint(2, 6), rng.randint(1, 25),
+                               allow_u=False, allow_controls=False)
+            tn = export_tensor_network(parse_qasm(emit_qasm(c)))
+            assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs, i
+
+    def test_label_held_by_three_tensors(self):
+        # only a hand-written or imported network can share one label
+        # between more than two tensors; after a merge the third keeps it
+        tn = _network(("a", "b"), ("a", "c"), ("a", "d"), ("b", "c", "e"), ("d", "e"))
+        plan = greedy_plan(tn)
+        assert plan.pairs == reference_greedy_plan(tn).pairs
+        assert len(plan.pairs) == 4
+
+    def test_random_networks_with_widely_shared_labels(self):
+        # labels drawn from a small alphabet are held by up to all tensors,
+        # and some networks end disconnected: both planners agree on either
+        rng = random.Random(78)
+
+        def outcome(planner, tn):
+            try:
+                return planner(tn).pairs
+            except PlanningError as exc:
+                return str(exc)
+
+        for i in range(300):
+            tn = _network(*(rng.sample("abcdefg", rng.randint(1, 3))
+                            for _ in range(rng.randint(2, 10))))
+            assert outcome(greedy_plan, tn) == outcome(reference_greedy_plan, tn), i
+
+    def test_same_error_on_disconnected_network(self):
+        tn = _network(("a", "b"), ("a",), ("b",), ("c", "d"), ("c",))
+        messages = []
+        for planner in (greedy_plan, reference_greedy_plan):
+            with pytest.raises(PlanningError) as exc:
+                planner(tn)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "network is disconnected; 2 tensors remain"
+
+    def test_same_error_on_duplicate_ids(self):
+        tn = TensorNetworkDescription(
+            1, (Tensor(0, ("a",), (2,), "state"), Tensor(0, ("a",), (2,), 1)), ())
+        for planner in (greedy_plan, reference_greedy_plan):
+            with pytest.raises(PlanningError, match="^duplicate tensor ids$"):
+                planner(tn)
+
+    @pytest.mark.parametrize("circuit,peak", [
+        (ghz(128), 255), (deutsch_jozsa(64), 127), (deutsch_jozsa(72), 143)])
+    def test_benchmark_peaks(self, circuit, peak):
+        path = import_path(greedy_plan(export_tensor_network(circuit)), circuit)
+        _, stats = execute(circuit, path)
+        assert stats.peak_nodes == peak
+
+
 class TestImportPath:
     def test_worked_plan_for_qft3(self):
         c = qft(3)
@@ -122,41 +205,19 @@ class TestImportPath:
         f.write_text(json.dumps(plan.to_json()))
         assert load_plan(str(f)) == plan
 
+    def test_fractional_plan_index_rejected_with_file_name(self, tmp_path):
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps({"pairs": [[0, 1.9], [2, 3]]}))
+        with pytest.raises(InvalidArgumentError, match="plan.json.*1.9"):
+            load_plan(str(f))
+        assert ContractionPlan(((0, 1.0),)).pairs == ((0, 1),)
 
-class TestPlanCost:
-    def test_matrix_product_example(self):
-        tn = TensorNetworkDescription(
-            2,
-            (Tensor(0, ("i", "k"), (2, 2), "state"), Tensor(1, ("k", "j"), (2, 2), 1)),
-            ("i", "j"))
-        cost = plan_cost(tn, ContractionPlan(((0, 1),)))
-        assert cost.flops == 8 and cost.max_size == 4
-
-    def test_empty_plan_single_tensor(self):
-        tn = TensorNetworkDescription(1, (Tensor(0, ("a",), (2,), "state"),), ("a",))
-        cost = plan_cost(tn, ContractionPlan(()))
-        assert cost.flops == 0
-
-    def test_full_simulation_result_is_exponential(self):
-        for n in (3, 5, 7):
-            tn = export_tensor_network(qft(n))
-            cost = plan_cost(tn, greedy_plan(tn))
-            assert cost.max_size >= 2 ** n
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_greedy_not_beaten_by_sequential_on_small_qft(self, n):
-        # the result-size-greedy rule starts preferring gate-gate merges once
-        # the rank-n state tensor dominates, and loses this comparison for
-        # larger qft instances; the small cases are where the bound holds
-        tn = export_tensor_network(qft(n))
-        greedy_cost = plan_cost(tn, greedy_plan(tn))
-        seq_plan = ContractionPlan(sequential_path(len(tn.tensors) - 1).tasks)
-        seq_cost = plan_cost(tn, seq_plan)
-        assert greedy_cost.flops <= seq_cost.flops
-
-    def test_bad_plan_rejected(self):
-        tn = export_tensor_network(ghz(2))
-        with pytest.raises(PlanningError):
-            plan_cost(tn, ContractionPlan(((0, 9), (1, 2))))
-        with pytest.raises(PlanningError):
-            plan_cost(tn, ContractionPlan(((0, 1),)))
+    @pytest.mark.parametrize("field,value", [("id", 1.5), ("shape", [2.5]), ("qubits", 0.5)])
+    def test_fractional_network_value_rejected(self, field, value):
+        data = export_tensor_network(ghz(1)).to_json()
+        if field == "qubits":
+            data["qubits"] = value
+        else:
+            data["tensors"][1][field] = value
+        with pytest.raises(InvalidArgumentError, match=str(value)):
+            TensorNetworkDescription.from_json(data)
