@@ -9,6 +9,11 @@ tables, so any two construction orders of the same quantity end at the same
 root edge.  Qubit k lives at level k; level n-1 is the root / most
 significant bit of a basis string.
 
+Sums and products are memoised in compute tables: plain dicts, exact per
+kernel, keyed by operand nodes (and the weight ratio, for sums).  Every
+``Kernel.gc`` sweep empties them together with the gate memo, so no entry
+outlives a node it names.
+
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
 not transferable between them.
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -30,9 +34,6 @@ _INV_EPS = 1.0 / EPS
 # magnitudes this close count as tied during normalization, so the choice of
 # norm successor is stable under interning-level noise
 _MAG_TOL = 4 * EPS
-
-DEFAULT_TABLE_BITS = 18
-TABLE_BITS_ENV = "DDPATH_TABLE_BITS"
 
 
 class Node:
@@ -73,36 +74,16 @@ class Edge(NamedTuple):
 _edge = functools.partial(tuple.__new__, Edge)
 
 
-class _Cache:
-    """Lossy fixed-size memo table: overwrite on collision."""
-
-    __slots__ = ("slots", "mask")
-
-    def __init__(self, bits: int):
-        self.mask = (1 << bits) - 1
-        self.slots: list = [None] * (1 << bits)
-
-    def get(self, key):
-        entry = self.slots[hash(key) & self.mask]
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        return None
-
-    def put(self, key, value):
-        self.slots[hash(key) & self.mask] = (key, value)
-
-    def clear(self):
-        self.slots = [None] * (self.mask + 1)
-
-
 class Kernel:
-    """One unique table / compute table / value table instance."""
+    """One unique table / compute table / value table instance.
 
-    def __init__(self, table_bits: int | None = None, use_compute_table: bool = True):
-        if table_bits is None:
-            table_bits = int(os.environ.get(TABLE_BITS_ENV, DEFAULT_TABLE_BITS))
-        if not 4 <= table_bits <= 28:
-            raise InvalidArgumentError(f"table_bits must be in [4, 28], got {table_bits}")
+    The compute tables are exact memos that never drop an entry between two
+    ``gc`` sweeps; each sweep empties them and the gate memo.  With
+    ``use_compute_table=False`` every sub-result is recomputed, which changes
+    the cost of a product but never its result.
+    """
+
+    def __init__(self, use_compute_table: bool = True):
         self._values: dict[tuple[int, int], complex] = {}
         self.ZERO = 0j
         self.ONE = 1 + 0j
@@ -114,10 +95,10 @@ class Kernel:
         self._mat_unique: dict = {}
         self._uid = 0
         self.use_compute_table = use_compute_table
-        self._ct_mv = _Cache(table_bits)
-        self._ct_mm = _Cache(table_bits)
-        self._ct_add_v = _Cache(table_bits)
-        self._ct_add_m = _Cache(table_bits)
+        self._ct_mv: dict = {}
+        self._ct_mm: dict = {}
+        self._ct_add_v: dict = {}
+        self._ct_add_m: dict = {}
         # canonical identity chain, indexed by level (shortcut in multiplication)
         self._ident: list[Node] = []
         # gate diagrams by (kind, parameter, matrix, controls, targets, n);
@@ -388,7 +369,7 @@ class Kernel:
         cache = self._ct_add_v if na == 2 else self._ct_add_m
         return self._add(a, b, a.node.level, cache, na)
 
-    def _add(self, a: Edge, b: Edge, level: int, cache: _Cache, nsucc: int) -> Edge:
+    def _add(self, a: Edge, b: Edge, level: int, cache: dict, nsucc: int) -> Edge:
         if a.node is None and a.w == 0:
             return b
         if b.node is None and b.w == 0:
@@ -416,7 +397,7 @@ class Kernel:
             else:
                 r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
             if memo:
-                cache.put(key, r)
+                cache[key] = r
         return self._scale(r, a.w)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
@@ -459,7 +440,7 @@ class Kernel:
                            self._mul_mv(me[3], ve[1], lo), lo, addc, 2)
             r = self._vnode(level, r0, r1)
             if memo:
-                self._ct_mv.put(key, r)
+                self._ct_mv[key] = r
         return self._scale(r, w)
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
@@ -521,29 +502,8 @@ class Kernel:
                             lo, addc, 4))
                 r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
             if memo:
-                self._ct_mm.put(key, r)
+                self._ct_mm[key] = r
         return self._scale(r, w)
-
-    def conjugate_transpose(self, m: Edge) -> Edge:
-        if m.is_zero:
-            return self.zero_edge
-        if m.node is None or len(m.node.edges) != 4:
-            raise InvalidArgumentError("conjugate_transpose needs a matrix diagram")
-        return self._ct_edge(m, {})
-
-    def _ct_edge(self, e: Edge, memo: dict) -> Edge:
-        if e.node is None:
-            return self.zero_edge if e.w == 0 else self._terminal(e.w.conjugate())
-        r = memo.get(e.node)
-        if r is None:
-            s = e.node.edges
-            r = self._mnode(e.node.level,
-                            self._ct_edge(s[0], memo),
-                            self._ct_edge(s[2], memo),
-                            self._ct_edge(s[1], memo),
-                            self._ct_edge(s[3], memo))
-            memo[e.node] = r
-        return self._scale(r, self.intern(e.w.conjugate()))
 
     # ------------------------------------------------------------------
     # queries
@@ -706,8 +666,9 @@ class Kernel:
     def gc(self, roots: Iterable[Edge] = ()) -> int:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
-        Compute tables and the gate memo are invalidated wholesale; the value
-        table is kept so interning stays stable across collections.
+        The compute tables and the gate memo are emptied wholesale, since
+        their entries may name swept nodes; the value table is kept so
+        interning stays stable across collections.
         """
         marked: set = set()
         stack = [e.node for e in roots if e.node is not None]

@@ -147,8 +147,3 @@ def compare_states(a: np.ndarray, b: np.ndarray, up_to_global_phase: bool = Fals
         if mag > 0:
             b = b * (prod / mag)
     return float(np.max(np.abs(a - b)))
-
-
-def amplitudes_json(state: np.ndarray) -> list[list[float]]:
-    """Amplitudes as [re, im] pairs for debugging dumps."""
-    return [[float(a.real), float(a.imag)] for a in np.asarray(state)]

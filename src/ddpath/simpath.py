@@ -21,7 +21,6 @@ from .errors import (
     InternalError,
     InvalidArgumentError,
     PathValidationError,
-    UnsupportedGateError,
 )
 from .kernel import Edge, Kernel
 
@@ -130,7 +129,7 @@ def alternating_path(gate_count_g: int, gate_count_g_prime: int) -> SimulationPa
     return _woven_path(gate_count_g, gate_count_g_prime, [1] * gate_count_g)
 
 
-def heuristic_path(g: Circuit, g_prime: Circuit, costs: dict[str, int] | None = None) -> SimulationPath:
+def heuristic_path(g: Circuit, g_prime: Circuit) -> SimulationPath:
     """Follow each first-half gate with its decomposition-cost worth of
     second-half gates, so compiled counterparts cancel as they are consumed."""
     if g.num_qubits != g_prime.num_qubits:
@@ -138,14 +137,8 @@ def heuristic_path(g: Circuit, g_prime: Circuit, costs: dict[str, int] | None = 
             f"qubit count mismatch: {g.num_qubits} vs {g_prime.num_qubits}")
     if len(g.gates) < 1 or len(g_prime.gates) < 1:
         raise InvalidArgumentError("both circuits need at least one gate")
-    if costs is None:
-        costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
-    budgets = []
-    for gate in reversed(g.gates):
-        try:
-            budgets.append(costs[gate.kind])
-        except KeyError:
-            raise UnsupportedGateError(f"no decomposition cost for kind {gate.kind!r}")
+    costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
+    budgets = [costs[gate.kind] for gate in reversed(g.gates)]
     return _woven_path(len(g.gates), len(g_prime.gates), budgets)
 
 
@@ -440,13 +433,12 @@ class VerificationResult:
 
 
 def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternating",
-                       kernel: Kernel | None = None, initial: Edge | None = None,
-                       path: SimulationPath | None = None) -> VerificationResult:
+                       kernel: Kernel | None = None,
+                       initial: Edge | None = None) -> VerificationResult:
     """Simulate g followed by the inverse of g_prime and test that the
     initial state maps to itself up to global phase.  ``strategy`` is any
-    name ``make_path`` takes; an explicit ``path`` is used as given."""
-    if path is None:
-        _check_strategy(strategy)
+    name ``make_path`` takes."""
+    _check_strategy(strategy)
     combined = concat_inverse(g, g_prime)
     if kernel is None:
         kernel = Kernel()
@@ -457,8 +449,7 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
                          kernel.node_count(initial), 0)
         empty = SimulationPath(0, ())
         return VerificationResult("consistent", 1.0, stats, combined, empty, initial)
-    if path is None:
-        path = make_path(strategy, g, g_prime)
+    path = make_path(strategy, g, g_prime)
     kernel.inc_ref(initial)
     final, stats = execute(combined, path, kernel, initial)
     fidelity = abs(kernel.inner_product(initial, final))

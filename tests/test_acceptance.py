@@ -178,17 +178,13 @@ def test_negative_verification():
         res = verify_equivalence(g, gp, strategy, kernel, initial)
         assert res.verdict == "inconsistent", strategy
         assert abs(res.fidelity - oracle_fidelity) < 1e-9
-    # imported plan strategy on a smaller instance (greedy plans for qft
+    # imported greedy plan on a smaller instance (greedy plans for qft
     # miters fail validate from n = 6)
     n_small = 5
-    g_small = qft(n_small)
-    gp_small = _perturbed_transpile(n_small)
-    combined_small = concat_inverse(g_small, gp_small)
-    plan = greedy_plan(export_tensor_network(combined_small))
-    path = import_path(plan, combined_small)
     kernel = Kernel()
     initial = ghz_initial(kernel, n_small)
-    res = verify_equivalence(g_small, gp_small, "plan", kernel, initial, path)
+    res = verify_equivalence(qft(n_small), _perturbed_transpile(n_small), "greedy",
+                             kernel, initial)
     assert res.verdict == "inconsistent"
 
 

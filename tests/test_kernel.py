@@ -237,27 +237,6 @@ class TestMultiply:
             k.multiply_mv(k.identity(3), k.make_zero_state(2))
 
 
-class TestConjugateTranspose:
-    def test_hadamard_is_hermitian(self):
-        k = Kernel()
-        u = k.make_gate(h(1), 3)
-        assert root_equal(k.conjugate_transpose(u), u)
-
-    def test_s_dagger(self):
-        k = Kernel()
-        u = k.make_gate(Gate("s", (0,)), 1)
-        ud = k.conjugate_transpose(u)
-        assert not root_equal(ud, u)
-        assert np.allclose(k.to_matrix(ud), np.diag([1, -1j]))
-
-    def test_involution(self):
-        rng = random.Random(13)
-        k = Kernel()
-        for _ in range(10):
-            u = k.make_gate(random_circuit(rng, 4, 1).gates[0], 4)
-            assert root_equal(k.conjugate_transpose(k.conjugate_transpose(u)), u)
-
-
 class TestAmplitude:
     def test_ghz_amplitudes(self):
         k = Kernel()
@@ -351,6 +330,26 @@ class TestGarbageCollection:
         k.gc([first])
         second = run_gates(k, entangled_qft(3))
         assert root_equal(first, second)
+
+    def test_gc_empties_compute_tables(self):
+        # the operands hold references and survive gc while their products
+        # are swept; a compute table kept across gc would hand those out again
+        k = Kernel()
+        a = k.make_gate(h(1), 4)
+        b = k.make_gate(Gate("ry", (1,), parameter=0.3), 4)
+        v = run_gates(k, qft(4))
+        for e in (a, b, v):
+            k.inc_ref(e)
+        before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
+        assert all((k._ct_mv, k._ct_mm, k._ct_add_v, k._ct_add_m, k._gates))
+        k.gc([])
+        assert not any((k._ct_mv, k._ct_mm, k._ct_add_v, k._ct_add_m, k._gates))
+        again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
+        assert (k.signature(again[0]), k.signature(again[1])) == before
+        # rebuilt into the unique table, not the swept nodes from before gc
+        live = set(k._vec_unique.values()) | set(k._mat_unique.values())
+        for e in again:
+            assert all(node in live for node in _walk_nodes(e))
 
     def test_external_refs_survive_gc(self):
         k = Kernel()
@@ -456,19 +455,3 @@ class TestDotExport:
         assert text.startswith("digraph")
         assert "->" in text
         assert "style=filled" in text
-
-
-class TestTableSizing:
-    def test_env_var_controls_table_bits(self, monkeypatch):
-        monkeypatch.setenv("DDPATH_TABLE_BITS", "8")
-        k = Kernel()
-        assert len(k._ct_mv.slots) == 256
-
-    def test_explicit_bits_win(self, monkeypatch):
-        monkeypatch.setenv("DDPATH_TABLE_BITS", "8")
-        k = Kernel(table_bits=10)
-        assert len(k._ct_mv.slots) == 1024
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Kernel(table_bits=99)

@@ -92,7 +92,3 @@ class TestHelpers:
         for g in c.gates:
             prod = oracle.gate_matrix(g, 3) @ prod
         assert np.max(np.abs(u - prod)) < 1e-10
-
-    def test_amplitudes_json(self):
-        data = oracle.amplitudes_json(np.array([1j, 0.5]))
-        assert data == [[0.0, 1.0], [0.5, 0.0]]
