@@ -9,6 +9,15 @@ tables, so any two construction orders of the same quantity end at the same
 root edge.  Qubit k lives at level k; level n-1 is the root / most
 significant bit of a basis string.
 
+Weights within an absolute EPS = 1e-12 share a representative.  The value
+table maps the bucket ``complex(kr, ki)``, the real and imaginary parts in
+units of EPS rounded to integers, to that representative; a miss probes the
+eight neighbouring buckets, unless the sets of occupied ``kr`` and occupied
+``ki`` show that no neighbour exists.  A unique table is keyed by the node's
+successor tuple, which is also its ``edges``: terminal successors occur only
+at level 0 and every other successor sits one level down, so the successors
+fix the level.
+
 Sums and products are memoised in compute tables: plain dicts, exact per
 kernel, keyed by operand nodes (and the weight ratio, for sums).  Every
 ``Kernel.gc`` sweep empties them together with the gate memo, so no entry
@@ -34,6 +43,8 @@ _INV_EPS = 1.0 / EPS
 # magnitudes this close count as tied during normalization, so the choice of
 # norm successor is stable under interning-level noise
 _MAG_TOL = 4 * EPS
+# bucket offsets probed, in order, when a value misses its own bucket
+_NEIGHBOURS = tuple((dr, di) for dr in (-1, 0, 1) for di in (-1, 0, 1) if dr or di)
 
 
 class Node:
@@ -84,11 +95,14 @@ class Kernel:
     """
 
     def __init__(self, use_compute_table: bool = True):
-        self._values: dict[tuple[int, int], complex] = {}
         self.ZERO = 0j
         self.ONE = 1 + 0j
-        self._values[(0, 0)] = self.ZERO
-        self._values[(round(_INV_EPS), 0)] = self.ONE
+        kr_one = round(_INV_EPS)
+        # bucket complex(kr, ki) -> representative; the two sets hold every
+        # kr and every ki that occurs in a bucket key
+        self._values: dict[complex, complex] = {0j: self.ZERO, complex(kr_one, 0): self.ONE}
+        self._occupied_re: set[int] = {0, kr_one}
+        self._occupied_im: set[int] = {0}
         self.zero_edge = Edge(self.ZERO, None)
         self.one_terminal = Edge(self.ONE, None)
         self._vec_unique: dict = {}
@@ -101,15 +115,21 @@ class Kernel:
         self._ct_add_m: dict = {}
         # canonical identity chain, indexed by level (shortcut in multiplication)
         self._ident: list[Node] = []
-        # gate diagrams by (kind, parameter, matrix, controls, targets, n);
-        # emptied by gc, never a root
+        # (gate diagram, its node count) by (kind, parameter, matrix,
+        # controls, targets, n); emptied by gc, never a root
         self._gates: dict = {}
 
     # ------------------------------------------------------------------
     # value interning
 
     def intern(self, w: complex) -> complex:
-        """Canonical representative for ``w``; values within EPS collapse."""
+        """Canonical representative for ``w``; values within EPS collapse.
+
+        ``w`` falls in bucket ``(kr, ki)``, its parts in units of EPS rounded
+        to integers.  A miss there probes the eight neighbouring buckets, but
+        only when some neighbour row and some neighbour column are occupied;
+        otherwise no neighbour exists and the probe is skipped.
+        """
         re = w.real
         im = w.imag
         if not (math.isfinite(re) and math.isfinite(im)):
@@ -117,19 +137,28 @@ class Kernel:
         kr = round(re * _INV_EPS)
         ki = round(im * _INV_EPS)
         table = self._values
-        v = table.get((kr, ki))
+        # kr and ki are integral floats, so complex(kr, ki) is exact; a
+        # neighbour key complex(kr ± 1, ki) may round where |kr| > 2^53, but
+        # there the float spacing of ``re`` exceeds EPS, so a value found
+        # through a rounded key never passes the EPS test below
+        key = complex(kr, ki)
+        v = table.get(key)
         if v is not None:
             return v
-        for dr in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                if dr == 0 and di == 0:
-                    continue
-                v = table.get((kr + dr, ki + di))
-                if v is not None and abs(v.real - re) <= EPS and abs(v.imag - im) <= EPS:
-                    table[(kr, ki)] = v
-                    return v
-        v = complex(re, im)
-        table[(kr, ki)] = v
+        rows = self._occupied_re
+        cols = self._occupied_im
+        if (kr in rows or kr - 1 in rows or kr + 1 in rows) \
+                and (ki in cols or ki - 1 in cols or ki + 1 in cols):
+            for dr, di in _NEIGHBOURS:
+                u = table.get(complex(kr + dr, ki + di))
+                if u is not None and abs(u.real - re) <= EPS and abs(u.imag - im) <= EPS:
+                    v = u
+                    break
+        if v is None:
+            v = complex(re, im)
+        table[key] = v
+        rows.add(kr)
+        cols.add(ki)
         return v
 
     def _scale(self, e: Edge, w: complex) -> Edge:
@@ -165,12 +194,12 @@ class Kernel:
             n1 = self._scale_succ(e1, norm)
         else:
             return self.zero_edge
-        key = (level, n0.w, n0.node, n1.w, n1.node)
-        node = self._vec_unique.get(key)
+        edges = (n0, n1)
+        node = self._vec_unique.get(edges)
         if node is None:
             self._uid += 1
-            node = Node(level, (n0, n1), self._uid)
-            self._vec_unique[key] = node
+            node = Node(level, edges, self._uid)
+            self._vec_unique[edges] = node
         return _edge((norm, node))
 
     def _mnode(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
@@ -189,13 +218,11 @@ class Kernel:
             _edge((self.ONE, e.node)) if i == best else self._scale_succ(e, norm)
             for i, e in enumerate(edges)
         )
-        key = (level, out[0].w, out[0].node, out[1].w, out[1].node,
-               out[2].w, out[2].node, out[3].w, out[3].node)
-        node = self._mat_unique.get(key)
+        node = self._mat_unique.get(out)
         if node is None:
             self._uid += 1
             node = Node(level, out, self._uid)
-            self._mat_unique[key] = node
+            self._mat_unique[out] = node
         return _edge((norm, node))
 
     def _scale_succ(self, e: Edge, norm: complex) -> Edge:
@@ -254,13 +281,20 @@ class Kernel:
         matrix for kind "u").  Positive controls only.  Gate diagrams are
         memoised per kernel until the next ``gc``, which empties the memo.
         """
+        return self._gate(gate, n)[0]
+
+    def gate_node_count(self, gate, n: int) -> int:
+        """``node_count(make_gate(gate, n))``, counted once per memo entry."""
+        return self._gate(gate, n)[1]
+
+    def _gate(self, gate, n: int) -> tuple[Edge, int]:
         targets = tuple(gate.targets)
         controls = tuple(gate.controls)
         matrix = getattr(gate, "matrix", None)
         key = (gate.kind, gate.parameter, matrix, controls, targets, n)
-        e = self._gates.get(key)
-        if e is not None:
-            return e
+        entry = self._gates.get(key)
+        if entry is not None:
+            return entry
         used = targets + controls
         if len(set(used)) != len(used):
             raise InvalidArgumentError(f"duplicate qubit in gate {gate.kind}: {used}")
@@ -277,8 +311,8 @@ class Kernel:
                     f"gate {gate.kind} expects one target, got {targets}")
             mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
             e = self._controlled_single(mat, targets[0], controls, n)
-        self._gates[key] = e
-        return e
+        entry = self._gates[key] = (e, self.node_count(e))
+        return entry
 
     def _controlled_single(self, mat, target: int, controls: tuple, n: int) -> Edge:
         cset = frozenset(controls)
@@ -312,15 +346,14 @@ class Kernel:
         normalises to weight ``e.w`` over this node, so callers look it up
         here and carry the weight unchanged.
         """
-        one = self.ONE
-        key = (level, one, node, 0j, None, 0j, None, one, node)
-        up = self._mat_unique.get(key)
+        half = _edge((self.ONE, node))
+        zero = self.zero_edge
+        edges = (half, zero, zero, half)
+        up = self._mat_unique.get(edges)
         if up is None:
             self._uid += 1
-            half = Edge(one, node)
-            zero = self.zero_edge
-            up = Node(level, (half, zero, zero, half), self._uid)
-            self._mat_unique[key] = up
+            up = Node(level, edges, self._uid)
+            self._mat_unique[edges] = up
         return up
 
     def _lift(self, e: Edge, start: int, stop: int, cset=frozenset()) -> Edge:
@@ -433,12 +466,20 @@ class Kernel:
             me = mn.edges
             ve = vn.edges
             lo = level - 1
-            addc = self._ct_add_v
-            r0 = self._add(self._mul_mv(me[0], ve[0], lo),
-                           self._mul_mv(me[1], ve[1], lo), lo, addc, 2)
-            r1 = self._add(self._mul_mv(me[2], ve[0], lo),
-                           self._mul_mv(me[3], ve[1], lo), lo, addc, 2)
-            r = self._vnode(level, r0, r1)
+            zero = self.zero_edge
+            if me[1] == zero and me[2] == zero:
+                # block-diagonal diag(M0, M3): the two off-diagonal products
+                # are zero and _add(x, zero) is x, so this is the general
+                # case below without the calls that return at once
+                r = self._vnode(level, self._mul_mv(me[0], ve[0], lo),
+                                self._mul_mv(me[3], ve[1], lo))
+            else:
+                addc = self._ct_add_v
+                r0 = self._add(self._mul_mv(me[0], ve[0], lo),
+                               self._mul_mv(me[1], ve[1], lo), lo, addc, 2)
+                r1 = self._add(self._mul_mv(me[2], ve[0], lo),
+                               self._mul_mv(me[3], ve[1], lo), lo, addc, 2)
+                r = self._vnode(level, r0, r1)
             if memo:
                 self._ct_mv[key] = r
         return self._scale(r, w)
@@ -491,6 +532,19 @@ class Kernel:
                     r = zero
                 else:
                     r = _edge((x.w, self._lift_node(level, x.node)))
+            elif ae[1] == zero and ae[2] == zero:
+                # a = diag(A0, A3): each quadrant keeps one of its two
+                # products, in the order the general case computes them
+                r = self._mnode(level, self._mul_mm(ae[0], be[0], lo),
+                                self._mul_mm(ae[0], be[1], lo),
+                                self._mul_mm(ae[3], be[2], lo),
+                                self._mul_mm(ae[3], be[3], lo))
+            elif be[1] == zero and be[2] == zero:
+                # b = diag(B0, B3), likewise
+                r = self._mnode(level, self._mul_mm(ae[0], be[0], lo),
+                                self._mul_mm(ae[1], be[3], lo),
+                                self._mul_mm(ae[2], be[0], lo),
+                                self._mul_mm(ae[3], be[3], lo))
             else:
                 addc = self._ct_add_m
                 parts = []
@@ -532,18 +586,17 @@ class Kernel:
 
     def node_count(self, e: Edge) -> int:
         """Distinct non-terminal nodes reachable from ``e``."""
-        if e.node is None:
+        root = e.node
+        if root is None:
             return 0
-        seen = set()
-        stack = [e.node]
+        seen = {root}
+        stack = [root]
         while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            for s in node.edges:
-                if s.node is not None and s.node not in seen:
-                    stack.append(s.node)
+            for s in stack.pop().edges:
+                x = s.node
+                if x is not None and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
         return len(seen)
 
     def inner_product(self, a: Edge, b: Edge) -> complex:

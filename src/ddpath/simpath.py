@@ -368,9 +368,10 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             nonlocal peak
             e = env.pop(idx, None)
             if e is None:
-                e = kernel.make_gate(circuit.gates[idx - 1], n)
+                gate = circuit.gates[idx - 1]
+                e = kernel.make_gate(gate, n)
                 kernel.inc_ref(e)
-                size = kernel.node_count(e)
+                size = kernel.gate_node_count(gate, n)
                 if size > peak:
                     peak = size
             return e

@@ -1,5 +1,6 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
-the reference path validator and the reference greedy planner."""
+the reference path validator, the reference greedy planner and the reference
+value table."""
 from __future__ import annotations
 
 import cmath
@@ -7,7 +8,8 @@ import math
 import random
 
 from ddpath.circuit import Circuit, Gate
-from ddpath.errors import PathValidationError, PlanningError
+from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
+from ddpath.kernel import EPS, Kernel, _INV_EPS
 from ddpath.simpath import PathValidation, ValidatedTask
 from ddpath.tnbridge import ContractionPlan
 
@@ -211,3 +213,37 @@ def reference_greedy_plan(tn):
         active[next_id] = active.pop(a) ^ active.pop(b)
         next_id += 1
     return ContractionPlan(tuple(pairs))
+
+
+class ReferenceKernel(Kernel):
+    """``Kernel`` whose value table is keyed by ``(kr, ki)`` tuples and
+    probes all eight neighbour buckets on every miss.  Kept as the reference
+    the complex-keyed, occupancy-filtered ``Kernel.intern`` is compared
+    against."""
+
+    def __init__(self, use_compute_table: bool = True):
+        super().__init__(use_compute_table)
+        self._values = {(0, 0): self.ZERO, (round(_INV_EPS), 0): self.ONE}
+
+    def intern(self, w: complex) -> complex:
+        re = w.real
+        im = w.imag
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise InvalidArgumentError(f"non-finite edge weight {w!r}")
+        kr = round(re * _INV_EPS)
+        ki = round(im * _INV_EPS)
+        table = self._values
+        v = table.get((kr, ki))
+        if v is not None:
+            return v
+        for dr in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                if dr == 0 and di == 0:
+                    continue
+                v = table.get((kr + dr, ki + di))
+                if v is not None and abs(v.real - re) <= EPS and abs(v.imag - im) <= EPS:
+                    table[(kr, ki)] = v
+                    return v
+        v = complex(re, im)
+        table[(kr, ki)] = v
+        return v

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddpath import Kernel, root_equal
+from ddpath import (Kernel, SimulationPath, execute, root_equal, sequential_path,
+                    verify_equivalence)
 from ddpath import oracle
-from ddpath.circuit import Gate, cp, cx, ghz, entangled_qft, h, qft, swap
+from ddpath.circuit import GENERATORS, Gate, cp, cx, ghz, entangled_qft, h, qft, swap
 from ddpath.errors import InvalidArgumentError
+from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
+from ddpath.kernel import EPS
 
-from helpers import random_circuit, random_unitary_2x2
+from helpers import ReferenceKernel, random_circuit, random_unitary_2x2
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -408,6 +411,194 @@ class TestCanonicity:
             assert k.intern(v / k.ONE) is v
         assert k._scale(state, k.ONE) is state
         assert k._scale(k.zero_edge, k.ONE) is k.zero_edge
+
+
+def _value_stream(rng: random.Random, count: int) -> list[complex]:
+    """Weights that stress the value table: parts within ±1 EPS of a bucket
+    edge, near-aliases of earlier values, signed zeros, and parts of
+    magnitude 1e4 and 1e7, where ``complex(kr ± 1, ki)`` rounds."""
+    out: list[complex] = []
+
+    def near_edge(scale: float) -> float:
+        k = round(rng.uniform(-scale, scale) / EPS)
+        return (k + 0.5 + rng.uniform(-1.0, 1.0)) * EPS
+
+    def large() -> float:
+        x = rng.choice((1e4, 1e7)) * rng.uniform(1.0, 1.5) * rng.choice((1, -1))
+        for _ in range(rng.randrange(4)):
+            x = math.nextafter(x, rng.choice((math.inf, -math.inf)))
+        return x
+
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+             complex(4e-13, -4e-13), complex(-6e-13, 0.0))
+    while len(out) < count:
+        roll = rng.random()
+        if roll < 0.3:
+            scale = rng.choice((1.0, 1e-3, 1e-9, 1e-11))
+            out.append(complex(near_edge(scale), near_edge(scale)))
+        elif roll < 0.6 and out:
+            v = rng.choice(out)
+            out.append(complex(v.real + rng.uniform(-1.5, 1.5) * EPS,
+                               v.imag + rng.uniform(-1.5, 1.5) * EPS))
+        elif roll < 0.7:
+            out.append(rng.choice(zeros))
+        elif roll < 0.85:
+            out.append(complex(large(), rng.choice((0.0, near_edge(1.0), large()))))
+        elif out:
+            v = rng.choice(out)
+            out.append(complex(math.nextafter(v.real, math.inf),
+                               math.nextafter(v.imag, -math.inf)))
+    return out
+
+
+class TestValueTable:
+    def test_intern_matches_reference(self):
+        rng = random.Random(8)
+        k = Kernel()
+        ref = ReferenceKernel()
+        snapped = 0
+        for w in _value_stream(rng, 20000):
+            got = k.intern(w)
+            want = ref.intern(w)
+            # repr tells apart -0.0 and 0.0
+            assert repr(got) == repr(want), w
+            snapped += got != w
+        assert snapped > 1000
+        assert len(k._values) == len(ref._values)
+        assert k._occupied_re == {int(key.real) for key in k._values}
+        assert k._occupied_im == {int(key.imag) for key in k._values}
+
+    def test_signature_matches_reference_on_random_circuits(self):
+        rng = random.Random(12)
+        for _ in range(8):
+            c = random_circuit(rng, 5, 30)
+            k = Kernel()
+            ref = ReferenceKernel()
+            assert k.signature(run_gates(k, c)) == ref.signature(run_gates(ref, c))
+
+    def test_signature_matches_reference_on_qft_miter(self):
+        n = 8
+        runs = []
+        for k in (Kernel(), ReferenceKernel()):
+            initial, _ = execute(ghz(n), kernel=k)
+            r = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
+            runs.append((k.signature(r.final), r.stats.peak_nodes, r.stats.result_nodes,
+                         r.verdict, r.fidelity))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 2 ** n - 1
+
+
+def _kind_gates(n: int) -> list[Gate]:
+    """Every gate kind on a middle target: bare, and with a control above,
+    below and on both sides; swap on near and far qubit pairs."""
+    rng = random.Random(n)
+    t = n // 2
+    out = [swap(0, 1), swap(1, n - 1), swap(0, n - 1)]
+    for kind in sorted(ALL_KINDS - {"swap"}):
+        par = rng.uniform(-3, 3) if kind in PARAMETERIZED else None
+        mat = random_unitary_2x2(rng) if kind == "u" else None
+        control_sets = [(t + 1,), (t - 1,), (t - 1, t + 1)]
+        if kind not in CONTROLLED_BASE:
+            control_sets.append(())
+        for controls in control_sets:
+            out.append(Gate(kind, (t,), controls, par, matrix=mat))
+    return out
+
+
+def _check_unique_tables(k: Kernel) -> int:
+    checked = 0
+    for table in (k._vec_unique, k._mat_unique):
+        for key, node in table.items():
+            assert key is node.edges
+            for s in node.edges:
+                if node.level == 0:
+                    assert s.node is None
+                else:
+                    assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
+            checked += 1
+    return checked
+
+
+class TestUniqueTables:
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    @pytest.mark.parametrize("use_compute_table", [True, False])
+    def test_keys_are_successor_tuples_of_generator_runs(self, family, use_compute_table):
+        c = GENERATORS[family](5)
+        k = Kernel(use_compute_table)
+        execute(c, sequential_path(len(c.gates)), k)
+        # a product of all gates first, then applied: matrix-matrix tasks
+        count = len(c.gates)
+        tasks = [(1, 2)] + [(count + i, i + 2) for i in range(1, count - 1)]
+        execute(c, SimulationPath(count, tuple(tasks) + ((0, 2 * count - 1),)), k)
+        assert _check_unique_tables(k) > 0
+
+    def test_keys_are_successor_tuples_for_every_gate_kind(self):
+        n = 5
+        k = Kernel()
+        gates = [k.make_gate(g, n) for g in _kind_gates(n)]
+        state = run_gates(k, random_circuit(random.Random(3), n, 12))
+        for a in gates:
+            k.multiply_mv(a, state)
+            for b in gates[::5]:
+                k.multiply_mm(a, b)
+        assert _check_unique_tables(k) > 0
+        k.gc([state])
+        assert _check_unique_tables(k) > 0
+
+
+# block-diagonal gates: phase-type gates, and cx with its control above the
+# target, are diag(·, ·) at the top level and at every level they leave alone
+BLOCK_DIAGONAL = [
+    cp(0.7, 3, 1), cp(-1.1, 0, 2), Gate("p", (2,), parameter=0.4), Gate("z", (1,)),
+    Gate("cz", (0,), (3,)), Gate("cz", (3,), (1,)), cx(3, 0), cx(2, 1),
+]
+
+
+class TestBlockDiagonalProducts:
+    @pytest.mark.parametrize("use_compute_table", [True, False])
+    def test_matrix_vector(self, use_compute_table):
+        n = 4
+        rng = random.Random(5)
+        k = Kernel(use_compute_table)
+        for g in BLOCK_DIAGONAL:
+            c = random_circuit(rng, n, 10)
+            got = k.multiply_mv(k.make_gate(g, n), run_gates(k, c))
+            want = oracle.gate_matrix(g, n) @ oracle.simulate(c)
+            assert np.max(np.abs(k.to_vector(got) - want)) < 1e-10, g
+
+    @pytest.mark.parametrize("use_compute_table", [True, False])
+    def test_matrix_matrix_on_both_sides(self, use_compute_table):
+        n = 4
+        rng = random.Random(6)
+        k = Kernel(use_compute_table)
+        for g in BLOCK_DIAGONAL:
+            c = random_circuit(rng, n, 4)
+            other = k.identity(n)
+            for gate in c.gates:
+                other = k.multiply_mm(k.make_gate(gate, n), other)
+            dense = oracle.circuit_unitary(c)
+            diag = k.make_gate(g, n)
+            mat = oracle.gate_matrix(g, n)
+            for got, want in ((k.multiply_mm(diag, other), mat @ dense),
+                              (k.multiply_mm(other, diag), dense @ mat),
+                              (k.multiply_mm(diag, diag), mat @ mat)):
+                assert np.max(np.abs(k.to_matrix(got) - want)) < 1e-10, g
+
+    def test_compute_table_on_and_off_agree(self):
+        n = 4
+        sigs = []
+        for k in (Kernel(), Kernel(use_compute_table=False)):
+            r = random.Random(7)
+            out = []
+            state = run_gates(k, random_circuit(r, n, 10))
+            for g in BLOCK_DIAGONAL:
+                other = k.make_gate(random_circuit(r, n, 1).gates[0], n)
+                diag = k.make_gate(g, n)
+                out.append(k.signature(k.multiply_mv(diag, state)))
+                out.append(k.signature(k.multiply_mm(diag, other)))
+                out.append(k.signature(k.multiply_mm(other, diag)))
+            sigs.append(out)
+        assert sigs[0] == sigs[1]
 
 
 def _walk_nodes(edge):

@@ -29,7 +29,7 @@ from ddpath import (
     verify_equivalence,
 )
 from ddpath import oracle
-from ddpath.circuit import Circuit, Gate, h
+from ddpath.circuit import Circuit, Gate, h, swap
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
@@ -253,6 +253,20 @@ class TestExecute:
         _, stats = execute(c)
         assert stats.task_count == 17 and len(stats.result_nodes) == 17
         assert stats.peak_nodes >= stats.final_nodes
+
+    def test_peak_counts_gate_diagrams_on_a_warm_kernel(self):
+        # the state stays a basis state (n nodes) while each swap diagram is
+        # larger, so the peak is a gate size; a second run finds every gate
+        # in the kernel's memo and must report the same peak
+        n = 6
+        c = Circuit(n, (swap(0, n - 1), swap(1, n - 2), swap(0, n - 1), h(2)))
+        k = Kernel()
+        sizes = [k.node_count(k.make_gate(g, n)) for g in c.gates]
+        assert [k.gate_node_count(g, n) for g in c.gates] == sizes
+        _, first = execute(c, kernel=k)
+        _, second = execute(c, kernel=k)
+        _, fresh = execute(c, kernel=Kernel())
+        assert first.peak_nodes == second.peak_nodes == fresh.peak_nodes == max(sizes) > n
 
     def test_path_independence_amplitudes(self):
         rng = random.Random(33)
