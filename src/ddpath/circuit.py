@@ -6,6 +6,7 @@ of a basis index, basis strings are written most significant bit first, and
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,11 @@ class Gate:
             raise InvalidArgumentError(f"gate {self.kind} takes no angle")
         if self.kind == "u" and self.matrix is None:
             raise InvalidArgumentError("gate 'u' needs an explicit 2x2 matrix")
+        if self.parameter is not None and not math.isfinite(self.parameter):
+            raise InvalidArgumentError(
+                f"gate {self.kind} has a non-finite angle {self.parameter!r}")
+        if self.matrix is not None and not all(cmath.isfinite(x) for x in self.matrix):
+            raise InvalidArgumentError(f"gate {self.kind} has a non-finite matrix entry")
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -89,12 +89,10 @@ class Kernel:
     """One unique table / compute table / value table instance.
 
     The compute tables are exact memos that never drop an entry between two
-    ``gc`` sweeps; each sweep empties them and the gate memo.  With
-    ``use_compute_table=False`` every sub-result is recomputed, which changes
-    the cost of a product but never its result.
+    ``gc`` sweeps; each sweep empties them and the gate memo.
     """
 
-    def __init__(self, use_compute_table: bool = True):
+    def __init__(self):
         self.ZERO = 0j
         self.ONE = 1 + 0j
         kr_one = round(_INV_EPS)
@@ -108,7 +106,6 @@ class Kernel:
         self._vec_unique: dict = {}
         self._mat_unique: dict = {}
         self._uid = 0
-        self.use_compute_table = use_compute_table
         self._ct_mv: dict = {}
         self._ct_mm: dict = {}
         self._ct_add_v: dict = {}
@@ -265,9 +262,7 @@ class Kernel:
             raise InvalidArgumentError(f"qubit count must be >= 1, got {n}")
         ident = self._ident
         while len(ident) < n:
-            below = Edge(self.ONE, ident[-1]) if ident else self.one_terminal
-            ident.append(self._mnode(len(ident), below, self.zero_edge, self.zero_edge,
-                                     below).node)
+            ident.append(self._lift_node(len(ident), ident[-1] if ident else None))
         return Edge(self.ONE, ident[n - 1])
 
     def _terminal(self, value: complex) -> Edge:
@@ -415,8 +410,7 @@ class Kernel:
         if ratio == 0:
             return a
         key = (a.node, b.node, ratio)
-        memo = self.use_compute_table
-        r = cache.get(key) if memo else None
+        r = cache.get(key)
         if r is None:
             an = a.node
             bn = b.node
@@ -429,8 +423,7 @@ class Kernel:
                 r = self._vnode(level, parts[0], parts[1])
             else:
                 r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
-            if memo:
-                cache[key] = r
+            cache[key] = r
         return self._scale(r, a.w)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
@@ -460,8 +453,7 @@ class Kernel:
         if level < len(ident) and mn is ident[level]:
             return _edge((w, vn))
         key = (mn, vn)
-        memo = self.use_compute_table
-        r = self._ct_mv.get(key) if memo else None
+        r = self._ct_mv.get(key)
         if r is None:
             me = mn.edges
             ve = vn.edges
@@ -480,8 +472,7 @@ class Kernel:
                 r1 = self._add(self._mul_mv(me[2], ve[0], lo),
                                self._mul_mv(me[3], ve[1], lo), lo, addc, 2)
                 r = self._vnode(level, r0, r1)
-            if memo:
-                self._ct_mv[key] = r
+            self._ct_mv[key] = r
         return self._scale(r, w)
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
@@ -512,8 +503,7 @@ class Kernel:
         if bn is ident:
             return _edge((w, an))
         key = (an, bn)
-        memo = self.use_compute_table
-        r = self._ct_mm.get(key) if memo else None
+        r = self._ct_mm.get(key)
         if r is None:
             ae = an.edges
             be = bn.edges
@@ -555,8 +545,7 @@ class Kernel:
                             self._mul_mm(ae[row + 1], be[col + 2], lo),
                             lo, addc, 4))
                 r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
-            if memo:
-                self._ct_mm[key] = r
+            self._ct_mm[key] = r
         return self._scale(r, w)
 
     # ------------------------------------------------------------------

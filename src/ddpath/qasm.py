@@ -60,7 +60,10 @@ class _ExprParser:
         return tok
 
     def parse(self) -> float:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise QasmError("angle expression nested too deeply", self.line) from None
         if self.peek() is not None:
             raise QasmError(f"trailing tokens in angle expression: {self.peek()!r}",
                             self.line)

@@ -334,8 +334,11 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             observer=None) -> tuple[Edge, RunStats]:
     """Run every task of ``path`` on the kernel and collect node-count stats.
 
-    Intermediate results are dereferenced as soon as they are consumed;
-    the returned final edge holds one reference owned by the caller.
+    The run's live operands (the initial state and the results not yet
+    consumed) are the roots of every ``Kernel.gc`` it triggers; it raises
+    no reference count while it runs.  Nodes with ``ref > 0`` are the ones
+    callers hold across runs, and the returned final edge holds one
+    reference owned by the caller.
     ``observer(task_index, result_edge)`` is called after every task.
 
     Python's cyclic garbage collector is paused while this runs and turned
@@ -359,7 +362,6 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
         if initial.num_qubits != n:
             raise InvalidArgumentError(
                 f"initial state has {initial.num_qubits} qubits, circuit has {n}")
-        kernel.inc_ref(initial)
         env: dict[int, Edge] = {0: initial}
         peak = kernel.node_count(initial)
         gc_threshold = _GC_FLOOR
@@ -370,7 +372,6 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             if e is None:
                 gate = circuit.gates[idx - 1]
                 e = kernel.make_gate(gate, n)
-                kernel.inc_ref(e)
                 size = kernel.gate_node_count(gate, n)
                 if size > peak:
                     peak = size
@@ -392,9 +393,6 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                     raise InternalError(
                         f"task {vt.index}: operands do not form a matrix-matrix product")
                 result = kernel.multiply_mm(left, right)
-            kernel.inc_ref(result)
-            kernel.dec_ref(left)
-            kernel.dec_ref(right)
             env[vt.result] = result
             size = kernel.node_count(result)
             counts.append(size)
@@ -406,6 +404,7 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                 kernel.gc(env.values())
                 gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
         final = env[2 * len(circuit.gates)]
+        kernel.inc_ref(final)
         elapsed = time.perf_counter_ns() - t0
         stats = RunStats(
             task_count=len(info.tasks),

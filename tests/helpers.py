@@ -1,6 +1,6 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
-the reference path validator, the reference greedy planner and the reference
-value table."""
+the reference path validator, the reference greedy planner, the reference
+value table and the memo-free kernel."""
 from __future__ import annotations
 
 import cmath
@@ -221,8 +221,8 @@ class ReferenceKernel(Kernel):
     the complex-keyed, occupancy-filtered ``Kernel.intern`` is compared
     against."""
 
-    def __init__(self, use_compute_table: bool = True):
-        super().__init__(use_compute_table)
+    def __init__(self):
+        super().__init__()
         self._values = {(0, 0): self.ZERO, (round(_INV_EPS), 0): self.ONE}
 
     def intern(self, w: complex) -> complex:
@@ -247,3 +247,24 @@ class ReferenceKernel(Kernel):
         v = complex(re, im)
         table[(kr, ki)] = v
         return v
+
+
+class _Forgetful(dict):
+    """A dict that drops every store, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class MemoFreeKernel(Kernel):
+    """``Kernel`` whose four compute tables never keep an entry, so every
+    sub-result is recomputed.  That changes the cost of a product (it grows
+    exponentially with the qubit count) but never its result: kept as the
+    reference the memoising ``Kernel`` is compared against."""
+
+    def __init__(self):
+        super().__init__()
+        self._ct_mv = _Forgetful()
+        self._ct_mm = _Forgetful()
+        self._ct_add_v = _Forgetful()
+        self._ct_add_m = _Forgetful()

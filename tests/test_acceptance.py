@@ -37,7 +37,7 @@ from ddpath.errors import PathValidationError, QasmError
 from ddpath.simpath import SimulationPath
 from ddpath.tnbridge import ContractionPlan
 
-from helpers import equivalent_rewrite, random_circuit
+from helpers import MemoFreeKernel, equivalent_rewrite, random_circuit
 
 
 def criterion(num, label):
@@ -207,7 +207,7 @@ def test_canonicity_suite():
     for _ in range(25):
         c = random_circuit(rng, rng.randint(2, 5), rng.randint(3, 12))
         k_on = Kernel()
-        k_off = Kernel(use_compute_table=False)
+        k_off = MemoFreeKernel()
         f_on, _ = execute(c, kernel=k_on)
         f_off, _ = execute(c, kernel=k_off)
         assert k_on.signature(f_on) == k_off.signature(f_off)

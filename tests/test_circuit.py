@@ -200,3 +200,15 @@ class TestGateValidation:
     def test_swap_needs_two_targets(self):
         with pytest.raises(InvalidArgumentError):
             Gate("swap", (0,))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle(self, value):
+        with pytest.raises(InvalidArgumentError):
+            Gate("p", (0,), parameter=value)
+        with pytest.raises(InvalidArgumentError):
+            Gate("cp", (0,), (1,), value)
+
+    @pytest.mark.parametrize("entry", [complex(math.inf, 0), complex(0, math.nan), math.nan])
+    def test_non_finite_matrix_entry(self, entry):
+        with pytest.raises(InvalidArgumentError):
+            Gate("u", (0,), matrix=(1, 0, 0, entry))

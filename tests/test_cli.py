@@ -74,6 +74,20 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["line"] == 3
 
+    @pytest.mark.parametrize("angle", [
+        "(" * 3000 + "1" + ")" * 3000,   # nesting beyond the recursion limit
+        "-" * 5000 + "1",
+        "1e400",                          # overflows to inf
+        "1e400-1e400",                    # inf - inf is nan
+    ], ids=["nested-parens", "nested-signs", "overflow", "inf-minus-inf"])
+    def test_angle_error_exit_code(self, capsys, tmp_path, angle):
+        f = tmp_path / "bad.qasm"
+        f.write_text(f"OPENQASM 2.0;\nqreg q[1];\np({angle}) q[0];\n")
+        code, _, err = run_cli(capsys, "simulate", str(f))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "QasmError" and payload["line"] == 3
+
     def test_stats_out_schema(self, capsys, tmp_path):
         stats_file = tmp_path / "stats.json"
         code, _, _ = run_cli(capsys, "simulate", "ghz:4", "--stats-out", str(stats_file))

@@ -14,9 +14,13 @@ from ddpath.errors import InvalidArgumentError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
 from ddpath.kernel import EPS
 
-from helpers import ReferenceKernel, random_circuit, random_unitary_2x2
+from helpers import MemoFreeKernel, ReferenceKernel, random_circuit, random_unitary_2x2
 
 S2 = 1.0 / math.sqrt(2.0)
+
+# ids say whether the kernel's compute tables memoise
+MEMOISING_AND_MEMO_FREE = pytest.mark.parametrize(
+    "kernel_cls", [Kernel, MemoFreeKernel], ids=["True", "False"])
 
 
 def run_gates(kernel, circuit, initial=None):
@@ -217,7 +221,7 @@ class TestMultiply:
             gates.append(Gate("p", (t,), (t - 1,) if t > 0 else (), rng.uniform(-3, 3)))
         pairs = list(itertools.product(gates, repeat=2))
         k_on = Kernel()
-        k_off = Kernel(use_compute_table=False)
+        k_off = MemoFreeKernel()
         for ga, gb in rng.sample(pairs, min(len(pairs), 80)):
             on = k_on.multiply_mm(k_on.make_gate(ga, n), k_on.make_gate(gb, n))
             off = k_off.multiply_mm(k_off.make_gate(ga, n), k_off.make_gate(gb, n))
@@ -382,10 +386,11 @@ class TestCanonicity:
         for _ in range(5):
             c = random_circuit(rng, 4, 10)
             k_on = Kernel()
-            k_off = Kernel(use_compute_table=False)
+            k_off = MemoFreeKernel()
             sig_on = k_on.signature(run_gates(k_on, c))
             sig_off = k_off.signature(run_gates(k_off, c))
             assert sig_on == sig_off
+            assert k_on._ct_mv and not k_off._ct_mv and not k_off._ct_add_v
 
     def test_interning_collapses_close_values(self):
         k = Kernel()
@@ -521,10 +526,10 @@ def _check_unique_tables(k: Kernel) -> int:
 
 class TestUniqueTables:
     @pytest.mark.parametrize("family", sorted(GENERATORS))
-    @pytest.mark.parametrize("use_compute_table", [True, False])
-    def test_keys_are_successor_tuples_of_generator_runs(self, family, use_compute_table):
+    @MEMOISING_AND_MEMO_FREE
+    def test_keys_are_successor_tuples_of_generator_runs(self, family, kernel_cls):
         c = GENERATORS[family](5)
-        k = Kernel(use_compute_table)
+        k = kernel_cls()
         execute(c, sequential_path(len(c.gates)), k)
         # a product of all gates first, then applied: matrix-matrix tasks
         count = len(c.gates)
@@ -555,22 +560,22 @@ BLOCK_DIAGONAL = [
 
 
 class TestBlockDiagonalProducts:
-    @pytest.mark.parametrize("use_compute_table", [True, False])
-    def test_matrix_vector(self, use_compute_table):
+    @MEMOISING_AND_MEMO_FREE
+    def test_matrix_vector(self, kernel_cls):
         n = 4
         rng = random.Random(5)
-        k = Kernel(use_compute_table)
+        k = kernel_cls()
         for g in BLOCK_DIAGONAL:
             c = random_circuit(rng, n, 10)
             got = k.multiply_mv(k.make_gate(g, n), run_gates(k, c))
             want = oracle.gate_matrix(g, n) @ oracle.simulate(c)
             assert np.max(np.abs(k.to_vector(got) - want)) < 1e-10, g
 
-    @pytest.mark.parametrize("use_compute_table", [True, False])
-    def test_matrix_matrix_on_both_sides(self, use_compute_table):
+    @MEMOISING_AND_MEMO_FREE
+    def test_matrix_matrix_on_both_sides(self, kernel_cls):
         n = 4
         rng = random.Random(6)
-        k = Kernel(use_compute_table)
+        k = kernel_cls()
         for g in BLOCK_DIAGONAL:
             c = random_circuit(rng, n, 4)
             other = k.identity(n)
@@ -587,7 +592,7 @@ class TestBlockDiagonalProducts:
     def test_compute_table_on_and_off_agree(self):
         n = 4
         sigs = []
-        for k in (Kernel(), Kernel(use_compute_table=False)):
+        for k in (Kernel(), MemoFreeKernel()):
             r = random.Random(7)
             out = []
             state = run_gates(k, random_circuit(r, n, 10))

@@ -92,10 +92,17 @@ class TestParse:
         c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\np({expr}) q[0];\n")
         assert c.gates[0].parameter == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("expr", ["pi pi", "1+", "(pi", "1/0", "foo"])
+    @pytest.mark.parametrize("expr", [
+        "pi pi", "1+", "(pi", "1/0", "foo",
+        pytest.param("(" * 3000 + "1" + ")" * 3000, id="nested-parens"),
+        pytest.param("-" * 5000 + "1", id="nested-signs"),
+        pytest.param("1e400", id="overflow"),
+        pytest.param("1e400-1e400", id="inf-minus-inf"),
+    ])
     def test_bad_angle_expressions(self, expr):
-        with pytest.raises(QasmError):
+        with pytest.raises(QasmError) as exc:
             parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\np({expr}) q[0];\n")
+        assert exc.value.line == 3
 
 
 class TestRoundTrip:

@@ -28,7 +28,7 @@ from ddpath import (
     validate,
     verify_equivalence,
 )
-from ddpath import oracle
+from ddpath import oracle, simpath
 from ddpath.circuit import Circuit, Gate, h, swap
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
@@ -490,3 +490,50 @@ class TestCollectorPause:
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 12
         assert gc.isenabled()
+
+
+def _random_job(strategy):
+    def job(k):
+        c = random_circuit(random.Random(11), 4, 14)
+        return execute(c, make_path(strategy, c), k)
+    return job
+
+
+def _miter_job(strategy):
+    def job(k):
+        res = verify_equivalence(qft(5), qft(5), strategy, k)
+        assert res.verdict == "consistent"
+        return res.final, res.stats
+    return job
+
+
+class TestInRunGc:
+    """With the sweep floor at 1, ``execute`` runs ``Kernel.gc`` during
+    small runs: the run's live operands are its roots, and a node a caller
+    holds through ``inc_ref`` survives."""
+
+    @pytest.mark.parametrize("job", [
+        _random_job("sequential"), _random_job("greedy"),
+        _miter_job("sequential"), _miter_job("alternating"), _miter_job("heuristic"),
+    ], ids=["random-sequential", "random-greedy", "miter-sequential",
+            "miter-alternating", "miter-heuristic"])
+    def test_sweeps_change_no_result(self, monkeypatch, job):
+        plain = Kernel()
+        want_final, want = job(plain)
+        monkeypatch.setattr(simpath, "_GC_FLOOR", 1)
+        k = Kernel()
+        held = k.identity(5)
+        k.inc_ref(held)
+        sweeps = []
+        sweep = k.gc
+        k.gc = lambda roots=(): sweeps.append(1) or sweep(roots)
+        final, stats = job(k)
+        assert len(sweeps) >= 2
+        assert k.signature(final) == plain.signature(want_final)
+        assert stats.peak_nodes == want.peak_nodes
+        assert stats.result_nodes == want.result_nodes
+        assert root_equal(held, k.identity(5))
+        live = {node for table in (k._vec_unique, k._mat_unique)
+                for node in table.values() if node.ref > 0}
+        assert live == {held.node, final.node}
+        assert held.node.ref == 1 and final.node.ref == 1
