@@ -2,22 +2,27 @@
 
 A path over a circuit with ``G`` gates is a list of exactly ``G`` unordered
 index pairs.  Index 0 is the initial state, 1..G are the gates in application
-order, and task ``k`` produces index ``G + k``.  A pair may be multiplied
-when the two operands cover adjacent runs of the original sequence; as a
-relaxation, a gap between them is tolerated when every skipped gate acts on
-qubits disjoint from the combined support of both operands (such gates
-commute past the product, so any placement is equivalent).
+order, and task ``k`` produces index ``G + k``.  A product ``left · right``
+applies every gate of ``right`` before every gate of ``left``; it may be
+formed when, on every qubit both operands act on, the left operand's first
+gate comes after the right operand's last one in the original sequence.
+The operands need not be adjacent: a skipped gate may share a qubit with
+either of them, since the later product that joins it to them is held to
+the same rule.  Every two gates that share a qubit so keep their order,
+and every accepted path gives the sequential result.
 """
 from __future__ import annotations
 
 import gc
 import json
+import sys
 import time
 from dataclasses import dataclass
 
 from . import tnbridge
 from .circuit import Circuit, concat_inverse, decomposition_cost
 from .errors import (
+    CapacityError,
     InternalError,
     InvalidArgumentError,
     PathValidationError,
@@ -195,52 +200,41 @@ class ValidatedTask:
     matrix_vector: bool        # right operand carries the state
 
 
-@dataclass(frozen=True)
-class PathValidation:
-    tasks: tuple[ValidatedTask, ...]
-    intervals: dict[int, tuple[int, int]]   # operand index -> covered hull
-
-
 class _Operand:
-    __slots__ = ("positions", "has_state", "lo", "hi")
+    __slots__ = ("span", "has_state", "hi")
 
-    def __init__(self, positions: set, has_state: bool, lo: int, hi: int):
-        self.positions = positions
+    def __init__(self, span: dict, has_state: bool, hi: int):
+        self.span = span            # qubit -> (first, last) position acting on it
         self.has_state = has_state
-        self.lo = lo
         self.hi = hi
 
 
-def _order_conflict(left: _Operand, right: _Operand, supports) -> tuple | None:
-    """First pair of positions the orientation would reorder although they
-    act on shared qubits; None when the product is order-safe.
+def _order_conflict(left: _Operand, right: _Operand) -> tuple | None:
+    """A pair of positions ``(l, r, q)`` that the orientation would reorder
+    although both act on qubit ``q``; None when the product is order-safe.
 
     The computed product puts every left position above every right one.
-    A right position r above a left position l (r > l) is only harmless
-    when the two act on disjoint qubits.
+    That is harmless exactly when, on every qubit both act on, the left
+    factor's first position lies above the right factor's last one.
     """
-    lmin = left.lo
-    if right.hi < lmin:
-        return None
-    for r in right.positions:
-        if r <= lmin or r == 0:
-            continue
-        sr = supports[r - 1]
-        for l in left.positions:
-            if l < r and sr & supports[l - 1]:
-                return (l, r, sorted(sr & supports[l - 1]))
+    lspan, rspan = left.span, right.span
+    for q in lspan.keys() & rspan.keys():
+        l, r = lspan[q][0], rspan[q][1]
+        if l < r:
+            return (l, r, q)
     return None
 
 
-def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
+def validate(path: SimulationPath, circuit: Circuit) -> tuple[ValidatedTask, ...]:
     """Check usage and ordering rules and fix each task's operand orientation.
 
-    Each operand keeps the hull (lo, hi) of the positions it covers.  A pair
-    is order-safe outright when the right factor's hull ends below the left
-    factor's; only pairs whose hulls overlap are scanned position by
-    position.  The smaller position set is merged into the larger one and
-    consumed operands are dropped, so apart from those scans a path over G
-    gates is checked in O(G log G) time and O(G) memory.
+    A product ``left · right`` is order-safe when, on every qubit both
+    operands act on, the left factor's first gate comes after the right
+    factor's last one in the original sequence; gates a pair skips over are
+    checked by the later product that joins them.  Each live operand keeps
+    one ``(first, last)`` span per qubit it acts on, so a pair costs one
+    lookup per qubit of the smaller operand, which is then folded into the
+    larger.
     """
     count = len(circuit.gates)
     if path.gate_count != count:
@@ -249,57 +243,48 @@ def validate(path: SimulationPath, circuit: Circuit) -> PathValidation:
     if len(path.tasks) != count:
         raise PathValidationError(
             f"expected exactly {count} tasks, got {len(path.tasks)}")
-    supports = [frozenset(g.qubits) for g in circuit.gates]
     # the live operands; consumed ones are dropped
-    operands = {k: _Operand({k}, k == 0, k, k) for k in range(count + 1)}
-    consumed: set[int] = set()
-    intervals = {k: (k, k) for k in range(count + 1)}
+    operands = {0: _Operand({}, True, 0)}
+    for k, gate in enumerate(circuit.gates, start=1):
+        operands[k] = _Operand(dict.fromkeys(gate.qubits, (k, k)), False, k)
     out: list[ValidatedTask] = []
     for ti, (a, b) in enumerate(path.tasks, start=1):
+        result = count + ti
         if a == b:
             raise PathValidationError(f"pair ({a}, {b}) repeats one index", ti)
         for idx in (a, b):
-            if idx in consumed:
-                raise PathValidationError(f"index {idx} already consumed", ti)
             if idx not in operands:
-                raise PathValidationError(f"index {idx} is not available", ti)
+                # every index below ``result`` was live once
+                state = "already consumed" if 0 <= idx < result else "is not available"
+                raise PathValidationError(f"index {idx} {state}", ti)
         pair = {a: operands.pop(a), b: operands.pop(b)}
         oa, ob = pair[a], pair[b]
         has_state = oa.has_state or ob.has_state
         if has_state:
             # the state side must stay the right factor
-            left, right = (b, a) if oa.has_state else (a, b)
-            orientations = [(left, right)]
+            orientations = [(b, a)] if oa.has_state else [(a, b)]
         elif oa.hi > ob.hi:
             orientations = [(a, b), (b, a)]
         else:
             orientations = [(b, a), (a, b)]
-        chosen = None
-        conflict = None
         for left, right in orientations:
-            conflict = _order_conflict(pair[left], pair[right], supports)
+            conflict = _order_conflict(pair[left], pair[right])
             if conflict is None:
-                chosen = (left, right)
                 break
-        if chosen is None:
-            l, r, shared = conflict
+        else:
+            l, r, q = conflict
             raise PathValidationError(
                 f"pair ({a}, {b}) would reorder gate {r} above gate {l} "
-                f"although they share qubit(s) {shared}", ti)
-        big, small = (oa, ob) if len(oa.positions) >= len(ob.positions) else (ob, oa)
-        big.positions |= small.positions
-        result = count + ti
-        lo, hi = min(oa.lo, ob.lo), max(oa.hi, ob.hi)
-        operands[result] = _Operand(big.positions, has_state, lo, hi)
-        intervals[result] = (lo, hi)
-        consumed.update((a, b))
-        out.append(ValidatedTask(ti, chosen[0], chosen[1], result, has_state))
-    final = 2 * count
-    if set(operands) != {final}:
-        raise PathValidationError(f"path does not reduce to one result: {sorted(operands)}")
-    if operands[final].positions != set(range(count + 1)):
-        raise PathValidationError("final result does not cover the whole sequence")
-    return PathValidation(tuple(out), intervals)
+                f"although they share qubit {q}", ti)
+        big, small = (oa.span, ob.span) if len(oa.span) >= len(ob.span) \
+            else (ob.span, oa.span)
+        for q, (first, last) in small.items():
+            old = big.get(q)
+            big[q] = (first, last) if old is None \
+                else (min(first, old[0]), max(last, old[1]))
+        operands[result] = _Operand(big, has_state, max(oa.hi, ob.hi))
+        out.append(ValidatedTask(ti, left, right, result, has_state))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +314,11 @@ class RunStats:
 _GC_FLOOR = 1 << 16
 
 
+def _too_deep(n: int) -> str:
+    return (f"a {n}-qubit diagram is deeper than Python's recursion limit "
+            f"({sys.getrecursionlimit()})")
+
+
 def execute(circuit: Circuit, path: SimulationPath | None = None,
             kernel: Kernel | None = None, initial: Edge | None = None,
             observer=None) -> tuple[Edge, RunStats]:
@@ -352,7 +342,7 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     try:
         if path is None:
             path = sequential_path(len(circuit.gates))
-        info = validate(path, circuit)
+        tasks = validate(path, circuit)
         if kernel is None:
             kernel = Kernel()
         n = circuit.num_qubits
@@ -378,36 +368,39 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             return e
 
         counts: list[int] = []
-        for vt in info.tasks:
-            left = fetch(vt.left)
-            right = fetch(vt.right)
-            if vt.matrix_vector:
-                if left.node is None or len(left.node.edges) != 4 \
-                        or right.node is None or len(right.node.edges) != 2:
-                    raise InternalError(
-                        f"task {vt.index}: operands do not form a matrix-vector product")
-                result = kernel.multiply_mv(left, right)
-            else:
-                if left.node is None or right.node is None \
-                        or len(left.node.edges) != 4 or len(right.node.edges) != 4:
-                    raise InternalError(
-                        f"task {vt.index}: operands do not form a matrix-matrix product")
-                result = kernel.multiply_mm(left, right)
-            env[vt.result] = result
-            size = kernel.node_count(result)
-            counts.append(size)
-            if size > peak:
-                peak = size
-            if observer is not None:
-                observer(vt.index, result)
-            if kernel.unique_size > gc_threshold:
-                kernel.gc(env.values())
-                gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
+        try:
+            for vt in tasks:
+                left = fetch(vt.left)
+                right = fetch(vt.right)
+                if vt.matrix_vector:
+                    if left.node is None or len(left.node.edges) != 4 \
+                            or right.node is None or len(right.node.edges) != 2:
+                        raise InternalError(
+                            f"task {vt.index}: operands do not form a matrix-vector product")
+                    result = kernel.multiply_mv(left, right)
+                else:
+                    if left.node is None or right.node is None \
+                            or len(left.node.edges) != 4 or len(right.node.edges) != 4:
+                        raise InternalError(
+                            f"task {vt.index}: operands do not form a matrix-matrix product")
+                    result = kernel.multiply_mm(left, right)
+                env[vt.result] = result
+                size = kernel.node_count(result)
+                counts.append(size)
+                if size > peak:
+                    peak = size
+                if observer is not None:
+                    observer(vt.index, result)
+                if kernel.unique_size > gc_threshold:
+                    kernel.gc(env.values())
+                    gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
+        except RecursionError as exc:
+            raise CapacityError(f"task {vt.index}: {_too_deep(n)}") from exc
         final = env[2 * len(circuit.gates)]
         kernel.inc_ref(final)
         elapsed = time.perf_counter_ns() - t0
         stats = RunStats(
-            task_count=len(info.tasks),
+            task_count=len(tasks),
             result_nodes=counts,
             peak_nodes=peak,
             final_nodes=counts[-1] if counts else kernel.node_count(final),
@@ -451,8 +444,15 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
         return VerificationResult("consistent", 1.0, stats, combined, empty, initial)
     path = make_path(strategy, g, g_prime)
     kernel.inc_ref(initial)
-    final, stats = execute(combined, path, kernel, initial)
-    fidelity = abs(kernel.inner_product(initial, final))
-    kernel.dec_ref(initial)
+    try:
+        final, stats = execute(combined, path, kernel, initial)
+        try:
+            fidelity = abs(kernel.inner_product(initial, final))
+        except RecursionError as exc:
+            kernel.dec_ref(final)
+            raise CapacityError(
+                f"fidelity inner product: {_too_deep(combined.num_qubits)}") from exc
+    finally:
+        kernel.dec_ref(initial)
     verdict = "consistent" if fidelity >= 1.0 - FIDELITY_TOLERANCE else "inconsistent"
     return VerificationResult(verdict, fidelity, stats, combined, path, final)

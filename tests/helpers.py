@@ -10,7 +10,7 @@ import random
 from ddpath.circuit import Circuit, Gate
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.kernel import EPS, Kernel, _INV_EPS
-from ddpath.simpath import PathValidation, ValidatedTask
+from ddpath.simpath import ValidatedTask
 from ddpath.tnbridge import ContractionPlan
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
@@ -119,7 +119,8 @@ def _ref_order_conflict(left: _RefOperand, right: _RefOperand, supports):
 
 def reference_validate(path, circuit):
     """Frozenset-per-operand form of ``simpath.validate``, kept as the
-    reference the hull-based validator is compared against."""
+    reference the per-qubit span validator is compared against: it scans
+    every pair of positions across the two operands."""
     count = len(circuit.gates)
     if path.gate_count != count:
         raise PathValidationError(
@@ -133,7 +134,6 @@ def reference_validate(path, circuit):
         operands[k] = _RefOperand(frozenset([k]), False)
     live = set(operands)
     consumed = set()
-    intervals = {i: (min(op.positions), max(op.positions)) for i, op in operands.items()}
     out = []
     for ti, (a, b) in enumerate(path.tasks, start=1):
         if a == b:
@@ -167,7 +167,6 @@ def reference_validate(path, circuit):
         pos = oa.positions | ob.positions
         result = count + ti
         operands[result] = _RefOperand(pos, has_state)
-        intervals[result] = (min(pos), max(pos))
         live.discard(a)
         live.discard(b)
         consumed.update((a, b))
@@ -178,7 +177,7 @@ def reference_validate(path, circuit):
         raise PathValidationError(f"path does not reduce to one result: {sorted(live)}")
     if operands[final].positions != frozenset(range(count + 1)):
         raise PathValidationError("final result does not cover the whole sequence")
-    return PathValidation(tuple(out), intervals)
+    return tuple(out)
 
 
 def reference_greedy_plan(tn):

@@ -37,6 +37,14 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["stats"]["final_nodes"] == 7
 
+    def test_diagram_deeper_than_recursion_limit_is_capacity_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "ghz:3000")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "CapacityError"
+        assert "task 1" in payload["message"] and "3000-qubit" in payload["message"]
+
     def test_bad_path_file_names_task(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -320,6 +328,14 @@ class TestBench:
         assert (rec["family"], rec["n"], rec["strategy"]) == ("qft", 6, "greedy")
         assert rec["error"] == "PathValidationError"
         assert rec["task_index"] == 18
+
+    def test_too_deep_row_does_not_stop_the_sweep(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "ghz:3000:sequential", "ghz:4:sequential")
+        assert code == 2
+        rows = out.strip().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [["ghz", "4"]]
+        records = [json.loads(line) for line in err.strip().splitlines()]
+        assert [(r["n"], r["error"]) for r in records] == [(3000, "CapacityError")]
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "bench", "nope:3")

@@ -29,8 +29,8 @@ from ddpath import (
     verify_equivalence,
 )
 from ddpath import oracle, simpath
-from ddpath.circuit import Circuit, Gate, h, swap
-from ddpath.errors import InvalidArgumentError, PathValidationError
+from ddpath.circuit import GENERATORS, Circuit, Gate, cx, h, swap
+from ddpath.errors import CapacityError, InvalidArgumentError, PathValidationError
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
 from helpers import random_circuit, reference_validate
@@ -53,19 +53,18 @@ class TestSequentialPath:
     def test_every_task_is_matrix_vector(self):
         c = qft(3)
         info = validate(sequential_path(7), c)
-        assert all(t.matrix_vector for t in info.tasks)
+        assert all(t.matrix_vector for t in info)
 
 
 class TestValidate:
     def test_tree_path_is_valid(self):
         info = validate(SimulationPath(7, TREE_PATH_7), qft(3))
-        assert [t.matrix_vector for t in info.tasks] == [
+        assert [t.matrix_vector for t in info] == [
             True, False, False, False, True, False, True]
-        assert info.intervals[14] == (0, 7)
 
     def test_plan_style_chain_is_valid(self):
         info = validate(SimulationPath(7, CHAIN_PATH_7), qft(3))
-        assert all(t.matrix_vector for t in info.tasks)
+        assert all(t.matrix_vector for t in info)
 
     def test_skipping_noncommuting_gate_rejected(self):
         bad = SimulationPath(7, ((0, 2), (1, 8), (3, 9), (4, 10), (5, 11),
@@ -96,8 +95,7 @@ class TestValidate:
     def test_disjoint_support_skip_accepted(self):
         # pairing two one-qubit gates across an unrelated one commutes freely
         c = Circuit(3, (h(0), h(1), h(2)))
-        info = validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
-        assert info.intervals[4] == (1, 3)
+        validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
 
     def test_shared_qubit_skip_rejected(self):
         c = Circuit(1, (h(0), h(0), h(0)))
@@ -105,11 +103,30 @@ class TestValidate:
             validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
 
 
+    def test_gate_sharing_a_qubit_may_be_skipped_when_it_commutes(self):
+        # gate 2 (h on qubit 1) is skipped by the pair (1, 3) although it
+        # shares qubit 1 with gate 3; it commutes with gate 1, so it may be
+        # applied before both
+        c = Circuit(2, (h(0), h(1), cx(0, 1)))
+        path = SimulationPath(3, ((1, 3), (0, 2), (4, 5)))
+        assert validate(path, c) == reference_validate(path, c)
+        k = Kernel()
+        final, _ = execute(c, path, k)
+        reference, _ = execute(c, sequential_path(3), k)
+        assert root_equal(final, reference)
+
+    def test_skipped_gate_that_does_not_commute_rejected_when_joined(self):
+        c = Circuit(2, (h(0), cx(0, 1), cx(1, 0)))
+        path = SimulationPath(3, ((1, 3), (0, 2), (4, 5)))
+        with pytest.raises(PathValidationError) as exc:
+            validate(path, c)
+        assert exc.value.task_index == 3
+
     def test_matches_reference_validator(self):
         rng = random.Random(41)
         accepted = rejected = gap_accepted = 0
-        for trial in range(300):
-            c = random_circuit(rng, 6, rng.randint(1, 14))
+        for trial in range(2000):
+            c = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 14))
             tasks, gaps = _random_pairs(rng, len(c.gates))
             path = SimulationPath(len(c.gates), tasks)
             want = _outcome(reference_validate, path, c)
@@ -119,7 +136,29 @@ class TestValidate:
                 gap_accepted += gaps > 0
             else:
                 rejected += 1
-        assert accepted > 50 and rejected > 50 and gap_accepted > 10
+        assert accepted > 500 and rejected > 1000 and gap_accepted > 150
+
+    def test_structured_paths_match_reference_validator(self):
+        # every strategy's path, and the greedy plan unvalidated, since
+        # greedy plans are not yet limited to valid merges
+        cases = [(gen(n), None, ("sequential", "greedy"))
+                 for gen in GENERATORS.values() for n in range(2, 13)]
+        for n in (2, 3, 4, 5, 8, 12, 16, 20, 32):
+            names = STRATEGIES if n <= 16 else ("sequential", "alternating", "heuristic")
+            cases.append((qft(n), qft(n), names))
+            cases.append((qft(n), transpile(qft(n)), names))
+        rejected = 0
+        for g, g_prime, names in cases:
+            combined = g if g_prime is None else concat_inverse(g, g_prime)
+            paths = [make_path(name, g, g_prime) for name in names if name != "greedy"]
+            if "greedy" in names:
+                plan = greedy_plan(export_tensor_network(combined))
+                paths.append(SimulationPath(len(combined.gates), plan.pairs))
+            for path in paths:
+                want = _outcome(reference_validate, path, combined)
+                assert _outcome(validate, path, combined) == want, (g, g_prime, path)
+                rejected += want[0] == "reject"
+        assert rejected > 10
 
 
 def _outcome(fn, path, circuit):
@@ -127,7 +166,7 @@ def _outcome(fn, path, circuit):
         info = fn(path, circuit)
     except PathValidationError as exc:
         return ("reject", exc.task_index)
-    return ("accept", info.tasks, info.intervals)
+    return ("accept", info)
 
 
 def _random_pairs(rng, count):
@@ -171,7 +210,7 @@ class TestAlternatingPath:
         g = qft(3)
         combined = concat_inverse(g, g)
         info = validate(alternating_path(7, 7), combined)
-        flags = [t.matrix_vector for t in info.tasks]
+        flags = [t.matrix_vector for t in info]
         assert flags == [False] * 13 + [True]
 
     def test_zero_counts_rejected(self):
@@ -360,6 +399,27 @@ class TestVerifyEquivalence:
         gx = Circuit(1, (Gate("x", (0,)),))
         res = verify_equivalence(gx, Circuit(1), "alternating")
         assert res.verdict == "inconsistent"
+
+    def test_failed_run_releases_initial(self):
+        k = Kernel()
+        initial = k.make_zero_state(2)
+        with pytest.raises(InvalidArgumentError):
+            verify_equivalence(qft(3), qft(3), "sequential", k, initial)
+        assert initial.node.ref == 0
+
+    def test_too_deep_inner_product_is_capacity_error(self, monkeypatch):
+        def too_deep(self, a, b):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(Kernel, "inner_product", too_deep)
+        k = Kernel()
+        initial = k.make_zero_state(3)
+        with pytest.raises(CapacityError, match="inner product"):
+            verify_equivalence(qft(3), qft(3), "sequential", k, initial)
+        assert initial.node.ref == 0
+        # neither the initial state nor the final one stays held
+        k.gc()
+        assert k.unique_size == 0
 
     def test_both_empty_consistent(self):
         res = verify_equivalence(Circuit(2), Circuit(2))
