@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import gates as _gates
 from .errors import InvalidArgumentError, UnsupportedGateError
 
-DEFAULT_GATESET = frozenset({"h", "p", "cx"})
+NATIVE_GATES = frozenset({"h", "p", "cx"})
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,16 @@ GENERATORS = {
 # ----------------------------------------------------------------------
 # transpilation into a native gate set
 
-def _expansion(g: Gate) -> list[Gate] | None:
-    """Rewrite of one gate in terms of {h, p, cx}, or None when already there.
+def _expansion(g: Gate) -> list[Gate]:
+    """Rewrite of one gate that is not native in terms of {h, p, cx}.
 
     Expansions are exact except where noted; y / ry / rz trade a global phase.
     """
     k = g.kind
-    if k in ("h", "p", "cx"):
-        return None
+    if k in NATIVE_GATES:
+        # h, p or cx with more controls than the native form has
+        raise UnsupportedGateError(
+            f"no decomposition rule for {k!r} with {len(g.controls)} controls")
     if k == "swap":
         a, b = g.targets
         return [cx(a, b), cx(b, a), cx(a, b)]
@@ -314,38 +316,28 @@ def _expansion(g: Gate) -> list[Gate] | None:
     raise UnsupportedGateError(f"no decomposition rule for {k!r}")
 
 
-def _native(g: Gate, gateset: frozenset[str]) -> bool:
-    if g.kind not in gateset:
-        return False
+def _transpile_gate(g: Gate, out: list[Gate]) -> None:
     intrinsic = 1 if g.kind in _gates.CONTROLLED_BASE else 0
-    return len(g.controls) == intrinsic
-
-
-def _transpile_gate(g: Gate, gateset: frozenset[str], out: list[Gate]) -> None:
-    if _native(g, gateset):
+    if g.kind in NATIVE_GATES and len(g.controls) == intrinsic:
         out.append(g)
         return
-    expansion = _expansion(g)
-    if expansion is None:
-        # in {h, p, cx} but excluded from the requested native set
-        raise UnsupportedGateError(f"gate {g.kind!r} not in gate set {sorted(gateset)}")
-    for sub in expansion:
-        _transpile_gate(sub, gateset, out)
+    for sub in _expansion(g):
+        _transpile_gate(sub, out)
 
 
-def transpile(c: Circuit, gateset: frozenset[str] = DEFAULT_GATESET) -> Circuit:
-    """Rule-based rewrite of ``c`` over ``gateset``; equal up to global phase.
+def transpile(c: Circuit) -> Circuit:
+    """Rule-based rewrite of ``c`` over ``NATIVE_GATES``; equal up to global phase.
 
     No optimization pass runs afterwards, so the output length is exactly the
     sum of the per-gate decomposition costs.
     """
     out: list[Gate] = []
     for g in c.gates:
-        _transpile_gate(g, gateset, out)
+        _transpile_gate(g, out)
     return Circuit(c.num_qubits, tuple(out))
 
 
-def decomposition_cost(kind: str, gateset: frozenset[str] = DEFAULT_GATESET) -> int:
+def decomposition_cost(kind: str) -> int:
     """Number of native gates the transpile rule emits for one gate of ``kind``."""
     if kind not in _gates.ALL_KINDS:
         raise UnsupportedGateError(f"unknown gate kind {kind!r}")
@@ -359,5 +351,5 @@ def decomposition_cost(kind: str, gateset: frozenset[str] = DEFAULT_GATESET) -> 
     else:
         probe = Gate(kind, (0,), parameter=probe_angle)
     out: list[Gate] = []
-    _transpile_gate(probe, gateset, out)
+    _transpile_gate(probe, out)
     return len(out)

@@ -3,25 +3,31 @@
 A vector diagram splits a 2^n amplitude vector in two per level (two successor
 edges per node); an operator diagram splits a 2^n x 2^n matrix into quadrants
 (four successors ordered 00, 01, 10, 11 by row/column bit of that level's
-qubit).  Common factors are pulled out into complex edge weights, weights are
-interned in a bucketed value table, and nodes are hash-consed in unique
-tables, so any two construction orders of the same quantity end at the same
-root edge.  Qubit k lives at level k; level n-1 is the root / most
+qubit).  Common factors are pulled out into complex edge weights, the
+weights a node is keyed by are interned in a bucketed value table, and nodes
+are hash-consed in unique tables, so any two construction orders of the same
+quantity end at the same root node, with root weights equal up to rounding
+(``root_equal``).  Qubit k lives at level k; level n-1 is the root / most
 significant bit of a basis string.
 
-Weights within an absolute EPS = 1e-12 share a representative.  The value
-table maps the bucket ``complex(kr, ki)``, the real and imaginary parts in
-units of EPS rounded to integers, to that representative; a miss probes the
-eight neighbouring buckets, unless the sets of occupied ``kr`` and occupied
-``ki`` show that no neighbour exists.  A unique table is keyed by the node's
-successor tuple, which is also its ``edges``: terminal successors occur only
-at level 0 and every other successor sits one level down, so the successors
-fix the level.
+Only values relative to a sibling are interned: a successor weight divided
+by its node's norm, the ratio of two summands, a terminal sum and a
+gate-matrix entry, all of magnitude about 1 or less.  There weights within
+an absolute EPS = 1e-12 share a representative.  A root weight, the norm a
+node passes up its incoming edge, shrinks like 2^(-n/2) and stays a plain
+product, never interned.  The value table maps the bucket
+``complex(kr, ki)``, the real and imaginary parts in units of EPS rounded to
+integers, to that representative; a miss probes the eight neighbouring
+buckets, unless the sets of occupied ``kr`` and occupied ``ki`` show that no
+neighbour exists.  A unique table is keyed by the node's successor tuple,
+which is also its ``edges``: terminal successors occur only at level 0 and
+every other successor sits one level down, so the successors fix the level.
 
 Sums and products are memoised in compute tables: plain dicts, exact per
 kernel, keyed by operand nodes (and the weight ratio, for sums).  Every
 ``Kernel.gc`` sweep empties them together with the gate memo, so no entry
-outlives a node it names.
+outlives a node it names, and sweeps the value table down to ZERO, ONE and
+the successor weights of the nodes it keeps.
 
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
@@ -40,8 +46,9 @@ from .errors import InvalidArgumentError
 
 EPS = 1e-12          # weight identification tolerance inside the value table
 _INV_EPS = 1.0 / EPS
-# magnitudes this close count as tied during normalization, so the choice of
-# norm successor is stable under interning-level noise
+# magnitudes this close, relative to the larger, count as tied during
+# normalization, so the choice of norm successor is stable under
+# interning-level noise
 _MAG_TOL = 4 * EPS
 # bucket offsets probed, in order, when a value misses its own bucket
 _NEIGHBOURS = tuple((dr, di) for dr in (-1, 0, 1) for di in (-1, 0, 1) if dr or di)
@@ -159,21 +166,15 @@ class Kernel:
         return v
 
     def _scale(self, e: Edge, w: complex) -> Edge:
-        """``w`` times edge ``e``; ``w`` must already be interned.
-
-        A factor of exactly 1 skips ``intern``: an interned value sits at
-        its own key, which never rebinds, and ``x * 1`` rounds to that key.
-        """
+        """``w`` times edge ``e``, a plain product: the weight on an incoming
+        edge is not interned."""
         if w == 1:
             return e
         if w == 0 or e.node is None and e.w == 0:
             return self.zero_edge
         if e.w == 1:
             return _edge((w, e.node))
-        nw = self.intern(e.w * w)
-        if nw == 0:
-            return self.zero_edge
-        return _edge((nw, e.node))
+        return _edge((e.w * w, e.node))
 
     # ------------------------------------------------------------------
     # node construction (normalization + hash consing)
@@ -181,7 +182,7 @@ class Kernel:
     def _vnode(self, level: int, e0: Edge, e1: Edge) -> Edge:
         a0 = abs(e0.w)
         a1 = abs(e1.w)
-        if a1 - a0 > _MAG_TOL:
+        if a1 - a0 > _MAG_TOL * a0:
             norm = e1.w
             n0 = self._scale_succ(e0, norm)
             n1 = _edge((self.ONE, e1.node))
@@ -207,7 +208,7 @@ class Kernel:
             return self.zero_edge
         best = 0
         for i in (0, 1, 2, 3):
-            if mags[i] > 0.0 and mags[i] >= mx - _MAG_TOL:
+            if mags[i] >= mx - _MAG_TOL * mx:
                 best = i
                 break
         norm = edges[best].w
@@ -223,10 +224,10 @@ class Kernel:
         return _edge((norm, node))
 
     def _scale_succ(self, e: Edge, norm: complex) -> Edge:
-        if norm == 1:
-            return e
         if e.node is None and e.w == 0:
             return self.zero_edge
+        if e.w == norm:
+            return _edge((self.ONE, e.node))
         w = self.intern(e.w / norm)
         if w == 0:
             return self.zero_edge
@@ -444,9 +445,7 @@ class Kernel:
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
-        w = vw if mw == 1 else mw if vw == 1 else self.intern(mw * vw)
-        if w == 0:
-            return self.zero_edge
+        w = vw if mw == 1 else mw if vw == 1 else mw * vw
         if level < 0:
             return _edge((w, None))
         ident = self._ident
@@ -492,9 +491,7 @@ class Kernel:
         bw, bn = b
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
-        w = bw if aw == 1 else aw if bw == 1 else self.intern(aw * bw)
-        if w == 0:
-            return self.zero_edge
+        w = bw if aw == 1 else aw if bw == 1 else aw * bw
         if level < 0:
             return _edge((w, None))
         ident = self._ident[level] if level < len(self._ident) else None
@@ -515,8 +512,8 @@ class Kernel:
                 # product is diag(x, x) with x = A·B, one sub-product instead
                 # of eight.  _mnode(level, x, 0, 0, x) would pick x as the
                 # norm (the first successor of largest magnitude), scale the
-                # last successor to x.w / x.w, which interns to ONE, and so
-                # return weight x.w over the lift node of x.node
+                # last successor to ONE, since its weight equals the norm, and
+                # so return weight x.w over the lift node of x.node
                 x = self._mul_mm(ae[0], be[0], lo)
                 if x.node is None and x.w == 0:
                     r = zero
@@ -575,9 +572,12 @@ class Kernel:
 
     def node_count(self, e: Edge) -> int:
         """Distinct non-terminal nodes reachable from ``e``."""
+        return len(self._reachable(e))
+
+    def _reachable(self, e: Edge) -> set:
         root = e.node
         if root is None:
-            return 0
+            return set()
         seen = {root}
         stack = [root]
         while stack:
@@ -586,7 +586,7 @@ class Kernel:
                 if x is not None and x not in seen:
                     seen.add(x)
                     stack.append(x)
-        return len(seen)
+        return seen
 
     def inner_product(self, a: Edge, b: Edge) -> complex:
         """Hermitian inner product <a|b> of two vector diagrams."""
@@ -612,25 +612,20 @@ class Kernel:
         if s is None:
             sa = ea.node.edges
             sb = eb.node.edges
-            s = sum(self._inner(sa[i], sb[i], level - 1, memo) for i in (0, 1))
+            lo = level - 1
+            s = self._inner(sa[0], sb[0], lo, memo) + self._inner(sa[1], sb[1], lo, memo)
             memo[key] = s
         return ea.w.conjugate() * eb.w * s
 
     def signature(self, e: Edge):
-        """Kernel-independent structural fingerprint (for cross-instance equality)."""
-        memo: dict = {}
-
-        def node_sig(node):
-            s = memo.get(node)
-            if s is None:
-                s = (node.level, tuple(edge_sig(x) for x in node.edges))
-                memo[node] = s
-            return s
-
-        def edge_sig(x: Edge):
-            return (x.w.real, x.w.imag, None if x.node is None else node_sig(x.node))
-
-        return edge_sig(e)
+        """Kernel-independent structural fingerprint (for cross-instance
+        equality), built level by level from the bottom rather than by
+        recursion: every successor of a node sits one level lower."""
+        memo: dict = {None: None}
+        for node in sorted(self._reachable(e), key=lambda x: x.level):
+            memo[node] = (node.level,
+                          tuple((x.w.real, x.w.imag, memo[x.node]) for x in node.edges))
+        return (e.w.real, e.w.imag, memo[e.node])
 
     # ------------------------------------------------------------------
     # dense reconstruction (n must stay small; intended for checks and export)
@@ -709,10 +704,13 @@ class Kernel:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
         The compute tables and the gate memo are emptied wholesale, since
-        their entries may name swept nodes; the value table is kept so
-        interning stays stable across collections.
+        their entries may name swept nodes.  The value table keeps the
+        buckets whose representative is ZERO, ONE or a successor weight of a
+        kept node, so every weight a kept node holds still interns to
+        itself; root weights are plain products and need no bucket.
         """
         marked: set = set()
+        live = {self.ZERO, self.ONE}
         stack = [e.node for e in roots if e.node is not None]
         for table in (self._vec_unique, self._mat_unique):
             for node in table.values():
@@ -724,6 +722,7 @@ class Kernel:
                 continue
             marked.add(node)
             for s in node.edges:
+                live.add(s.w)
                 if s.node is not None and s.node not in marked:
                     stack.append(s.node)
         removed = 0
@@ -732,6 +731,7 @@ class Kernel:
             kept = {k: v for k, v in table.items() if v in marked}
             removed += len(table) - len(kept)
             setattr(self, name, kept)
+        self._sweep_values(live)
         self._ct_mv.clear()
         self._ct_mm.clear()
         self._ct_add_v.clear()
@@ -745,6 +745,12 @@ class Kernel:
                 break
         del self._ident[keep:]
         return removed
+
+    def _sweep_values(self, live: set) -> None:
+        """Keep the buckets whose representative is in ``live``."""
+        self._values = values = {k: v for k, v in self._values.items() if v in live}
+        self._occupied_re = {int(k.real) for k in values}
+        self._occupied_im = {int(k.imag) for k in values}
 
     # ------------------------------------------------------------------
     # export
@@ -805,5 +811,6 @@ def _fmt_weight(w: complex) -> str:
 
 
 def root_equal(a: Edge, b: Edge) -> bool:
-    """Same-kernel identity check: same node object and equal interned weight."""
-    return a.node is b.node and a.w == b.w
+    """Same-kernel identity check: the same node object, and root weights
+    (plain products, not interned) within EPS relative to the larger one."""
+    return a.node is b.node and abs(a.w - b.w) <= EPS * max(abs(a.w), abs(b.w))

@@ -218,7 +218,8 @@ class ReferenceKernel(Kernel):
     """``Kernel`` whose value table is keyed by ``(kr, ki)`` tuples and
     probes all eight neighbour buckets on every miss.  Kept as the reference
     the complex-keyed, occupancy-filtered ``Kernel.intern`` is compared
-    against."""
+    against; ``gc`` sweeps it by the same rule, with no occupancy sets to
+    rebuild."""
 
     def __init__(self):
         super().__init__()
@@ -246,6 +247,9 @@ class ReferenceKernel(Kernel):
         v = complex(re, im)
         table[(kr, ki)] = v
         return v
+
+    def _sweep_values(self, live: set) -> None:
+        self._values = {k: v for k, v in self._values.items() if v in live}
 
 
 class _Forgetful(dict):

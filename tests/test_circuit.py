@@ -160,7 +160,7 @@ class TestTranspile:
         with pytest.raises(UnsupportedGateError):
             transpile(c)
         c2 = Circuit(3, (Gate("h", (0,), (1, 2)),))
-        with pytest.raises(UnsupportedGateError):
+        with pytest.raises(UnsupportedGateError, match="no decomposition rule for 'h'"):
             transpile(c2)
 
 

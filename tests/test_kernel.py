@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from ddpath import (Kernel, SimulationPath, execute, root_equal, sequential_path,
                     verify_equivalence)
 from ddpath import oracle
-from ddpath.circuit import GENERATORS, Gate, cp, cx, ghz, entangled_qft, h, qft, swap
+from ddpath.circuit import (GENERATORS, Gate, cp, cx, deutsch_jozsa, ghz, entangled_qft, h,
+                            qft, swap)
 from ddpath.errors import InvalidArgumentError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
 from ddpath.kernel import EPS
+from ddpath.simpath import make_path
 
 from helpers import MemoFreeKernel, ReferenceKernel, random_circuit, random_unitary_2x2
 
@@ -302,6 +305,33 @@ class TestInnerProduct:
             want = np.vdot(oracle.simulate(ca), oracle.simulate(cb))
             assert abs(k.inner_product(a, b) - want) < 1e-10
 
+    def test_deep_basis_state(self):
+        # the inner product spends one Python frame per level and signature
+        # none, so 990 levels fit under the default recursion limit of 1000;
+        # a fresh thread starts with an empty stack, without the test
+        # runner's frames
+        bits = "01" * 495
+        out = {}
+
+        def run():
+            k = Kernel()
+            e = k.make_basis_state(bits)
+            out["norm"] = k.inner_product(e, e)
+            out["sig"] = k.signature(e)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert out["norm"] == 1
+        sig, depth = out["sig"], 0
+        while sig[2] is not None:
+            level, edges = sig[2]
+            assert level == len(bits) - 1 - depth
+            sig = edges[int(bits[depth])]
+            depth += 1
+        assert depth == len(bits) and sig == (1.0, 0.0, None)
+
 
 class TestGarbageCollection:
     def test_live_nodes_equal_root_reachability(self):
@@ -364,6 +394,39 @@ class TestGarbageCollection:
         k.inc_ref(state)
         k.gc([])
         assert k.unique_size == k.node_count(state)
+
+    @pytest.mark.parametrize("kernel_cls", [Kernel, ReferenceKernel])
+    def test_value_table_swept_to_live_weights(self, kernel_cls):
+        n = 8
+        k = kernel_cls()
+        initial, _ = execute(ghz(n), kernel=k)
+        first = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
+        k.gc([initial, first.final])
+        live = {k.ZERO, k.ONE}
+        for root in (initial, first.final):
+            for node in _walk_nodes(root):
+                live.update(s.w for s in node.edges)
+        assert set(k._values.values()) <= live
+        for w in live:
+            assert k.intern(w) is w
+        if kernel_cls is Kernel:
+            assert k._occupied_re == {int(key.real) for key in k._values}
+            assert k._occupied_im == {int(key.imag) for key in k._values}
+        again = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
+        assert again.stats.peak_nodes == first.stats.peak_nodes == 2 ** n - 1
+        assert again.stats.result_nodes == first.stats.result_nodes
+
+    def test_swept_value_table_matches_reference(self):
+        rng = random.Random(5)
+        c1 = random_circuit(rng, 5, 40)
+        c2 = random_circuit(rng, 5, 40)
+        runs = []
+        for k in (Kernel(), ReferenceKernel()):
+            first = run_gates(k, c1)
+            k.gc([first])
+            second = run_gates(k, c2, first)
+            runs.append((len(k._values), k.signature(first), k.signature(second)))
+        assert runs[0] == runs[1]
 
 
 class TestCanonicity:
@@ -491,6 +554,20 @@ class TestValueTable:
                          r.verdict, r.fidelity))
         assert runs[0] == runs[1]
         assert runs[0][1] == 2 ** n - 1
+
+
+class TestSmallRootWeights:
+    # the norm a node passes up its incoming edge shrinks like 2^(-n/2); an
+    # absolute interning tolerance would snap it to an unrelated value
+    @pytest.mark.parametrize("strategy", ["sequential", "greedy"])
+    @pytest.mark.parametrize("n", [78, 96, 128])
+    def test_deutsch_jozsa_amplitudes(self, n, strategy):
+        c = deutsch_jozsa(n)
+        k = Kernel()
+        final, stats = execute(c, make_path(strategy, c), k)
+        assert stats.final_nodes == n
+        assert abs(k.amplitude(final, "0" + "1" * (n - 1)) - S2) < 1e-10
+        assert abs(k.amplitude(final, "1" * n) + S2) < 1e-10
 
 
 def _kind_gates(n: int) -> list[Gate]:
