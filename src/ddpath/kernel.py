@@ -10,6 +10,15 @@ quantity end at the same root node, with root weights equal up to rounding
 (``root_equal``).  Qubit k lives at level k; level n-1 is the root / most
 significant bit of a basis string.
 
+Operator diagrams are fully reduced: a node whose normalised successors are
+``(ONE·x, 0, 0, ONE·x)`` is never stored, its incoming edge goes straight to
+``x``, and every level an edge skips acts as the identity.  A scaled
+identity is therefore a terminal edge ``(w, None)`` at any level, and a gate
+diagram has nodes only at its target, control and swap levels.  Vector
+diagrams keep a node on every level.  ``node_count(e, n)`` counts the
+explicit form, where each skipped level is one identity node, so counts do
+not depend on the reduction; ``to_matrix(e, n)`` expands skipped levels.
+
 Only values relative to a sibling are interned: a successor weight divided
 by its node's norm, the ratio of two summands, a terminal sum and a
 gate-matrix entry, all of magnitude about 1 or less.  There weights within
@@ -19,9 +28,11 @@ product, never interned.  The value table maps the bucket
 ``complex(kr, ki)``, the real and imaginary parts in units of EPS rounded to
 integers, to that representative; a miss probes the eight neighbouring
 buckets, unless the sets of occupied ``kr`` and occupied ``ki`` show that no
-neighbour exists.  A unique table is keyed by the node's successor tuple,
-which is also its ``edges``: terminal successors occur only at level 0 and
-every other successor sits one level down, so the successors fix the level.
+neighbour exists.  The vector unique table is keyed by the node's successor
+tuple, which is also its ``edges``: terminal successors occur only at level
+0 and every other successor sits one level down, so the successors fix the
+level.  Operator successors may sit at any lower level, so the operator
+unique table is keyed by the level plus the successors.
 
 Sums and products are memoised in compute tables: plain dicts, exact per
 kernel, keyed by operand nodes (and the weight ratio, for sums).  Every
@@ -72,7 +83,9 @@ class Edge(NamedTuple):
     """Weighted reference into the DAG; ``node is None`` marks the terminal.
 
     A weight of exactly 0 with a ``None`` node is the zero stub; a nonzero
-    weight with a ``None`` node is a terminal value (below level 0).
+    weight with a ``None`` node is a terminal value: a scalar below level 0,
+    and for an operator edge that scalar times the identity on every level
+    it skips.
     """
 
     w: complex
@@ -84,6 +97,8 @@ class Edge(NamedTuple):
 
     @property
     def num_qubits(self) -> int:
+        """Qubits of a vector edge; for an operator edge, the levels up to
+        its node, above which it acts as the identity."""
         return 0 if self.node is None else self.node.level + 1
 
 
@@ -117,8 +132,6 @@ class Kernel:
         self._ct_mm: dict = {}
         self._ct_add_v: dict = {}
         self._ct_add_m: dict = {}
-        # canonical identity chain, indexed by level (shortcut in multiplication)
-        self._ident: list[Node] = []
         # (gate diagram, its node count) by (kind, parameter, matrix,
         # controls, targets, n); emptied by gc, never a root
         self._gates: dict = {}
@@ -216,12 +229,25 @@ class Kernel:
             _edge((self.ONE, e.node)) if i == best else self._scale_succ(e, norm)
             for i, e in enumerate(edges)
         )
-        node = self._mat_unique.get(out)
+        n0, n1, n2, n3 = out
+        if n1.w == 0 and n2.w == 0 and n0 == n3:
+            # an identity level (ONE·x, 0, 0, ONE·x) is not stored: the edge
+            # goes straight to x
+            return _edge((norm, n0.node))
+        key = (level, n0, n1, n2, n3)
+        node = self._mat_unique.get(key)
         if node is None:
             self._uid += 1
             node = Node(level, out, self._uid)
-            self._mat_unique[out] = node
+            self._mat_unique[key] = node
         return _edge((norm, node))
+
+    def _diag(self, node: Node | None) -> tuple:
+        """Successors of an identity level above ``node``: diag(x, x), x the
+        unit edge into ``node`` (None: the identity)."""
+        half = _edge((self.ONE, node))
+        zero = self.zero_edge
+        return (half, zero, zero, half)
 
     def _scale_succ(self, e: Edge, norm: complex) -> Edge:
         if e.node is None and e.w == 0:
@@ -258,13 +284,11 @@ class Kernel:
         return e
 
     def identity(self, n: int) -> Edge:
-        """Identity operator diagram over ``n`` qubits (n nodes)."""
+        """Identity operator over ``n`` qubits: the terminal edge, since every
+        level it skips is an identity level (n nodes in the explicit form)."""
         if n < 1:
             raise InvalidArgumentError(f"qubit count must be >= 1, got {n}")
-        ident = self._ident
-        while len(ident) < n:
-            ident.append(self._lift_node(len(ident), ident[-1] if ident else None))
-        return Edge(self.ONE, ident[n - 1])
+        return self.one_terminal
 
     def _terminal(self, value: complex) -> Edge:
         w = self.intern(value)
@@ -280,7 +304,7 @@ class Kernel:
         return self._gate(gate, n)[0]
 
     def gate_node_count(self, gate, n: int) -> int:
-        """``node_count(make_gate(gate, n))``, counted once per memo entry."""
+        """``node_count(make_gate(gate, n), n)``, counted once per memo entry."""
         return self._gate(gate, n)[1]
 
     def _gate(self, gate, n: int) -> tuple[Edge, int]:
@@ -300,89 +324,55 @@ class Kernel:
         if gate.kind == "swap":
             if controls:
                 raise InvalidArgumentError("controls on swap are not supported")
-            e = self._swap(min(targets), max(targets), n)
+            e = self._swap(min(targets), max(targets))
         else:
             if len(targets) != 1:
                 raise InvalidArgumentError(
                     f"gate {gate.kind} expects one target, got {targets}")
             mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
-            e = self._controlled_single(mat, targets[0], controls, n)
-        entry = self._gates[key] = (e, self.node_count(e))
+            e = self._controlled_single(mat, targets[0], controls)
+        entry = self._gates[key] = (e, self.node_count(e, n))
         return entry
 
-    def _controlled_single(self, mat, target: int, controls: tuple, n: int) -> Edge:
-        cset = frozenset(controls)
+    def _controlled_single(self, mat, target: int, controls: tuple) -> Edge:
+        """Nodes at the target and control levels only; the levels between
+        them act as the identity and are skipped."""
         zero = self.zero_edge
-        # below the lowest control under the target, each quadrant is a scaled
-        # identity, which normalisation would reduce to the identity chain
-        low = min((c for c in controls if c < target), default=target)
-        below = self.identity(low).node if low > 0 else None
+        one = self.one_terminal
         em = []
         for x in mat:
             w = self.intern(x)
-            em.append(zero if w == 0 else Edge(w, below))
-        for level in range(low, target):
-            if level in cset:
-                # inactive control branch acts as the identity on lower levels,
-                # which only the diagonal entry blocks pick up
-                ident = self.identity(level) if level > 0 else self.one_terminal
-                em[0] = self._mnode(level, ident, zero, zero, em[0])
-                em[1] = self._mnode(level, zero, zero, zero, em[1])
-                em[2] = self._mnode(level, zero, zero, zero, em[2])
-                em[3] = self._mnode(level, ident, zero, zero, em[3])
-            else:
-                em = [self._lift(x, level, level + 1) for x in em]
+            em.append(zero if w == 0 else _edge((w, None)))
+        for level in sorted(c for c in controls if c < target):
+            # the inactive control branch is the identity below the control,
+            # which only the diagonal entry blocks pick up
+            em = [self._mnode(level, one, zero, zero, em[0]),
+                  self._mnode(level, zero, zero, zero, em[1]),
+                  self._mnode(level, zero, zero, zero, em[2]),
+                  self._mnode(level, one, zero, zero, em[3])]
         e = self._mnode(target, em[0], em[1], em[2], em[3])
-        return self._lift(e, target + 1, n, cset)
+        for level in sorted(c for c in controls if c > target):
+            e = self._mnode(level, one, zero, zero, e)
+        return e
 
-    def _lift_node(self, level: int, node: Node | None) -> Node:
-        """The identity-level node (ONE·node, 0, 0, ONE·node) at ``level``.
-
-        For any nonzero ``e`` over ``node``, ``_mnode(level, e, 0, 0, e)``
-        normalises to weight ``e.w`` over this node, so callers look it up
-        here and carry the weight unchanged.
-        """
-        half = _edge((self.ONE, node))
-        zero = self.zero_edge
-        edges = (half, zero, zero, half)
-        up = self._mat_unique.get(edges)
-        if up is None:
-            self._uid += 1
-            up = Node(level, edges, self._uid)
-            self._mat_unique[edges] = up
-        return up
-
-    def _lift(self, e: Edge, start: int, stop: int, cset=frozenset()) -> Edge:
-        """Extend ``e`` from level ``start`` up to ``stop`` qubits; levels in
-        ``cset`` are positive controls, the others act as the identity."""
-        w, node = e
-        if node is None and w == 0:
-            return e
-        zero = self.zero_edge
-        for level in range(start, stop):
-            if level in cset:
-                w, node = self._mnode(level, self.identity(level), zero, zero, Edge(w, node))
-            else:
-                node = self._lift_node(level, node)
-        return Edge(w, node)
-
-    def _swap(self, a: int, b: int, n: int) -> Edge:
+    def _swap(self, a: int, b: int) -> Edge:
         """swap(a, b), a < b: quadrant (r, c) at level b is |c><r| on qubit a."""
-        unit = self.identity(a) if a > 0 else self.one_terminal
+        one = self.one_terminal
         zero = self.zero_edge
         blocks = []
         for r in (0, 1):
             for c in (0, 1):
                 succ = [zero] * 4
-                succ[2 * c + r] = unit
-                blocks.append(self._lift(self._mnode(a, *succ), a + 1, b))
-        return self._lift(self._mnode(b, *blocks), b + 1, n)
+                succ[2 * c + r] = one
+                blocks.append(self._mnode(a, *succ))
+        return self._mnode(b, *blocks)
 
     # ------------------------------------------------------------------
     # arithmetic
 
     def add(self, a: Edge, b: Edge) -> Edge:
-        """Element-wise sum of two diagrams of the same kind and level."""
+        """Element-wise sum of two diagrams of the same kind; two vectors
+        must have the same level."""
         if a.is_zero:
             return b
         if b.is_zero:
@@ -392,11 +382,11 @@ class Kernel:
         na, nb = len(a.node.edges), len(b.node.edges)
         if na != nb:
             raise InvalidArgumentError("cannot add a vector and a matrix diagram")
-        if a.node.level != b.node.level:
+        if na == 2 and a.node.level != b.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in add: {a.node.level} vs {b.node.level}")
         cache = self._ct_add_v if na == 2 else self._ct_add_m
-        return self._add(a, b, a.node.level, cache, na)
+        return self._add(a, b, max(a.node.level, b.node.level), cache, na)
 
     def _add(self, a: Edge, b: Edge, level: int, cache: dict, nsucc: int) -> Edge:
         if a.node is None and a.w == 0:
@@ -405,21 +395,35 @@ class Kernel:
             return a
         if level < 0:
             return self._terminal(a.w + b.w)
-        if a.node.uid > b.node.uid:
+        an = a.node
+        bn = b.node
+        if an is None or bn is None or an.level != bn.level:
+            # operator edges only: the one whose node sits higher goes first,
+            # the other is diag(x, x) on the levels it skips
+            if an is bn:
+                # two scaled identities, summed as the explicit identity
+                # levels would sum them
+                ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
+                return self._scale(self._terminal(1 + ratio), a.w)
+            if bn is not None and (an is None or an.level < bn.level):
+                a, b = b, a
+                an, bn = bn, an
+        elif an.uid > bn.uid:
             a, b = b, a
+            an, bn = bn, an
         ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
         if ratio == 0:
             return a
-        key = (a.node, b.node, ratio)
+        key = (an, bn, ratio)
         r = cache.get(key)
         if r is None:
-            an = a.node
-            bn = b.node
+            level = an.level
             lo = level - 1
+            ae = an.edges
+            be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
             parts = []
             for i in range(nsucc):
-                eb = bn.edges[i]
-                parts.append(self._add(an.edges[i], self._scale(eb, ratio), lo, cache, nsucc))
+                parts.append(self._add(ae[i], self._scale(be[i], ratio), lo, cache, nsucc))
             if nsucc == 2:
                 r = self._vnode(level, parts[0], parts[1])
             else:
@@ -428,17 +432,18 @@ class Kernel:
         return self._scale(r, a.w)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
-        """Matrix-vector product; both over the same qubit count."""
+        """Matrix-vector product; the operator's node may sit below the
+        state's top level (it skips identity levels), never above it."""
         if m.is_zero or v.is_zero:
             return self.zero_edge
-        if m.node is None or len(m.node.edges) != 4:
+        if m.node is not None and len(m.node.edges) != 4:
             raise InvalidArgumentError("left operand must be a matrix diagram")
         if v.node is None or len(v.node.edges) != 2:
             raise InvalidArgumentError("right operand must be a vector diagram")
-        if m.node.level != v.node.level:
+        if m.node is not None and m.node.level > v.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in multiply: {m.node.level} vs {v.node.level}")
-        return self._mul_mv(m, v, m.node.level)
+        return self._mul_mv(m, v, v.node.level)
 
     def _mul_mv(self, m: Edge, v: Edge, level: int) -> Edge:
         mw, mn = m
@@ -446,19 +451,23 @@ class Kernel:
         if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
         w = vw if mw == 1 else mw if vw == 1 else mw * vw
-        if level < 0:
-            return _edge((w, None))
-        ident = self._ident
-        if level < len(ident) and mn is ident[level]:
+        if mn is None:
+            # the identity, or below level 0 a scalar
             return _edge((w, vn))
         key = (mn, vn)
         r = self._ct_mv.get(key)
         if r is None:
-            me = mn.edges
             ve = vn.edges
             lo = level - 1
             zero = self.zero_edge
-            if me[1] == zero and me[2] == zero:
+            me = mn.edges
+            if mn.level < level:
+                # an identity level of the operator, diag(M, M); the most
+                # frequent case on a state wider than the gate
+                half = _edge((self.ONE, mn))
+                r = self._vnode(level, self._mul_mv(half, ve[0], lo),
+                                self._mul_mv(half, ve[1], lo))
+            elif me[1] == zero and me[2] == zero:
                 # block-diagonal diag(M0, M3): the two off-diagonal products
                 # are zero and _add(x, zero) is x, so this is the general
                 # case below without the calls that return at once
@@ -475,72 +484,54 @@ class Kernel:
         return self._scale(r, w)
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
-        """Matrix-matrix product ``a @ b``; both over the same qubit count."""
+        """Matrix-matrix product ``a @ b``; each operand skips the identity
+        levels above its node, so their nodes may sit at different levels."""
         if a.is_zero or b.is_zero:
             return self.zero_edge
         for e in (a, b):
-            if e.node is None or len(e.node.edges) != 4:
+            if e.node is not None and len(e.node.edges) != 4:
                 raise InvalidArgumentError("multiply_mm needs two matrix diagrams")
-        if a.node.level != b.node.level:
-            raise InvalidArgumentError(
-                f"level mismatch in multiply: {a.node.level} vs {b.node.level}")
-        return self._mul_mm(a, b, a.node.level)
+        return self._mul_mm(a, b)
 
-    def _mul_mm(self, a: Edge, b: Edge, level: int) -> Edge:
+    def _mul_mm(self, a: Edge, b: Edge) -> Edge:
         aw, an = a
         bw, bn = b
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
         w = bw if aw == 1 else aw if bw == 1 else aw * bw
-        if level < 0:
-            return _edge((w, None))
-        ident = self._ident[level] if level < len(self._ident) else None
-        if an is ident:
+        if an is None:
             return _edge((w, bn))
-        if bn is ident:
+        if bn is None:
             return _edge((w, an))
         key = (an, bn)
         r = self._ct_mm.get(key)
         if r is None:
-            ae = an.edges
-            be = bn.edges
-            lo = level - 1
+            # above the higher node both factors, and so the product, are
+            # the identity; the product starts at that node's level, where
+            # the other factor may be an identity level diag(x, x)
+            mul = self._mul_mm
+            level = an.level if an.level >= bn.level else bn.level
+            ae = an.edges if an.level == level else self._diag(an)
+            be = bn.edges if bn.level == level else self._diag(bn)
             zero = self.zero_edge
-            if ae[1] == zero and ae[2] == zero and ae[0] == ae[3] \
-                    and be[1] == zero and be[2] == zero and be[0] == be[3]:
-                # both are identity lifts diag(A, A) and diag(B, B): the
-                # product is diag(x, x) with x = A·B, one sub-product instead
-                # of eight.  _mnode(level, x, 0, 0, x) would pick x as the
-                # norm (the first successor of largest magnitude), scale the
-                # last successor to ONE, since its weight equals the norm, and
-                # so return weight x.w over the lift node of x.node
-                x = self._mul_mm(ae[0], be[0], lo)
-                if x.node is None and x.w == 0:
-                    r = zero
-                else:
-                    r = _edge((x.w, self._lift_node(level, x.node)))
-            elif ae[1] == zero and ae[2] == zero:
+            if ae[1] == zero and ae[2] == zero:
                 # a = diag(A0, A3): each quadrant keeps one of its two
                 # products, in the order the general case computes them
-                r = self._mnode(level, self._mul_mm(ae[0], be[0], lo),
-                                self._mul_mm(ae[0], be[1], lo),
-                                self._mul_mm(ae[3], be[2], lo),
-                                self._mul_mm(ae[3], be[3], lo))
+                r = self._mnode(level, mul(ae[0], be[0]), mul(ae[0], be[1]),
+                                mul(ae[3], be[2]), mul(ae[3], be[3]))
             elif be[1] == zero and be[2] == zero:
                 # b = diag(B0, B3), likewise
-                r = self._mnode(level, self._mul_mm(ae[0], be[0], lo),
-                                self._mul_mm(ae[1], be[3], lo),
-                                self._mul_mm(ae[2], be[0], lo),
-                                self._mul_mm(ae[3], be[3], lo))
+                r = self._mnode(level, mul(ae[0], be[0]), mul(ae[1], be[3]),
+                                mul(ae[2], be[0]), mul(ae[3], be[3]))
             else:
                 addc = self._ct_add_m
+                lo = level - 1
                 parts = []
                 for row in (0, 2):
                     for col in (0, 1):
-                        parts.append(self._add(
-                            self._mul_mm(ae[row], be[col], lo),
-                            self._mul_mm(ae[row + 1], be[col + 2], lo),
-                            lo, addc, 4))
+                        parts.append(self._add(mul(ae[row], be[col]),
+                                               mul(ae[row + 1], be[col + 2]),
+                                               lo, addc, 4))
                 r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
             self._ct_mm[key] = r
         return self._scale(r, w)
@@ -570,9 +561,46 @@ class Kernel:
             node = e.node
         return complex(w)
 
-    def node_count(self, e: Edge) -> int:
-        """Distinct non-terminal nodes reachable from ``e``."""
-        return len(self._reachable(e))
+    def node_count(self, e: Edge, n: int | None = None) -> int:
+        """Nodes of ``e`` in the explicit form, where an operator has one
+        identity node on each level it skips, its root edge leaving level
+        ``n`` (by default the level above its node).
+
+        A run of skipped levels above a node, or above the terminal, is one
+        chain of identity nodes, shared by every edge into that target, so
+        the explicit form adds the longest skip into each target to the
+        stored nodes.  Vector diagrams skip no level.
+        """
+        root = e.node
+        if root is None:
+            return 0 if e.w == 0 or n is None else n
+        if len(root.edges) == 2:
+            return len(self._reachable(e))
+        top = root.level if n is None else n - 1
+        if top < root.level:
+            raise InvalidArgumentError(
+                f"operator on {root.level + 1} qubits does not fit {n}")
+        # target (None for the terminal) -> longest skip over an edge into it
+        skip = {root: top - root.level}
+        seen = {root}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            lo = node.level - 1
+            for s in node.edges:
+                x = s.node
+                if x is None:
+                    if s.w == 0:
+                        continue
+                    d = node.level
+                else:
+                    d = lo - x.level
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+                if d > skip.get(x, 0):
+                    skip[x] = d
+        return len(seen) + sum(skip.values())
 
     def _reachable(self, e: Edge) -> set:
         root = e.node
@@ -620,7 +648,7 @@ class Kernel:
     def signature(self, e: Edge):
         """Kernel-independent structural fingerprint (for cross-instance
         equality), built level by level from the bottom rather than by
-        recursion: every successor of a node sits one level lower."""
+        recursion: every successor of a node sits at a lower level."""
         memo: dict = {None: None}
         for node in sorted(self._reachable(e), key=lambda x: x.level):
             memo[node] = (node.level,
@@ -656,34 +684,37 @@ class Kernel:
 
         return e.w * arr(e.node)
 
-    def to_matrix(self, e: Edge, n: int | None = None) -> np.ndarray:
-        if e.node is None:
-            if e.w == 0:
-                if n is None:
-                    raise InvalidArgumentError("zero edge needs an explicit qubit count")
-                dim = 1 << n
-                return np.zeros((dim, dim), dtype=complex)
-            return np.array([[e.w]], dtype=complex)
+    def to_matrix(self, e: Edge, n: int) -> np.ndarray:
+        """Dense 2^n x 2^n matrix of an operator edge; the levels an edge
+        skips are expanded as identity levels."""
+        if e.node is not None and e.node.level >= n:
+            raise InvalidArgumentError(
+                f"operator on {e.node.level + 1} qubits does not fit {n}")
         memo: dict = {}
 
-        def sub(edge: Edge, size: int) -> np.ndarray:
-            if edge.node is None:
+        def sub(edge: Edge, level: int) -> np.ndarray:
+            dim = 1 << (level + 1)
+            node = edge.node
+            if node is None:
                 if edge.w == 0:
-                    return np.zeros((size, size), dtype=complex)
-                return np.array([[edge.w]], dtype=complex)
-            return edge.w * arr(edge.node)
+                    return np.zeros((dim, dim), dtype=complex)
+                return edge.w * np.eye(dim, dtype=complex)
+            a = arr(node)
+            if node.level < level:
+                a = np.kron(np.eye(1 << (level - node.level)), a)
+            return edge.w * a
 
         def arr(node) -> np.ndarray:
             a = memo.get(node)
             if a is None:
-                half = 1 << node.level
+                lo = node.level - 1
                 s = node.edges
-                a = np.block([[sub(s[0], half), sub(s[1], half)],
-                              [sub(s[2], half), sub(s[3], half)]])
+                a = np.block([[sub(s[0], lo), sub(s[1], lo)],
+                              [sub(s[2], lo), sub(s[3], lo)]])
                 memo[node] = a
             return a
 
-        return e.w * arr(e.node)
+        return sub(e, n - 1)
 
     # ------------------------------------------------------------------
     # memory management
@@ -737,13 +768,6 @@ class Kernel:
         self._ct_add_v.clear()
         self._ct_add_m.clear()
         self._gates.clear()
-        keep = 0
-        for node in self._ident:
-            if node in marked:
-                keep += 1
-            else:
-                break
-        del self._ident[keep:]
         return removed
 
     def _sweep_values(self, live: set) -> None:

@@ -315,8 +315,14 @@ _GC_FLOOR = 1 << 16
 
 
 def _too_deep(n: int) -> str:
-    return (f"a {n}-qubit diagram is deeper than Python's recursion limit "
+    return (f"a {n}-qubit diagram needs {n} nested calls, which on top of the "
+            f"frames already in use exceed Python's recursion limit "
             f"({sys.getrecursionlimit()})")
+
+
+def _is_operator(e: Edge) -> bool:
+    """An operator node, or a terminal edge: the identity, scaled."""
+    return e.node is None or len(e.node.edges) == 4
 
 
 def execute(circuit: Circuit, path: SimulationPath | None = None,
@@ -330,6 +336,8 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     callers hold across runs, and the returned final edge holds one
     reference owned by the caller.
     ``observer(task_index, result_edge)`` is called after every task.
+    An operator operand may be a terminal edge, a scaled identity; node
+    counts are taken over all ``n`` levels (``Kernel.node_count(e, n)``).
 
     Python's cyclic garbage collector is paused while this runs and turned
     back on afterwards only if it was on before.  Nodes, edges and
@@ -373,19 +381,18 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                 left = fetch(vt.left)
                 right = fetch(vt.right)
                 if vt.matrix_vector:
-                    if left.node is None or len(left.node.edges) != 4 \
+                    if not _is_operator(left) \
                             or right.node is None or len(right.node.edges) != 2:
                         raise InternalError(
                             f"task {vt.index}: operands do not form a matrix-vector product")
                     result = kernel.multiply_mv(left, right)
                 else:
-                    if left.node is None or right.node is None \
-                            or len(left.node.edges) != 4 or len(right.node.edges) != 4:
+                    if not (_is_operator(left) and _is_operator(right)):
                         raise InternalError(
                             f"task {vt.index}: operands do not form a matrix-matrix product")
                     result = kernel.multiply_mm(left, right)
                 env[vt.result] = result
-                size = kernel.node_count(result)
+                size = kernel.node_count(result, n)
                 counts.append(size)
                 if size > peak:
                     peak = size

@@ -1,6 +1,6 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
 the reference path validator, the reference greedy planner, the reference
-value table and the memo-free kernel."""
+value table, the explicit-form node count and the memo-free kernel."""
 from __future__ import annotations
 
 import cmath
@@ -250,6 +250,30 @@ class ReferenceKernel(Kernel):
 
     def _sweep_values(self, live: set) -> None:
         self._values = {k: v for k, v in self._values.items() if v in live}
+
+
+def explicit_node_count(e, n: int) -> int:
+    """Nodes of ``e`` with every skipped level rebuilt: the identity node
+    at level ``l`` above target ``t`` is the pair ``(l, t)``, and each
+    stored node ``t`` is ``(t.level, t)``.  Kept as the reference
+    ``Kernel.node_count(e, n)`` is compared against: it collects every
+    level of every edge in one set instead of taking the longest skip into
+    each target."""
+    explicit = set()
+    seen = set()
+    stack = [(n, e)]
+    while stack:
+        above, edge = stack.pop()
+        t = edge.node
+        if t is None and edge.w == 0:
+            continue
+        low = -1 if t is None else t.level
+        explicit.update((level, t) for level in range(low + 1, above))
+        if t is not None and t not in seen:
+            seen.add(t)
+            explicit.add((t.level, t))
+            stack.extend((t.level, s) for s in t.edges)
+    return len(explicit)
 
 
 class _Forgetful(dict):

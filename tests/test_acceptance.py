@@ -129,7 +129,7 @@ def test_exponential_vs_linear_separation():
 
         def watch(index, edge, _n=n, _ident=ident, _bal=balanced, _k=kernel):
             if index < len(alt_path.tasks) and index % 2 == 1:
-                _bal.append(root_equal(edge, _ident) and _k.node_count(edge) == _n)
+                _bal.append(root_equal(edge, _ident) and _k.node_count(edge, _n) == _n)
 
         _, alt = execute(combined, alt_path, kernel, initial, observer=watch)
         assert alt.peak_nodes <= 8 * n, n

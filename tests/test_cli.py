@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -44,6 +45,19 @@ class TestSimulate:
         payload = json.loads(err)
         assert payload["error"] == "CapacityError"
         assert "task 1" in payload["message"] and "3000-qubit" in payload["message"]
+
+    def test_too_deep_message_does_not_misstate_the_depth(self, capsys):
+        # a diagram shallower than the limit still overflows it once the
+        # frames already on the stack are added; the message must not claim
+        # that n alone is beyond the limit
+        limit = sys.getrecursionlimit()
+        n = limit - 10
+        code, _, err = run_cli(capsys, "simulate", f"ghz:{n}")
+        assert code == 2
+        message = json.loads(err)["message"]
+        assert f"{n}-qubit" in message and f"{n} nested calls" in message
+        assert "frames already in use" in message and f"({limit})" in message
+        assert "deeper than" not in message
 
     def test_bad_path_file_names_task(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

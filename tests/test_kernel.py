@@ -12,12 +12,13 @@ from ddpath import (Kernel, SimulationPath, execute, root_equal, sequential_path
 from ddpath import oracle
 from ddpath.circuit import (GENERATORS, Gate, cp, cx, deutsch_jozsa, ghz, entangled_qft, h,
                             qft, swap)
-from ddpath.errors import InvalidArgumentError
+from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
 from ddpath.kernel import EPS
 from ddpath.simpath import make_path
 
-from helpers import MemoFreeKernel, ReferenceKernel, random_circuit, random_unitary_2x2
+from helpers import (MemoFreeKernel, ReferenceKernel, explicit_node_count, random_circuit,
+                     random_gate, random_unitary_2x2)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -69,8 +70,8 @@ class TestGateDiagrams:
     def test_identity_gate(self):
         k = Kernel()
         e = k.make_gate(Gate("u", (1,), matrix=(1, 0, 0, 1)), 3)
-        assert k.node_count(e) == 3
-        assert np.allclose(k.to_matrix(e), np.eye(8))
+        assert k.node_count(e, 3) == 3
+        assert np.allclose(k.to_matrix(e, 3), np.eye(8))
         assert root_equal(e, k.identity(3))
 
     def test_hadamard_on_top_qubit_matches_kron(self):
@@ -78,13 +79,13 @@ class TestGateDiagrams:
         e = k.make_gate(h(2), 3)
         H = np.array([[S2, S2], [S2, -S2]])
         want = np.kron(H, np.kron(np.eye(2), np.eye(2)))
-        assert np.max(np.abs(k.to_matrix(e) - want)) < 1e-10
+        assert np.max(np.abs(k.to_matrix(e, 3) - want)) < 1e-10
 
     def test_controlled_s_structure(self):
         k = Kernel()
         e = k.make_gate(cp(math.pi / 2, 1, 0), 3)
         want = np.kron(np.eye(2), np.diag([1, 1, 1, 1j]))
-        assert np.max(np.abs(k.to_matrix(e) - want)) < 1e-10
+        assert np.max(np.abs(k.to_matrix(e, 3) - want)) < 1e-10
 
     @pytest.mark.parametrize("kind,controls,param", [
         ("x", (), None), ("y", (), None), ("z", (), None), ("h", (), None),
@@ -96,13 +97,13 @@ class TestGateDiagrams:
         k = Kernel()
         target = 1
         g = Gate(kind, (target,), controls, param)
-        u = k.to_matrix(k.make_gate(g, 4))
+        u = k.to_matrix(k.make_gate(g, 4), 4)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-10
 
     def test_unitarity_eight_qubits(self):
         k = Kernel()
         for g in (cp(0.9, 7, 0), swap(2, 6), Gate("x", (4,), (0, 7))):
-            u = k.to_matrix(k.make_gate(g, 8))
+            u = k.to_matrix(k.make_gate(g, 8), 8)
             assert np.max(np.abs(u.conj().T @ u - np.eye(256))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -117,7 +118,7 @@ class TestGateDiagrams:
                     for g in (Gate("u", (target,), controls, matrix=random_unitary_2x2(rng)),
                               Gate("x", (target,), controls),
                               Gate("p", (target,), controls, rng.uniform(-3, 3))):
-                        got = k.to_matrix(k.make_gate(g, n))
+                        got = k.to_matrix(k.make_gate(g, n), n)
                         assert np.max(np.abs(got - oracle.gate_matrix(g, n))) < 1e-10, g
 
     def test_gate_matches_oracle_matrix(self):
@@ -126,7 +127,7 @@ class TestGateDiagrams:
         for _ in range(25):
             c = random_circuit(rng, 3, 1)
             g = c.gates[0]
-            assert np.max(np.abs(k.to_matrix(k.make_gate(g, 3))
+            assert np.max(np.abs(k.to_matrix(k.make_gate(g, 3), 3)
                                  - oracle.gate_matrix(g, 3))) < 1e-10
 
     def test_duplicate_qubits_rejected(self):
@@ -157,10 +158,21 @@ class TestAdd:
             b = run_gates(k, random_circuit(rng, 3, 8))
             assert root_equal(k.add(a, b), k.add(b, a))
 
+    def test_operators_at_different_levels(self):
+        # an operator skips the identity levels above its node, so two
+        # gates on different qubits add with their nodes on different levels
+        k = Kernel()
+        pairs = [(h(2), Gate("x", (0,))), (Gate("x", (0,)), cp(0.3, 1, 0)),
+                 (swap(0, 2), Gate("z", (1,))), (Gate("z", (1,)), Gate("z", (1,)))]
+        for ga, gb in pairs:
+            got = k.add(k.make_gate(ga, 3), k.make_gate(gb, 3))
+            want = oracle.gate_matrix(ga, 3) + oracle.gate_matrix(gb, 3)
+            assert np.max(np.abs(k.to_matrix(got, 3) - want)) < 1e-10, (ga, gb)
+
     def test_kind_mismatch_rejected(self):
         k = Kernel()
-        with pytest.raises(InvalidArgumentError):
-            k.add(k.make_zero_state(2), k.identity(2))
+        with pytest.raises(InvalidArgumentError, match="vector and a matrix"):
+            k.add(k.make_zero_state(2), k.make_gate(h(1), 2))
 
     def test_level_mismatch_rejected(self):
         k = Kernel()
@@ -195,7 +207,7 @@ class TestMultiply:
             ui = k.make_gate(g.inverse(), n)
             prod = k.multiply_mm(ui, u)
             assert root_equal(prod, k.identity(n))
-            assert k.node_count(prod) == n
+            assert k.node_count(prod, n) == n
 
     def test_identity_times_gate(self):
         k = Kernel()
@@ -215,7 +227,7 @@ class TestMultiply:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_gate_pair_products_match_oracle(self, n):
         # controls above and below the target, and swaps, leave identity
-        # levels where both factors are lifts, which multiply_mm shortcuts
+        # levels that one factor or both skip
         rng = random.Random(n)
         gates = [swap(0, n - 1), swap(n - 2, n - 1)]
         for t in range(n):
@@ -229,12 +241,12 @@ class TestMultiply:
             on = k_on.multiply_mm(k_on.make_gate(ga, n), k_on.make_gate(gb, n))
             off = k_off.multiply_mm(k_off.make_gate(ga, n), k_off.make_gate(gb, n))
             want = oracle.gate_matrix(ga, n) @ oracle.gate_matrix(gb, n)
-            assert np.max(np.abs(k_on.to_matrix(on) - want)) < 1e-10, (ga, gb)
+            assert np.max(np.abs(k_on.to_matrix(on, n) - want)) < 1e-10, (ga, gb)
             assert k_on.signature(on) == k_off.signature(off), (ga, gb)
 
     def test_self_inverse_lands_on_identity_chain(self):
-        # x_k @ x_k has identity lifts above qubit k; they must come out as
-        # the unique-table nodes of the identity chain
+        # x_k @ x_k is the identity on every level, which must reduce to the
+        # identity's terminal edge
         for n in range(1, 9):
             k = Kernel()
             for q in range(n):
@@ -242,9 +254,10 @@ class TestMultiply:
                 assert root_equal(k.multiply_mm(xq, xq), k.identity(n)), (n, q)
 
     def test_level_mismatch_rejected(self):
+        # an operator whose top node sits above the state's top level
         k = Kernel()
         with pytest.raises(InvalidArgumentError):
-            k.multiply_mv(k.identity(3), k.make_zero_state(2))
+            k.multiply_mv(k.make_gate(h(2), 3), k.make_zero_state(2))
 
 
 class TestAmplitude:
@@ -356,7 +369,7 @@ class TestGarbageCollection:
             assert k.unique_size == 0
             e = k.make_gate(g, 5)
             # rebuilt into the emptied table, not handed out from before gc
-            assert k.unique_size == k.node_count(e)
+            assert k.unique_size == len(set(_walk_nodes(e)))
             assert k.signature(e) == before
             assert root_equal(k.multiply_mm(e, k.make_gate(g.inverse(), 5)), k.identity(5))
 
@@ -373,7 +386,10 @@ class TestGarbageCollection:
         # are swept; a compute table kept across gc would hand those out again
         k = Kernel()
         a = k.make_gate(h(1), 4)
-        b = k.make_gate(Gate("ry", (1,), parameter=0.3), 4)
+        # ry(1)·h(0): a @ b then sums nodes on level 0, and fills the
+        # matrix addition table
+        b = k.multiply_mm(k.make_gate(Gate("ry", (1,), parameter=0.3), 4),
+                          k.make_gate(h(0), 4))
         v = run_gates(k, qft(4))
         for e in (a, b, v):
             k.inc_ref(e)
@@ -589,15 +605,23 @@ def _kind_gates(n: int) -> list[Gate]:
 
 def _check_unique_tables(k: Kernel) -> int:
     checked = 0
-    for table in (k._vec_unique, k._mat_unique):
-        for key, node in table.items():
-            assert key is node.edges
-            for s in node.edges:
-                if node.level == 0:
-                    assert s.node is None
-                else:
-                    assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
-            checked += 1
+    for key, node in k._vec_unique.items():
+        assert key is node.edges
+        for s in node.edges:
+            if node.level == 0:
+                assert s.node is None
+            else:
+                assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
+        checked += 1
+    # operator successors may skip identity levels, so the level is part of
+    # the key; no stored node is itself an identity level
+    for key, node in k._mat_unique.items():
+        assert key == (node.level,) + node.edges
+        for s in node.edges:
+            assert s.node is None or s.node.level < node.level
+        e0, e1, e2, e3 = node.edges
+        assert not (e1.w == 0 and e2.w == 0 and e0 == e3 and e0.w == k.ONE)
+        checked += 1
     return checked
 
 
@@ -664,7 +688,7 @@ class TestBlockDiagonalProducts:
             for got, want in ((k.multiply_mm(diag, other), mat @ dense),
                               (k.multiply_mm(other, diag), dense @ mat),
                               (k.multiply_mm(diag, diag), mat @ mat)):
-                assert np.max(np.abs(k.to_matrix(got) - want)) < 1e-10, g
+                assert np.max(np.abs(k.to_matrix(got, n) - want)) < 1e-10, g
 
     def test_compute_table_on_and_off_agree(self):
         n = 4
@@ -711,7 +735,10 @@ class TestNormalizationInvariants:
                 assert node.edges[mags.index(top)].w == 1
                 assert any(m > 0 for m in mags)
                 for e in node.edges:
-                    assert (e.w == 0) == (e.node is None) or node.level == 0
+                    # a terminal successor of an operator node is a scaled
+                    # identity, so only vector nodes above level 0 have none
+                    assert (e.w == 0) == (e.node is None) or node.level == 0 \
+                        or (len(node.edges) == 4 and e.node is None)
 
     def test_zero_weight_edges_have_no_target(self):
         k = Kernel()
@@ -719,6 +746,74 @@ class TestNormalizationInvariants:
             for e in node.edges:
                 if e.w == 0:
                     assert e.node is None
+
+
+class TestExplicitNodeCount:
+    """Operator diagrams skip identity levels; ``node_count(e, n)`` counts
+    them back in, as ``helpers.explicit_node_count`` rebuilds them, and
+    ``_check_unique_tables`` finds no stored identity level."""
+
+    def test_random_gates(self):
+        rng = random.Random(4)
+        k = Kernel()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_gate(rng, n)
+            e = k.make_gate(g, n)
+            assert k.node_count(e, n) == explicit_node_count(e, n) == k.gate_node_count(g, n), g
+        _check_unique_tables(k)
+
+    def test_random_gate_products(self):
+        rng = random.Random(6)
+        k = Kernel()
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            e = k.identity(n)
+            for _ in range(rng.randint(2, 5)):
+                e = k.multiply_mm(k.make_gate(random_gate(rng, n), n), e)
+                assert k.node_count(e, n) == explicit_node_count(e, n)
+        _check_unique_tables(k)
+
+    @pytest.mark.parametrize("strategy", ["sequential", "greedy"])
+    def test_every_task_result(self, strategy):
+        rng = random.Random(8)
+        runs = 0
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            c = random_circuit(rng, n, rng.randint(4, 30))
+            try:
+                path = make_path(strategy, c)
+            except PathValidationError:
+                # a known greedy defect: its plan may reorder gates
+                continue
+            k = Kernel()
+            explicit = []
+            _, stats = execute(c, path, k, observer=lambda i, e: explicit.append(
+                (k.node_count(e, n), explicit_node_count(e, n))))
+            assert [a for a, _ in explicit] == stats.result_nodes
+            assert all(a == b for a, b in explicit)
+            _check_unique_tables(k)
+            runs += 1
+        assert runs >= 15
+
+    def test_wide_single_gate_stores_one_node(self):
+        k = Kernel()
+        before = k.unique_size
+        e = k.make_gate(h(0), 200)
+        assert k.unique_size - before == 1
+        assert k.gate_node_count(h(0), 200) == 200 == k.node_count(e, 200)
+
+    def test_identity_counts_every_level(self):
+        k = Kernel()
+        assert k.identity(7) == k.one_terminal
+        assert k.node_count(k.identity(7), 7) == explicit_node_count(k.identity(7), 7) == 7
+        assert k.node_count(k.zero_edge, 7) == 0
+
+    def test_operator_wider_than_n_rejected(self):
+        k = Kernel()
+        for query in (k.node_count, k.to_matrix):
+            with pytest.raises(InvalidArgumentError, match="does not fit"):
+                query(k.make_gate(h(3), 4), 3)
 
 
 class TestDotExport:

@@ -222,7 +222,7 @@ class TestAlternatingPath:
         g = qft(n)
         combined = concat_inverse(g, g)
         k = Kernel()
-        gate_sizes = [k.node_count(k.make_gate(gt, n)) for gt in combined.gates]
+        gate_sizes = [k.node_count(k.make_gate(gt, n), n) for gt in combined.gates]
         final, stats = execute(combined, alternating_path(len(g.gates), len(g.gates)), k)
         assert root_equal(final, k.make_zero_state(n))
         assert stats.peak_nodes <= max(gate_sizes)
@@ -267,6 +267,24 @@ class TestHeuristicPath:
 
 
 class TestExecute:
+    @pytest.mark.parametrize("tasks", [
+        ((1, 2), (0, 5), (3, 6), (4, 7)),
+        ((1, 2), (3, 5), (0, 6), (4, 7)),
+    ], ids=["identity-times-state", "gate-times-identity"])
+    def test_identity_result_is_an_operand(self, tasks):
+        # h(0)·h(0) is the identity, a terminal edge with no node; the next
+        # task takes it as an operator operand
+        n = 3
+        c = Circuit(n, (h(0), h(0), cx(0, 1), h(2)))
+        k = Kernel()
+        first = []
+        final, stats = execute(c, SimulationPath(4, tasks), k,
+                               observer=lambda i, e: i == 1 and first.append(e))
+        assert first[0].node is None and root_equal(first[0], k.identity(n))
+        assert stats.result_nodes[0] == n
+        want, _ = execute(c, sequential_path(4), k)
+        assert root_equal(final, want)
+
     def test_cross_path_final_roots_agree(self):
         c = qft(3)
         k = Kernel()
@@ -300,7 +318,7 @@ class TestExecute:
         n = 6
         c = Circuit(n, (swap(0, n - 1), swap(1, n - 2), swap(0, n - 1), h(2)))
         k = Kernel()
-        sizes = [k.node_count(k.make_gate(g, n)) for g in c.gates]
+        sizes = [k.node_count(k.make_gate(g, n), n) for g in c.gates]
         assert [k.gate_node_count(g, n) for g in c.gates] == sizes
         _, first = execute(c, kernel=k)
         _, second = execute(c, kernel=k)
@@ -582,7 +600,8 @@ class TestInRunGc:
         want_final, want = job(plain)
         monkeypatch.setattr(simpath, "_GC_FLOOR", 1)
         k = Kernel()
-        held = k.identity(5)
+        # a gate diagram, since the identity is a terminal edge with no node
+        held = k.make_gate(swap(0, 4), 5)
         k.inc_ref(held)
         sweeps = []
         sweep = k.gc
@@ -592,7 +611,8 @@ class TestInRunGc:
         assert k.signature(final) == plain.signature(want_final)
         assert stats.peak_nodes == want.peak_nodes
         assert stats.result_nodes == want.result_nodes
-        assert root_equal(held, k.identity(5))
+        # rebuilt after the gate memo was emptied, onto the held nodes
+        assert root_equal(held, k.make_gate(swap(0, 4), 5))
         live = {node for table in (k._vec_unique, k._mat_unique)
                 for node in table.values() if node.ref > 0}
         assert live == {held.node, final.node}
