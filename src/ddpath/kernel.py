@@ -20,25 +20,29 @@ explicit form, where each skipped level is one identity node, so counts do
 not depend on the reduction; ``to_matrix(e, n)`` expands skipped levels.
 
 Only values relative to a sibling are interned: a successor weight divided
-by its node's norm, the ratio of two summands, a terminal sum and a
-gate-matrix entry, all of magnitude about 1 or less.  There weights within
-an absolute EPS = 1e-12 share a representative.  A root weight, the norm a
-node passes up its incoming edge, shrinks like 2^(-n/2) and stays a plain
-product, never interned.  The value table maps the bucket
-``complex(kr, ki)``, the real and imaginary parts in units of EPS rounded to
-integers, to that representative; a miss probes the eight neighbouring
-buckets, unless the sets of occupied ``kr`` and occupied ``ki`` show that no
-neighbour exists.  The vector unique table is keyed by the node's successor
+by its node's norm, the ratio of two summands, one plus the ratio of two
+scalar or scaled-identity summands and a gate-matrix entry, all of magnitude
+about 1 or less.  There weights within an absolute EPS = 1e-12 share a
+representative.  A root weight, the norm a node passes up its incoming edge,
+shrinks like 2^(-n/2) and stays a plain product, never interned.  Two
+scalars sum by the same relative rule, as ``a · (1 + b/a)``, so a sum below
+EPS is kept unless it vanishes relative to its summands.  The value table
+maps the bucket ``complex(kr, ki)``, the real and imaginary parts in units
+of EPS rounded to integers, to that representative; a miss probes the eight
+neighbouring buckets, unless the sets of occupied ``kr`` and occupied ``ki``
+show that no neighbour exists.  The vector unique table is keyed by the node's successor
 tuple, which is also its ``edges``: terminal successors occur only at level
 0 and every other successor sits one level down, so the successors fix the
 level.  Operator successors may sit at any lower level, so the operator
 unique table is keyed by the level plus the successors.
 
-Sums and products are memoised in compute tables: plain dicts, exact per
-kernel, keyed by operand nodes (and the weight ratio, for sums).  Every
-``Kernel.gc`` sweep empties them together with the gate memo, so no entry
-outlives a node it names, and sweeps the value table down to ZERO, ONE and
-the successor weights of the nodes it keeps.
+Sums and products are memoised in two compute tables, one for sums and one
+for products: plain dicts, exact per kernel, keyed by operand nodes (and the
+weight ratio, for sums).  Vector and operator nodes are distinct objects, so
+one table serves both kinds.  Every ``Kernel.gc`` sweep empties them
+together with the gate memo, so no entry outlives a node it names, and
+sweeps the value table down to ZERO, ONE and the successor weights of the
+nodes it keeps.
 
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
@@ -128,10 +132,10 @@ class Kernel:
         self._vec_unique: dict = {}
         self._mat_unique: dict = {}
         self._uid = 0
-        self._ct_mv: dict = {}
-        self._ct_mm: dict = {}
-        self._ct_add_v: dict = {}
-        self._ct_add_m: dict = {}
+        # products keyed (M, V) or (A, B), sums (A, B, ratio); vector and
+        # operator nodes are distinct objects, so the kinds never share a key
+        self._ct_mul: dict = {}
+        self._ct_add: dict = {}
         # (gate diagram, its node count) by (kind, parameter, matrix,
         # controls, targets, n); emptied by gc, never a root
         self._gates: dict = {}
@@ -385,24 +389,22 @@ class Kernel:
         if na == 2 and a.node.level != b.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in add: {a.node.level} vs {b.node.level}")
-        cache = self._ct_add_v if na == 2 else self._ct_add_m
-        return self._add(a, b, max(a.node.level, b.node.level), cache, na)
+        return self._add(a, b)
 
-    def _add(self, a: Edge, b: Edge, level: int, cache: dict, nsucc: int) -> Edge:
+    def _add(self, a: Edge, b: Edge) -> Edge:
         if a.node is None and a.w == 0:
             return b
         if b.node is None and b.w == 0:
             return a
-        if level < 0:
-            return self._terminal(a.w + b.w)
         an = a.node
         bn = b.node
         if an is None or bn is None or an.level != bn.level:
-            # operator edges only: the one whose node sits higher goes first,
+            # two terminal scalars, or operator edges whose nodes sit at
+            # different levels: the one whose node sits higher goes first,
             # the other is diag(x, x) on the levels it skips
             if an is bn:
-                # two scaled identities, summed as the explicit identity
-                # levels would sum them
+                # two scalars or two scaled identities, summed as
+                # a.w · (1 + ratio)
                 ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
                 return self._scale(self._terminal(1 + ratio), a.w)
             if bn is not None and (an is None or an.level < bn.level):
@@ -415,20 +417,18 @@ class Kernel:
         if ratio == 0:
             return a
         key = (an, bn, ratio)
-        r = cache.get(key)
+        r = self._ct_add.get(key)
         if r is None:
             level = an.level
-            lo = level - 1
             ae = an.edges
             be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
-            parts = []
-            for i in range(nsucc):
-                parts.append(self._add(ae[i], self._scale(be[i], ratio), lo, cache, nsucc))
-            if nsucc == 2:
-                r = self._vnode(level, parts[0], parts[1])
+            if len(ae) == 2:
+                r = self._vnode(level, self._add(ae[0], self._scale(be[0], ratio)),
+                                self._add(ae[1], self._scale(be[1], ratio)))
             else:
-                r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
-            cache[key] = r
+                r = self._mnode(level, *[self._add(x, self._scale(y, ratio))
+                                         for x, y in zip(ae, be)])
+            self._ct_add[key] = r
         return self._scale(r, a.w)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
@@ -443,9 +443,9 @@ class Kernel:
         if m.node is not None and m.node.level > v.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in multiply: {m.node.level} vs {v.node.level}")
-        return self._mul_mv(m, v, v.node.level)
+        return self._mul_mv(m, v)
 
-    def _mul_mv(self, m: Edge, v: Edge, level: int) -> Edge:
+    def _mul_mv(self, m: Edge, v: Edge) -> Edge:
         mw, mn = m
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
@@ -455,32 +455,29 @@ class Kernel:
             # the identity, or below level 0 a scalar
             return _edge((w, vn))
         key = (mn, vn)
-        r = self._ct_mv.get(key)
+        r = self._ct_mul.get(key)
         if r is None:
+            mul = self._mul_mv
+            level = vn.level
             ve = vn.edges
-            lo = level - 1
-            zero = self.zero_edge
             me = mn.edges
+            zero = self.zero_edge
             if mn.level < level:
                 # an identity level of the operator, diag(M, M); the most
                 # frequent case on a state wider than the gate
                 half = _edge((self.ONE, mn))
-                r = self._vnode(level, self._mul_mv(half, ve[0], lo),
-                                self._mul_mv(half, ve[1], lo))
+                r = self._vnode(level, mul(half, ve[0]), mul(half, ve[1]))
             elif me[1] == zero and me[2] == zero:
                 # block-diagonal diag(M0, M3): the two off-diagonal products
                 # are zero and _add(x, zero) is x, so this is the general
                 # case below without the calls that return at once
-                r = self._vnode(level, self._mul_mv(me[0], ve[0], lo),
-                                self._mul_mv(me[3], ve[1], lo))
+                r = self._vnode(level, mul(me[0], ve[0]), mul(me[3], ve[1]))
             else:
-                addc = self._ct_add_v
-                r0 = self._add(self._mul_mv(me[0], ve[0], lo),
-                               self._mul_mv(me[1], ve[1], lo), lo, addc, 2)
-                r1 = self._add(self._mul_mv(me[2], ve[0], lo),
-                               self._mul_mv(me[3], ve[1], lo), lo, addc, 2)
+                add = self._add
+                r0 = add(mul(me[0], ve[0]), mul(me[1], ve[1]))
+                r1 = add(mul(me[2], ve[0]), mul(me[3], ve[1]))
                 r = self._vnode(level, r0, r1)
-            self._ct_mv[key] = r
+            self._ct_mul[key] = r
         return self._scale(r, w)
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
@@ -504,7 +501,7 @@ class Kernel:
         if bn is None:
             return _edge((w, an))
         key = (an, bn)
-        r = self._ct_mm.get(key)
+        r = self._ct_mul.get(key)
         if r is None:
             # above the higher node both factors, and so the product, are
             # the identity; the product starts at that node's level, where
@@ -524,16 +521,12 @@ class Kernel:
                 r = self._mnode(level, mul(ae[0], be[0]), mul(ae[1], be[3]),
                                 mul(ae[2], be[0]), mul(ae[3], be[3]))
             else:
-                addc = self._ct_add_m
-                lo = level - 1
-                parts = []
-                for row in (0, 2):
-                    for col in (0, 1):
-                        parts.append(self._add(mul(ae[row], be[col]),
-                                               mul(ae[row + 1], be[col + 2]),
-                                               lo, addc, 4))
-                r = self._mnode(level, parts[0], parts[1], parts[2], parts[3])
-            self._ct_mm[key] = r
+                add = self._add
+                r = self._mnode(level, add(mul(ae[0], be[0]), mul(ae[1], be[2])),
+                                add(mul(ae[0], be[1]), mul(ae[1], be[3])),
+                                add(mul(ae[2], be[0]), mul(ae[3], be[2])),
+                                add(mul(ae[2], be[1]), mul(ae[3], be[3])))
+            self._ct_mul[key] = r
         return self._scale(r, w)
 
     # ------------------------------------------------------------------
@@ -626,22 +619,22 @@ class Kernel:
         if a.node.level != b.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in inner_product: {a.node.level} vs {b.node.level}")
-        return self._inner(a, b, a.node.level, {})
+        return self._inner(a, b, {})
 
-    def _inner(self, ea: Edge, eb: Edge, level: int, memo: dict) -> complex:
+    def _inner(self, ea: Edge, eb: Edge, memo: dict) -> complex:
         # a method, not a nested closure: a closure that calls itself is a
         # reference cycle, left for the cyclic collector with its memo
         if (ea.node is None and ea.w == 0) or (eb.node is None and eb.w == 0):
             return 0j
-        if level < 0:
+        if ea.node is None:
+            # two vectors of one level reach the terminal together
             return ea.w.conjugate() * eb.w
         key = (ea.node, eb.node)
         s = memo.get(key)
         if s is None:
             sa = ea.node.edges
             sb = eb.node.edges
-            lo = level - 1
-            s = self._inner(sa[0], sb[0], lo, memo) + self._inner(sa[1], sb[1], lo, memo)
+            s = self._inner(sa[0], sb[0], memo) + self._inner(sa[1], sb[1], memo)
             memo[key] = s
         return ea.w.conjugate() * eb.w * s
 
@@ -763,10 +756,8 @@ class Kernel:
             removed += len(table) - len(kept)
             setattr(self, name, kept)
         self._sweep_values(live)
-        self._ct_mv.clear()
-        self._ct_mm.clear()
-        self._ct_add_v.clear()
-        self._ct_add_m.clear()
+        self._ct_mul.clear()
+        self._ct_add.clear()
         self._gates.clear()
         return removed
 

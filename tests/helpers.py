@@ -180,13 +180,44 @@ def reference_validate(path, circuit):
     return tuple(out)
 
 
-def reference_greedy_plan(tn):
+def _reach(start, step) -> set:
+    """Every node reachable from ``start`` through ``step``, a search."""
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for x in step(stack.pop()):
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
+def reference_greedy_plan(tn, convex: bool = True):
     """All-pairs form of ``tnbridge.greedy_plan``: rescans every pair of
-    live tensors at each step.  Kept as the reference the heap-driven
-    planner is compared against."""
+    live tensors at each step and, with ``convex``, tests a pair's legality
+    by searching the order of the live tensors for a tensor after the pair
+    and before it.  In that order a live tensor comes before another when
+    one of its members shares a label with a higher-id member of the other.
+    Kept as the reference the heap-driven, bitset-keeping planner is
+    compared against; ``convex=False`` is the plain tensor-network greedy,
+    which ignores the order of the gates."""
     active: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
     if len(active) != len(tn.tensors):
         raise PlanningError("duplicate tensor ids")
+    after = {t: [u for u in active if u > t and active[u] & active[t]] for t in active}
+    before = {t: [u for u in active if u < t and active[u] & active[t]] for t in active}
+    members = {tid: [tid] for tid in active}
+    owner = {tid: tid for tid in active}
+
+    def legal(a, b):
+        def later(x):
+            return {owner[u] for m in members[x] for u in after[m]}
+
+        def earlier(x):
+            return {owner[u] for m in members[x] for u in before[m]}
+
+        return not (_reach((a, b), later) & _reach((a, b), earlier)) - {a, b}
+
     next_id = max(active) + 1 if active else 0
     pairs: list[tuple[int, int]] = []
     while len(active) > 1:
@@ -202,14 +233,18 @@ def reference_greedy_plan(tn):
                 rank_cost = 1 << len(result)
                 input_cost = (1 << len(ia)) + (1 << len(ib))
                 cand = (rank_cost, input_cost, a, b)
-                if best is None or cand < best:
+                if (best is None or cand < best) and (not convex or legal(a, b)):
                     best = cand
         if best is None:
             raise PlanningError(
-                f"network is disconnected; {len(active)} tensors remain")
+                f"network is disconnected or leaves no legal merge; "
+                f"{len(active)} tensors remain")
         _, _, a, b = best
         pairs.append((a, b))
         active[next_id] = active.pop(a) ^ active.pop(b)
+        members[next_id] = members.pop(a) + members.pop(b)
+        for m in members[next_id]:
+            owner[m] = next_id
         next_id += 1
     return ContractionPlan(tuple(pairs))
 
@@ -284,14 +319,12 @@ class _Forgetful(dict):
 
 
 class MemoFreeKernel(Kernel):
-    """``Kernel`` whose four compute tables never keep an entry, so every
+    """``Kernel`` whose two compute tables never keep an entry, so every
     sub-result is recomputed.  That changes the cost of a product (it grows
     exponentially with the qubit count) but never its result: kept as the
     reference the memoising ``Kernel`` is compared against."""
 
     def __init__(self):
         super().__init__()
-        self._ct_mv = _Forgetful()
-        self._ct_mm = _Forgetful()
-        self._ct_add_v = _Forgetful()
-        self._ct_add_m = _Forgetful()
+        self._ct_mul = _Forgetful()
+        self._ct_add = _Forgetful()

@@ -34,7 +34,7 @@ from ddpath import (
 from ddpath import oracle
 from ddpath.circuit import Circuit, Gate
 from ddpath.errors import PathValidationError, QasmError
-from ddpath.simpath import SimulationPath
+from ddpath.simpath import STRATEGIES, SimulationPath
 from ddpath.tnbridge import ContractionPlan
 
 from helpers import MemoFreeKernel, equivalent_rewrite, random_circuit
@@ -172,20 +172,12 @@ def test_negative_verification():
     after = oracle.simulate(Circuit(n, ghz(n).gates + combined.gates))
     oracle_fidelity = abs(np.vdot(ref, after))
     assert oracle_fidelity < 1 - 1e-9
-    for strategy in ("sequential", "alternating", "heuristic"):
+    for strategy in STRATEGIES:
         kernel = Kernel()
         initial = ghz_initial(kernel, n)
         res = verify_equivalence(g, gp, strategy, kernel, initial)
         assert res.verdict == "inconsistent", strategy
         assert abs(res.fidelity - oracle_fidelity) < 1e-9
-    # imported greedy plan on a smaller instance (greedy plans for qft
-    # miters fail validate from n = 6)
-    n_small = 5
-    kernel = Kernel()
-    initial = ghz_initial(kernel, n_small)
-    res = verify_equivalence(qft(n_small), _perturbed_transpile(n_small), "greedy",
-                             kernel, initial)
-    assert res.verdict == "inconsistent"
 
 
 @criterion(8, "equal constructions collapse to identical roots")

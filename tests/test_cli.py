@@ -329,8 +329,13 @@ class TestBench:
             assert by_key[(str(n), "sequential")] >= 2 ** n - 1
             assert by_key[(str(n), "alternating")] <= 8 * n
 
-    def test_failed_row_does_not_stop_the_sweep(self, capsys):
-        code, out, err = run_cli(capsys, "bench", "ghz:4:sequential", "qft:6:greedy",
+    def test_failed_row_does_not_stop_the_sweep(self, capsys, tmp_path):
+        # gates 1 and 3 of qft(3) merge first, and task 3 would then put
+        # gate 3 above gate 2, which shares qubit 0 with it
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"pairs": [[1, 3], [0, 8], [2, 9], [4, 10], [5, 11], [6, 12], [7, 13]]}))
+        code, out, err = run_cli(capsys, "bench", "ghz:4:sequential", f"qft:3:plan:{plan}",
                                  "ghz:5:sequential")
         assert code == 2
         rows = out.strip().splitlines()
@@ -339,9 +344,9 @@ class TestBench:
         records = [json.loads(line) for line in err.strip().splitlines()]
         assert len(records) == 1
         rec = records[0]
-        assert (rec["family"], rec["n"], rec["strategy"]) == ("qft", 6, "greedy")
+        assert (rec["family"], rec["n"], rec["strategy"]) == ("qft", 3, f"plan:{plan}")
         assert rec["error"] == "PathValidationError"
-        assert rec["task_index"] == 18
+        assert rec["task_index"] == 3
 
     def test_too_deep_row_does_not_stop_the_sweep(self, capsys):
         code, out, err = run_cli(capsys, "bench", "ghz:3000:sequential", "ghz:4:sequential")

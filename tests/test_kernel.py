@@ -14,7 +14,7 @@ from ddpath.circuit import (GENERATORS, Gate, cp, cx, deutsch_jozsa, ghz, entang
                             qft, swap)
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
-from ddpath.kernel import EPS
+from ddpath.kernel import EPS, Edge
 from ddpath.simpath import make_path
 
 from helpers import (MemoFreeKernel, ReferenceKernel, explicit_node_count, random_circuit,
@@ -168,6 +168,36 @@ class TestAdd:
             got = k.add(k.make_gate(ga, 3), k.make_gate(gb, 3))
             want = oracle.gate_matrix(ga, 3) + oracle.gate_matrix(gb, 3)
             assert np.max(np.abs(k.to_matrix(got, 3) - want)) < 1e-10, (ga, gb)
+
+    @staticmethod
+    def _small_pair(k):
+        """[1, 1e-6] and r·[1, 1e-6] with r = -1 + 1e-7, one node under two
+        root weights.  Their sum is 1e-7·[1, 1e-6], whose second entry 1e-13
+        lies below EPS.  (The vector [-1, -1e-6 + 1e-13] would not do: its
+        successor weight 1e-6 - 1e-13 interns to 1e-6, so it is -1 times the
+        first and the sum cancels exactly.)"""
+        a = k._vnode(0, k._terminal(1), k._terminal(1e-6))
+        return a, Edge(-1 + 1e-7, a.node)
+
+    def test_scalar_sum_is_relative_to_the_summands(self):
+        # the scalars sum as a.w · intern(1 + b.w / a.w): the relative part
+        # 1e-7 is far above EPS, so the 1e-13 entry survives; an absolute
+        # rule, intern(a.w + b.w), would snap it to the zero edge
+        k = Kernel()
+        a, b = self._small_pair(k)
+        got = k.to_vector(k.add(a, b))
+        assert got[1] != 0
+        assert np.allclose(got, [1e-7, 1e-13], rtol=1e-6, atol=0)
+        assert k.amplitude(k.add(b, a), "1") == pytest.approx(1e-13, rel=1e-6)
+
+    def test_exact_cancellation_gives_the_zero_edge(self):
+        k = Kernel()
+        a, _ = self._small_pair(k)
+        assert k.add(a, Edge(-a.w, a.node)).is_zero
+        state = run_gates(k, qft(3))
+        assert k.add(state, Edge(-state.w, state.node)).is_zero
+        z = k.make_gate(Gate("z", (1,)), 3)
+        assert k.add(z, Edge(-z.w, z.node)).is_zero
 
     def test_kind_mismatch_rejected(self):
         k = Kernel()
@@ -394,9 +424,11 @@ class TestGarbageCollection:
         for e in (a, b, v):
             k.inc_ref(e)
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
-        assert all((k._ct_mv, k._ct_mm, k._ct_add_v, k._ct_add_m, k._gates))
+        assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
+            == ["_ct_add", "_ct_mul"]
+        assert all((k._ct_mul, k._ct_add, k._gates))
         k.gc([])
-        assert not any((k._ct_mv, k._ct_mm, k._ct_add_v, k._ct_add_m, k._gates))
+        assert not any((k._ct_mul, k._ct_add, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
         assert (k.signature(again[0]), k.signature(again[1])) == before
         # rebuilt into the unique table, not the swept nodes from before gc
@@ -469,7 +501,7 @@ class TestCanonicity:
             sig_on = k_on.signature(run_gates(k_on, c))
             sig_off = k_off.signature(run_gates(k_off, c))
             assert sig_on == sig_off
-            assert k_on._ct_mv and not k_off._ct_mv and not k_off._ct_add_v
+            assert k_on._ct_mul and not k_off._ct_mul and not k_off._ct_add
 
     def test_interning_collapses_close_values(self):
         k = Kernel()

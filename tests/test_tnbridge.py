@@ -1,8 +1,9 @@
 import json
+import math
+import random
 
 import pytest
-
-import random
+from hypothesis import given, settings, strategies as st
 
 from ddpath import (
     Kernel,
@@ -19,7 +20,7 @@ from ddpath import (
     sequential_path,
     transpile,
 )
-from ddpath.circuit import GENERATORS, Circuit, deutsch_jozsa, graph_state
+from ddpath.circuit import GENERATORS, Circuit, Gate, deutsch_jozsa, graph_state
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.tnbridge import (
     ContractionPlan,
@@ -29,6 +30,18 @@ from ddpath.tnbridge import (
 )
 
 from helpers import random_circuit, reference_greedy_plan
+
+
+def layered_circuit(rng: random.Random, n: int, depth: int) -> Circuit:
+    """H on every qubit, then ``depth`` layers: one gate from {sx, ry(pi/2),
+    t} per qubit, then cz on alternating nearest-neighbour pairs."""
+    gates = [Gate("h", (q,)) for q in range(n)]
+    for layer in range(depth):
+        for q in range(n):
+            kind = rng.choice(("sx", "ry", "t"))
+            gates.append(Gate(kind, (q,), parameter=math.pi / 2 if kind == "ry" else None))
+        gates += [Gate("cz", (q + 1,), (q,)) for q in range(layer % 2, n - 1, 2)]
+    return Circuit(n, tuple(gates))
 
 
 class TestExport:
@@ -84,6 +97,21 @@ class TestGreedyPlan:
         f_seq, _ = execute(c, sequential_path(len(c.gates)), k)
         assert root_equal(f_greedy, f_seq)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 9), st.booleans())
+    def test_plans_run_and_match_sequential(self, seed, layered):
+        # the plan of an exported circuit never runs out of legal pairs and
+        # always passes validate; the sizes come from the seed, spread evenly
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        c = layered_circuit(rng, n, rng.randint(1, 8)) if layered \
+            else random_circuit(rng, n, rng.randint(5, 40))
+        path = import_path(greedy_plan(export_tensor_network(c)), c)
+        k = Kernel()
+        f_greedy, _ = execute(c, path, k)
+        f_seq, _ = execute(c, kernel=k)
+        assert root_equal(f_greedy, f_seq)
+
     def test_disconnected_network_rejected(self):
         tn = TensorNetworkDescription(
             2,
@@ -118,8 +146,47 @@ class TestGreedyPlanMatchesReference:
         for i in range(200):
             c = random_circuit(rng, rng.randint(2, 6), rng.randint(1, 25),
                                allow_u=False, allow_controls=False)
-            tn = export_tensor_network(parse_qasm(emit_qasm(c)))
-            assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs, i
+            c = parse_qasm(emit_qasm(c))
+            tn = export_tensor_network(c)
+            plan = greedy_plan(tn)
+            assert plan.pairs == reference_greedy_plan(tn).pairs, i
+            import_path(plan, c)
+
+    def test_merged_tensor_stands_for_both_of_its_pair(self):
+        # a 13-gate circuit whose plan goes wrong when a merged tensor is
+        # known to the tensors before it by a bit they do not all hold
+        c = Circuit(6, (
+            Gate("cz", (0,), (3,)), Gate("cx", (4,), (0,)), Gate("z", (1,)),
+            Gate("cp", (3,), (4,), -1.98), Gate("cp", (0,), (2,), 2.46),
+            Gate("cx", (0,), (1,)), Gate("s", (0,)), Gate("cp", (4,), (5,), -1.06),
+            Gate("z", (1,)), Gate("swap", (5, 2)), Gate("t", (4,)),
+            Gate("cx", (0,), (3,)), Gate("cz", (2,), (1,))))
+        tn = export_tensor_network(c)
+        plan = greedy_plan(tn)
+        assert plan == reference_greedy_plan(tn)
+        import_path(plan, c)
+
+    def test_valid_tensor_network_plans_are_kept(self):
+        # where the plain tensor-network greedy, which ignores the order of
+        # the gates, already gives a valid path, the convexity rule never
+        # rejects the pair it picks, so the plan is the same
+        rng = random.Random(13)
+        circuits = [GENERATORS[f](n) for f in sorted(GENERATORS) for n in range(2, 11)]
+        circuits += [random_circuit(rng, rng.randint(2, 5), rng.randint(1, 20))
+                     for _ in range(60)]
+        circuits += [layered_circuit(rng, rng.randint(2, 5), rng.randint(1, 5))
+                     for _ in range(30)]
+        kept = 0
+        for c in circuits:
+            tn = export_tensor_network(c)
+            plain = reference_greedy_plan(tn, convex=False)
+            try:
+                import_path(plain, c)
+            except PathValidationError:
+                continue
+            assert greedy_plan(tn) == plain, c
+            kept += 1
+        assert 100 < kept < len(circuits)
 
     def test_label_held_by_three_tensors(self):
         # only a hand-written or imported network can share one label
@@ -152,7 +219,16 @@ class TestGreedyPlanMatchesReference:
             with pytest.raises(PlanningError) as exc:
                 planner(tn)
             messages.append(str(exc.value))
-        assert messages[0] == messages[1] == "network is disconnected; 2 tensors remain"
+        assert messages[0] == messages[1] == \
+            "network is disconnected or leaves no legal merge; 2 tensors remain"
+
+    def test_large_ids_plan_quickly(self):
+        # the planner's bitsets have one bit per tensor, not per id value
+        tn = TensorNetworkDescription(
+            1, (Tensor(0, ("a",), (2,), "state"), Tensor(10 ** 12, ("a", "b"), (2, 2), 1),
+                Tensor(10 ** 15, ("b",), (2,), 2)), ())
+        assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs == (
+            (0, 10 ** 12), (10 ** 15, 10 ** 15 + 1))
 
     def test_same_error_on_duplicate_ids(self):
         tn = TensorNetworkDescription(
