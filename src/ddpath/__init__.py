@@ -28,7 +28,6 @@ from .simpath import (
     verify_equivalence,
 )
 from .tnbridge import (
-    ContractionPlan,
     TensorNetworkDescription,
     export_tensor_network,
     greedy_plan,
@@ -44,6 +43,6 @@ __all__ = [
     "parse_qasm", "emit_qasm",
     "SimulationPath", "RunStats", "sequential_path", "alternating_path",
     "heuristic_path", "validate", "execute", "verify_equivalence",
-    "TensorNetworkDescription", "ContractionPlan", "export_tensor_network",
+    "TensorNetworkDescription", "export_tensor_network",
     "greedy_plan", "import_path",
 ]

@@ -70,8 +70,6 @@ def _circuit_meta(source: str, c: Circuit) -> dict:
 
 def cmd_simulate(args) -> int:
     circuit = parse_circuit_source(args.circuit)
-    if not circuit.gates:
-        raise InvalidArgumentError("cannot simulate an empty circuit")
     kernel = Kernel()
     initial = _initial_edge(args.initial, kernel, circuit.num_qubits)
     path = simpath.make_path(args.path, circuit)
@@ -132,8 +130,6 @@ def cmd_export_tn(args) -> int:
 
 def cmd_dot(args) -> int:
     circuit = parse_circuit_source(args.circuit)
-    if not circuit.gates:
-        raise InvalidArgumentError("cannot simulate an empty circuit")
     kernel = Kernel()
     path = simpath.make_path(args.path, circuit)
     final, _ = simpath.execute(circuit, path, kernel)

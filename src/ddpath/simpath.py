@@ -1,15 +1,18 @@
 """Simulation paths: representation, validation, strategies, and execution.
 
-A path over a circuit with ``G`` gates is a list of exactly ``G`` unordered
-index pairs.  Index 0 is the initial state, 1..G are the gates in application
-order, and task ``k`` produces index ``G + k``.  A product ``left · right``
-applies every gate of ``right`` before every gate of ``left``; it may be
-formed when, on every qubit both operands act on, the left operand's first
-gate comes after the right operand's last one in the original sequence.
-The operands need not be adjacent: a skipped gate may share a qubit with
-either of them, since the later product that joins it to them is held to
-the same rule.  Every two gates that share a qubit so keep their order,
-and every accepted path gives the sequential result.
+A path over a circuit with ``G`` gates is exactly ``G`` unordered index
+pairs and nothing else; every strategy, the greedy tensor-network planner
+and both file schemas give this one type, and the empty circuit runs the
+empty path, whose result is the initial state.  Index 0 is the initial
+state, 1..G are the gates in application order, and task ``k`` produces
+index ``G + k``.  A product ``left · right`` applies every gate of
+``right`` before every gate of ``left``; it may be formed when, on every
+qubit both operands act on, the left operand's first gate comes after the
+right operand's last one in the original sequence.  The operands need not
+be adjacent: a skipped gate may share a qubit with either of them, since
+the later product that joins it to them is held to the same rule.  Every
+two gates that share a qubit so keep their order, and every accepted path
+gives the sequential result.
 """
 from __future__ import annotations
 
@@ -46,7 +49,6 @@ def as_index(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class SimulationPath:
-    gate_count: int
     tasks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -56,12 +58,21 @@ class SimulationPath:
                   for a, b in self.tasks))
 
     def to_json(self) -> dict:
-        return {"gate_count": self.gate_count, "path": [list(t) for t in self.tasks]}
+        return {"gate_count": len(self.tasks), "path": [list(t) for t in self.tasks]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SimulationPath":
-        return cls(as_index(data["gate_count"], "gate_count"),
-                   tuple(tuple(p) for p in data["path"]))
+        """Either schema: a path file ``{"gate_count": G, "path": [...]}``,
+        whose ``G`` must equal its number of pairs, or a contraction plan
+        ``{"pairs": [...]}``."""
+        if "path" not in data:
+            return cls(tuple(tuple(p) for p in data["pairs"]))
+        path = cls(tuple(tuple(p) for p in data["path"]))
+        count = as_index(data["gate_count"], "gate_count")
+        if count != len(path.tasks):
+            raise InvalidArgumentError(
+                f"gate_count is {count} but the path has {len(path.tasks)} pairs")
+        return path
 
 
 def load_path(path: str) -> SimulationPath:
@@ -83,12 +94,12 @@ def save_path(p: SimulationPath, path: str) -> None:
 
 def sequential_path(gate_count: int) -> SimulationPath:
     """Pure matrix-vector chain: the state absorbs one gate per task."""
-    if gate_count < 1:
-        raise InvalidArgumentError(f"need at least one gate, got {gate_count}")
-    tasks = [(0, 1)]
+    if gate_count < 0:
+        raise InvalidArgumentError(f"gate count must not be negative, got {gate_count}")
+    tasks = [(0, 1)] if gate_count else []
     for k in range(2, gate_count + 1):
         tasks.append((k, gate_count + k - 1))
-    return SimulationPath(gate_count, tuple(tasks))
+    return SimulationPath(tuple(tasks))
 
 
 def _woven_path(count_g: int, count_gp: int, budgets: list[int]) -> SimulationPath:
@@ -124,7 +135,7 @@ def _woven_path(count_g: int, count_gp: int, budgets: list[int]) -> SimulationPa
         result = next_result
         next_result += 1
     tasks.append((0, result))
-    return SimulationPath(total, tuple(tasks))
+    return SimulationPath(tuple(tasks))
 
 
 def alternating_path(gate_count_g: int, gate_count_g_prime: int) -> SimulationPath:
@@ -136,7 +147,11 @@ def alternating_path(gate_count_g: int, gate_count_g_prime: int) -> SimulationPa
 
 def heuristic_path(g: Circuit, g_prime: Circuit) -> SimulationPath:
     """Follow each first-half gate with its decomposition-cost worth of
-    second-half gates, so compiled counterparts cancel as they are consumed."""
+    second-half gates, so compiled counterparts cancel as they are consumed.
+
+    The costs fit only when they sum to the second half's gate count, as
+    they do for ``transpile(g)``; any other second half is woven one for
+    one, like ``alternating_path``."""
     if g.num_qubits != g_prime.num_qubits:
         raise InvalidArgumentError(
             f"qubit count mismatch: {g.num_qubits} vs {g_prime.num_qubits}")
@@ -144,15 +159,9 @@ def heuristic_path(g: Circuit, g_prime: Circuit) -> SimulationPath:
         raise InvalidArgumentError("both circuits need at least one gate")
     costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
     budgets = [costs[gate.kind] for gate in reversed(g.gates)]
+    if sum(budgets) != len(g_prime.gates):
+        budgets = [1] * len(g.gates)
     return _woven_path(len(g.gates), len(g_prime.gates), budgets)
-
-
-def _check_strategy(strategy: str) -> None:
-    """Raise ``InvalidArgumentError`` unless ``make_path`` knows the name."""
-    if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
-        raise InvalidArgumentError(
-            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
-            f"file:<path.json> or plan:<plan.json>")
 
 
 def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> SimulationPath:
@@ -162,9 +171,14 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
     With ``g_prime`` the path runs over the miter ``concat_inverse(g,
     g_prime)``, otherwise over ``g``.  ``alternating`` and ``heuristic``
     weave the two halves of a miter; when one half is empty they fall back
-    to the chain.
+    to the chain.  Both file prefixes read either schema (``load_path``).
+    The greedy plan and file paths pass ``validate`` before they are
+    returned.
     """
-    _check_strategy(strategy)
+    if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
+        raise InvalidArgumentError(
+            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
+            f"file:<path.json> or plan:<plan.json>")
     if strategy == "sequential":
         count = len(g.gates) + (len(g_prime.gates) if g_prime is not None else 0)
         return sequential_path(count)
@@ -178,12 +192,9 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
         return heuristic_path(g, g_prime)
     circuit = g if g_prime is None else concat_inverse(g, g_prime)
     if strategy == "greedy":
-        plan = tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
-        return tnbridge.import_path(plan, circuit)
-    kind, _, source = strategy.partition(":")
-    if kind == "plan":
-        return tnbridge.import_path(tnbridge.load_plan(source), circuit)
-    path = load_path(source)
+        path = tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
+    else:
+        path = load_path(strategy.partition(":")[2])
     validate(path, circuit)
     return path
 
@@ -237,9 +248,6 @@ def validate(path: SimulationPath, circuit: Circuit) -> tuple[ValidatedTask, ...
     larger.
     """
     count = len(circuit.gates)
-    if path.gate_count != count:
-        raise PathValidationError(
-            f"path covers {path.gate_count} gates but circuit has {count}")
     if len(path.tasks) != count:
         raise PathValidationError(
             f"expected exactly {count} tasks, got {len(path.tasks)}")
@@ -438,18 +446,12 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
     """Simulate g followed by the inverse of g_prime and test that the
     initial state maps to itself up to global phase.  ``strategy`` is any
     name ``make_path`` takes."""
-    _check_strategy(strategy)
     combined = concat_inverse(g, g_prime)
+    path = make_path(strategy, g, g_prime)
     if kernel is None:
         kernel = Kernel()
     if initial is None:
         initial = kernel.make_zero_state(combined.num_qubits)
-    if not combined.gates:
-        stats = RunStats(0, [], kernel.node_count(initial),
-                         kernel.node_count(initial), 0)
-        empty = SimulationPath(0, ())
-        return VerificationResult("consistent", 1.0, stats, combined, empty, initial)
-    path = make_path(strategy, g, g_prime)
     kernel.inc_ref(initial)
     try:
         final, stats = execute(combined, path, kernel, initial)

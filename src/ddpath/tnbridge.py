@@ -1,8 +1,9 @@
-"""Tensor-network bridge: export circuits, plan greedily, import plans.
+"""Tensor-network bridge: export circuits and plan contractions greedily.
 
 Tensor ids follow the path indexing (0 is the state, gate k is id k, a
-contraction appends the next id), so externally produced contraction plans
-drop straight into ``SimulationPath`` without remapping.  The initial state
+contraction appends the next id), so a contraction plan is a
+``SimulationPath``: ``greedy_plan`` returns one, ``simpath.load_path`` reads
+plan files, and ``import_path`` only validates.  The initial state
 is exported as one full rank-n tensor because the diagram kernel multiplies
 whole operators and state vectors only; per-qubit state tensors would ask
 for contractions it cannot perform.
@@ -18,12 +19,11 @@ indices.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from . import simpath
 from .circuit import Circuit
-from .errors import InvalidArgumentError, PlanningError
+from .errors import PlanningError
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,6 @@ class TensorNetworkDescription:
                    tuple(data["output_indices"]))
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs",
-            tuple((simpath.as_index(a, "plan index"), simpath.as_index(b, "plan index"))
-                  for a, b in self.pairs))
-
-    def to_json(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ContractionPlan":
-        return cls(tuple(tuple(p) for p in data["pairs"]))
-
-
-def load_plan(path: str) -> ContractionPlan:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ContractionPlan.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InvalidArgumentError(
-            f"bad plan file {path!r}: {type(exc).__name__}: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 
 def export_tensor_network(c: Circuit) -> TensorNetworkDescription:
@@ -112,7 +85,7 @@ def export_tensor_network(c: Circuit) -> TensorNetworkDescription:
     return TensorNetworkDescription(n, tuple(tensors), outputs)
 
 
-def greedy_plan(tn: TensorNetworkDescription) -> ContractionPlan:
+def greedy_plan(tn: TensorNetworkDescription) -> simpath.SimulationPath:
     """Repeatedly contract the cheapest legal pair of live tensors that share
     an index: the minimum of ``(2^|a△b|, 2^|a|+2^|b|, a, b)`` with
     ``a < b``, so the smallest result wins, ties go to the smaller combined
@@ -215,11 +188,10 @@ def greedy_plan(tn: TensorNetworkDescription) -> ContractionPlan:
         for p in partners:
             heapq.heappush(heap, entry(p, next_id))
         next_id += 1
-    return ContractionPlan(tuple(pairs))
+    return simpath.SimulationPath(tuple(pairs))
 
 
-def import_path(plan: ContractionPlan, circuit: Circuit) -> simpath.SimulationPath:
-    """Re-index a contraction plan as a simulation path and validate it."""
-    path = simpath.SimulationPath(len(circuit.gates), plan.pairs)
-    simpath.validate(path, circuit)
-    return path
+def import_path(plan: simpath.SimulationPath, circuit: Circuit) -> simpath.SimulationPath:
+    """``plan`` once ``simpath.validate`` accepts it for ``circuit``."""
+    simpath.validate(plan, circuit)
+    return plan

@@ -10,8 +10,7 @@ import random
 from ddpath.circuit import Circuit, Gate
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.kernel import EPS, Kernel, _INV_EPS
-from ddpath.simpath import ValidatedTask
-from ddpath.tnbridge import ContractionPlan
+from ddpath.simpath import SimulationPath, ValidatedTask
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
 TWO_KINDS = ["cx", "cz", "cp", "swap"]
@@ -122,9 +121,6 @@ def reference_validate(path, circuit):
     reference the per-qubit span validator is compared against: it scans
     every pair of positions across the two operands."""
     count = len(circuit.gates)
-    if path.gate_count != count:
-        raise PathValidationError(
-            f"path covers {path.gate_count} gates but circuit has {count}")
     if len(path.tasks) != count:
         raise PathValidationError(
             f"expected exactly {count} tasks, got {len(path.tasks)}")
@@ -246,7 +242,7 @@ def reference_greedy_plan(tn, convex: bool = True):
         for m in members[next_id]:
             owner[m] = next_id
         next_id += 1
-    return ContractionPlan(tuple(pairs))
+    return SimulationPath(tuple(pairs))
 
 
 class ReferenceKernel(Kernel):

@@ -35,7 +35,6 @@ from ddpath import oracle
 from ddpath.circuit import Circuit, Gate
 from ddpath.errors import PathValidationError, QasmError
 from ddpath.simpath import STRATEGIES, SimulationPath
-from ddpath.tnbridge import ContractionPlan
 
 from helpers import MemoFreeKernel, equivalent_rewrite, random_circuit
 
@@ -99,13 +98,13 @@ def test_path_independence():
     c = qft(3)
     kernel = Kernel()
     f_seq, _ = execute(c, sequential_path(7), kernel)
-    worked_plan = ContractionPlan(((0, 1), (2, 8), (3, 9), (4, 10), (5, 11),
-                                   (6, 12), (7, 13)))
+    worked_plan = SimulationPath(((0, 1), (2, 8), (3, 9), (4, 10), (5, 11),
+                                  (6, 12), (7, 13)))
     f_plan, _ = execute(c, import_path(worked_plan, c), kernel)
     f_greedy, _ = execute(c, import_path(greedy_plan(export_tensor_network(c)), c),
                           kernel)
-    tree = SimulationPath(7, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11),
-                              (12, 13)))
+    tree = SimulationPath(((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11),
+                           (12, 13)))
     f_tree, _ = execute(c, tree, kernel)
     assert root_equal(f_seq, f_plan)
     assert root_equal(f_seq, f_greedy)
@@ -225,15 +224,15 @@ def test_parser_round_trip():
 @criterion(10, "plan import rejects reordering, allows commuting skips")
 def test_plan_import_guard():
     c = qft(3)
-    bad = ContractionPlan(((1, 3), (0, 8), (2, 9), (4, 10), (5, 11), (6, 12),
-                           (7, 13)))
+    bad = SimulationPath(((1, 3), (0, 8), (2, 9), (4, 10), (5, 11), (6, 12),
+                          (7, 13)))
     with pytest.raises(PathValidationError) as exc:
         import_path(bad, c)
     assert exc.value.task_index is not None
 
     ring = graph_state(4)
-    skipping = ContractionPlan(((1, 3), (2, 9), (4, 10), (0, 11), (5, 12),
-                                (6, 13), (7, 14), (8, 15)))
+    skipping = SimulationPath(((1, 3), (2, 9), (4, 10), (0, 11), (5, 12),
+                               (6, 13), (7, 14), (8, 15)))
     kernel = Kernel()
     f_plan, _ = execute(ring, import_path(skipping, ring), kernel)
     f_seq, _ = execute(ring, sequential_path(len(ring.gates)), kernel)

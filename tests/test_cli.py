@@ -82,6 +82,19 @@ class TestSimulate:
         re, im = json.loads(out)["amplitudes"]["000"]
         assert abs(complex(re, im) - 1 / math.sqrt(8)) < 1e-10
 
+    @pytest.mark.parametrize("path", ["sequential", "greedy"])
+    def test_empty_circuit_runs_the_empty_path(self, capsys, tmp_path, path):
+        f = tmp_path / "empty.qasm"
+        f.write_text("OPENQASM 2.0;\nqreg q[2];\n")
+        code, out, _ = run_cli(capsys, "simulate", str(f), "--path", path,
+                               "--initial", "10", "--amplitudes", "10,00")
+        assert code == 0
+        report = json.loads(out)
+        assert report["stats"]["task_count"] == 0 and report["stats"]["tasks"] == []
+        assert report["amplitudes"] == {"10": [1.0, 0.0], "00": [0.0, 0.0]}
+        code, out, _ = run_cli(capsys, "dot", str(f), "--path", path)
+        assert code == 0 and out.startswith("digraph")
+
     def test_qasm_file_source(self, capsys, tmp_path):
         f = tmp_path / "c.qasm"
         f.write_text(emit_qasm(qft(3)))
@@ -275,6 +288,7 @@ BAD_FILES = {
     "missing": None,
     "not-json": "{not json",
     "empty-object": "{}",
+    "gate-count-not-pair-count": json.dumps({"gate_count": 7, "path": chain_pairs(6)}),
     "non-integer-index": '{"gate_count": 7, "path": [[0, "a"]], "pairs": [[0, "a"]]}',
     # a truncated 1.9 would run the valid chain (0, 1), (2, 8), ...
     "fractional-index": json.dumps({"gate_count": 7, "path": [[0, 1.9]] + chain_pairs(7)[1:],

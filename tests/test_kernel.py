@@ -667,7 +667,7 @@ class TestUniqueTables:
         # a product of all gates first, then applied: matrix-matrix tasks
         count = len(c.gates)
         tasks = [(1, 2)] + [(count + i, i + 2) for i in range(1, count - 1)]
-        execute(c, SimulationPath(count, tuple(tasks) + ((0, 2 * count - 1),)), k)
+        execute(c, SimulationPath(tuple(tasks) + ((0, 2 * count - 1),)), k)
         assert _check_unique_tables(k) > 0
 
     def test_keys_are_successor_tuples_for_every_gate_kind(self):

@@ -29,7 +29,7 @@ from ddpath import (
     verify_equivalence,
 )
 from ddpath import oracle, simpath
-from ddpath.circuit import GENERATORS, Circuit, Gate, cx, h, swap
+from ddpath.circuit import GENERATORS, Circuit, Gate, cx, decomposition_cost, h, swap
 from ddpath.errors import CapacityError, InvalidArgumentError, PathValidationError
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
@@ -46,9 +46,20 @@ class TestSequentialPath:
     def test_single_gate(self):
         assert sequential_path(1).tasks == ((0, 1),)
 
-    def test_zero_gates_rejected(self):
+    def test_zero_gates_give_the_empty_path(self):
+        assert sequential_path(0) == SimulationPath(())
+        c = Circuit(2)
+        assert validate(sequential_path(0), c) == ()
+        k = Kernel()
+        initial = k.make_basis_state("10")
+        final, stats = execute(c, sequential_path(0), k, initial)
+        assert final is initial and final.node.ref == 1
+        assert stats.task_count == 0 and stats.result_nodes == []
+        assert stats.peak_nodes == stats.final_nodes == 2
+
+    def test_negative_count_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            sequential_path(0)
+            sequential_path(-1)
 
     def test_every_task_is_matrix_vector(self):
         c = qft(3)
@@ -58,23 +69,23 @@ class TestSequentialPath:
 
 class TestValidate:
     def test_tree_path_is_valid(self):
-        info = validate(SimulationPath(7, TREE_PATH_7), qft(3))
+        info = validate(SimulationPath(TREE_PATH_7), qft(3))
         assert [t.matrix_vector for t in info] == [
             True, False, False, False, True, False, True]
 
     def test_plan_style_chain_is_valid(self):
-        info = validate(SimulationPath(7, CHAIN_PATH_7), qft(3))
+        info = validate(SimulationPath(CHAIN_PATH_7), qft(3))
         assert all(t.matrix_vector for t in info)
 
     def test_skipping_noncommuting_gate_rejected(self):
-        bad = SimulationPath(7, ((0, 2), (1, 8), (3, 9), (4, 10), (5, 11),
-                                 (6, 12), (7, 13)))
+        bad = SimulationPath(((0, 2), (1, 8), (3, 9), (4, 10), (5, 11),
+                              (6, 12), (7, 13)))
         with pytest.raises(PathValidationError) as exc:
             validate(bad, qft(3))
         assert exc.value.task_index is not None
 
     def test_reused_index_rejected(self):
-        bad = SimulationPath(2, ((0, 1), (0, 2)))
+        bad = SimulationPath(((0, 1), (0, 2)))
         c = Circuit(2, (h(0), h(1)))
         with pytest.raises(PathValidationError) as exc:
             validate(bad, c)
@@ -82,25 +93,25 @@ class TestValidate:
 
     def test_wrong_task_count_rejected(self):
         with pytest.raises(PathValidationError):
-            validate(SimulationPath(2, ((0, 1),)), Circuit(2, (h(0), h(1))))
+            validate(SimulationPath(((0, 1),)), Circuit(2, (h(0), h(1))))
 
     def test_unknown_index_rejected(self):
         with pytest.raises(PathValidationError):
-            validate(SimulationPath(2, ((0, 9), (1, 2))), Circuit(2, (h(0), h(1))))
+            validate(SimulationPath(((0, 9), (1, 2))), Circuit(2, (h(0), h(1))))
 
     def test_repeated_index_in_pair_rejected(self):
         with pytest.raises(PathValidationError):
-            validate(SimulationPath(2, ((1, 1), (0, 2))), Circuit(2, (h(0), h(1))))
+            validate(SimulationPath(((1, 1), (0, 2))), Circuit(2, (h(0), h(1))))
 
     def test_disjoint_support_skip_accepted(self):
         # pairing two one-qubit gates across an unrelated one commutes freely
         c = Circuit(3, (h(0), h(1), h(2)))
-        validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
+        validate(SimulationPath(((1, 3), (2, 4), (0, 5))), c)
 
     def test_shared_qubit_skip_rejected(self):
         c = Circuit(1, (h(0), h(0), h(0)))
         with pytest.raises(PathValidationError):
-            validate(SimulationPath(3, ((1, 3), (2, 4), (0, 5))), c)
+            validate(SimulationPath(((1, 3), (2, 4), (0, 5))), c)
 
 
     def test_gate_sharing_a_qubit_may_be_skipped_when_it_commutes(self):
@@ -108,7 +119,7 @@ class TestValidate:
         # shares qubit 1 with gate 3; it commutes with gate 1, so it may be
         # applied before both
         c = Circuit(2, (h(0), h(1), cx(0, 1)))
-        path = SimulationPath(3, ((1, 3), (0, 2), (4, 5)))
+        path = SimulationPath(((1, 3), (0, 2), (4, 5)))
         assert validate(path, c) == reference_validate(path, c)
         k = Kernel()
         final, _ = execute(c, path, k)
@@ -117,7 +128,7 @@ class TestValidate:
 
     def test_skipped_gate_that_does_not_commute_rejected_when_joined(self):
         c = Circuit(2, (h(0), cx(0, 1), cx(1, 0)))
-        path = SimulationPath(3, ((1, 3), (0, 2), (4, 5)))
+        path = SimulationPath(((1, 3), (0, 2), (4, 5)))
         with pytest.raises(PathValidationError) as exc:
             validate(path, c)
         assert exc.value.task_index == 3
@@ -128,7 +139,7 @@ class TestValidate:
         for trial in range(2000):
             c = random_circuit(rng, rng.randint(1, 8), rng.randint(1, 14))
             tasks, gaps = _random_pairs(rng, len(c.gates))
-            path = SimulationPath(len(c.gates), tasks)
+            path = SimulationPath(tasks)
             want = _outcome(reference_validate, path, c)
             assert _outcome(validate, path, c) == want, (trial, tasks)
             if want[0] == "accept":
@@ -154,8 +165,8 @@ class TestValidate:
             combined = g if g_prime is None else concat_inverse(g, g_prime)
             paths = [make_path(name, g, g_prime) for name in names]
             if "greedy" in names and len(combined.gates) <= 160:
-                plan = reference_greedy_plan(export_tensor_network(combined), convex=False)
-                paths.append(SimulationPath(len(combined.gates), plan.pairs))
+                paths.append(reference_greedy_plan(export_tensor_network(combined),
+                                                   convex=False))
             for path in paths:
                 want = _outcome(reference_validate, path, combined)
                 assert _outcome(validate, path, combined) == want, (g, g_prime, path)
@@ -261,6 +272,16 @@ class TestHeuristicPath:
         f_seq, _ = execute(combined, sequential_path(len(combined.gates)), k)
         assert root_equal(f_heur, f_seq)
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_costs_that_do_not_fit_weave_one_for_one(self, n):
+        # the costs of qft(n) sum to len(transpile(qft(n))), not to len(qft(n))
+        g, gp = qft(n), transpile(qft(n))
+        costs = sum(decomposition_cost(gate.kind) for gate in g.gates)
+        assert costs == len(gp.gates) != len(g.gates)
+        count = len(g.gates)
+        assert heuristic_path(g, g).tasks == alternating_path(count, count).tasks
+        assert heuristic_path(g, gp).tasks != alternating_path(count, len(gp.gates)).tasks
+
     def test_missing_cost_rejected(self):
         from ddpath.errors import UnsupportedGateError
         c = Circuit(1, (Gate("u", (0,), matrix=(1, 0, 0, 1)),))
@@ -280,7 +301,7 @@ class TestExecute:
         c = Circuit(n, (h(0), h(0), cx(0, 1), h(2)))
         k = Kernel()
         first = []
-        final, stats = execute(c, SimulationPath(4, tasks), k,
+        final, stats = execute(c, SimulationPath(tasks), k,
                                observer=lambda i, e: i == 1 and first.append(e))
         assert first[0].node is None and root_equal(first[0], k.identity(n))
         assert stats.result_nodes[0] == n
@@ -291,8 +312,8 @@ class TestExecute:
         c = qft(3)
         k = Kernel()
         f_seq, _ = execute(c, sequential_path(7), k)
-        f_tree, _ = execute(c, SimulationPath(7, TREE_PATH_7), k)
-        f_chain, _ = execute(c, SimulationPath(7, CHAIN_PATH_7), k)
+        f_tree, _ = execute(c, SimulationPath(TREE_PATH_7), k)
+        f_chain, _ = execute(c, SimulationPath(CHAIN_PATH_7), k)
         assert root_equal(f_seq, f_tree) and root_equal(f_seq, f_chain)
 
     def test_ghz_final_node_count(self):
@@ -371,7 +392,7 @@ def _balanced_tree_path(count):
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
-    return SimulationPath(count, tuple(tasks))
+    return SimulationPath(tuple(tasks))
 
 
 class TestSeparation:
@@ -445,6 +466,15 @@ class TestVerifyEquivalence:
         res = verify_equivalence(Circuit(2), Circuit(2))
         assert res.verdict == "consistent" and res.fidelity == 1.0
         assert res.stats.task_count == 0
+
+    @pytest.mark.parametrize("g", [Circuit(2), qft(2)], ids=["empty", "qft2"])
+    def test_final_holds_one_caller_reference(self, g):
+        # the empty miter runs the empty path, whose final edge is the
+        # initial state; it is held once for the caller like any other final
+        k = Kernel()
+        res = verify_equivalence(g, g, "alternating", k, k.make_zero_state(2))
+        assert res.final.node.ref == 1
+        assert len(res.path.tasks) == 2 * len(g.gates)
 
 
 class TestPathFiles:
@@ -530,7 +560,7 @@ class TestCollectorPause:
             if was_on:
                 gc.enable()
             with pytest.raises(PathValidationError):
-                execute(qft(3), SimulationPath(7, ((0, 2),) + CHAIN_PATH_7[1:]))
+                execute(qft(3), SimulationPath(((0, 2),) + CHAIN_PATH_7[1:]))
             assert gc.isenabled() is was_on
 
     @pytest.mark.parametrize("was_on", [True, False])

@@ -19,15 +19,12 @@ from ddpath import (
     root_equal,
     sequential_path,
     transpile,
+    validate,
 )
 from ddpath.circuit import GENERATORS, Circuit, Gate, deutsch_jozsa, graph_state
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
-from ddpath.tnbridge import (
-    ContractionPlan,
-    Tensor,
-    TensorNetworkDescription,
-    load_plan,
-)
+from ddpath.simpath import SimulationPath, load_path
+from ddpath.tnbridge import Tensor, TensorNetworkDescription
 
 from helpers import random_circuit, reference_greedy_plan
 
@@ -82,11 +79,19 @@ class TestExport:
 class TestGreedyPlan:
     def test_single_gate(self):
         plan = greedy_plan(export_tensor_network(ghz(1)))
-        assert plan.pairs == ((0, 1),)
+        assert plan.tasks == ((0, 1),)
 
     def test_qft3_step_count(self):
         plan = greedy_plan(export_tensor_network(qft(3)))
-        assert len(plan.pairs) == 7
+        assert len(plan.tasks) == 7
+
+    @pytest.mark.parametrize("circuit", [qft(4), ghz(3), Circuit(2),
+                                         concat_inverse(qft(3), transpile(qft(3)))],
+                             ids=["qft4", "ghz3", "empty", "qft3-miter"])
+    def test_plan_validates_as_returned(self, circuit):
+        plan = greedy_plan(export_tensor_network(circuit))
+        assert len(validate(plan, circuit)) == len(circuit.gates)
+        assert import_path(plan, circuit) is plan
 
     def test_imported_plan_matches_sequential(self):
         c = qft(3)
@@ -134,12 +139,12 @@ class TestGreedyPlanMatchesReference:
     def test_generator_families(self, family):
         for n in range(2, 15):
             tn = export_tensor_network(GENERATORS[family](n))
-            assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs, n
+            assert greedy_plan(tn).tasks == reference_greedy_plan(tn).tasks, n
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_qft_transpile_miters(self, n):
         tn = export_tensor_network(concat_inverse(qft(n), transpile(qft(n))))
-        assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs
+        assert greedy_plan(tn).tasks == reference_greedy_plan(tn).tasks
 
     def test_random_qasm_circuits(self):
         rng = random.Random(2203)
@@ -149,7 +154,7 @@ class TestGreedyPlanMatchesReference:
             c = parse_qasm(emit_qasm(c))
             tn = export_tensor_network(c)
             plan = greedy_plan(tn)
-            assert plan.pairs == reference_greedy_plan(tn).pairs, i
+            assert plan.tasks == reference_greedy_plan(tn).tasks, i
             import_path(plan, c)
 
     def test_merged_tensor_stands_for_both_of_its_pair(self):
@@ -193,8 +198,8 @@ class TestGreedyPlanMatchesReference:
         # between more than two tensors; after a merge the third keeps it
         tn = _network(("a", "b"), ("a", "c"), ("a", "d"), ("b", "c", "e"), ("d", "e"))
         plan = greedy_plan(tn)
-        assert plan.pairs == reference_greedy_plan(tn).pairs
-        assert len(plan.pairs) == 4
+        assert plan.tasks == reference_greedy_plan(tn).tasks
+        assert len(plan.tasks) == 4
 
     def test_random_networks_with_widely_shared_labels(self):
         # labels drawn from a small alphabet are held by up to all tensors,
@@ -203,7 +208,7 @@ class TestGreedyPlanMatchesReference:
 
         def outcome(planner, tn):
             try:
-                return planner(tn).pairs
+                return planner(tn).tasks
             except PlanningError as exc:
                 return str(exc)
 
@@ -227,7 +232,7 @@ class TestGreedyPlanMatchesReference:
         tn = TensorNetworkDescription(
             1, (Tensor(0, ("a",), (2,), "state"), Tensor(10 ** 12, ("a", "b"), (2, 2), 1),
                 Tensor(10 ** 15, ("b",), (2,), 2)), ())
-        assert greedy_plan(tn).pairs == reference_greedy_plan(tn).pairs == (
+        assert greedy_plan(tn).tasks == reference_greedy_plan(tn).tasks == (
             (0, 10 ** 12), (10 ** 15, 10 ** 15 + 1))
 
     def test_same_error_on_duplicate_ids(self):
@@ -248,8 +253,8 @@ class TestGreedyPlanMatchesReference:
 class TestImportPath:
     def test_worked_plan_for_qft3(self):
         c = qft(3)
-        plan = ContractionPlan(((0, 1), (2, 8), (3, 9), (4, 10), (5, 11),
-                                (6, 12), (7, 13)))
+        plan = SimulationPath(((0, 1), (2, 8), (3, 9), (4, 10), (5, 11),
+                               (6, 12), (7, 13)))
         path = import_path(plan, c)
         k = Kernel()
         f_plan, _ = execute(c, path, k)
@@ -259,8 +264,8 @@ class TestImportPath:
     def test_commuting_skip_accepted(self):
         c = graph_state(4)
         # H gates on distinct qubits commute past one another
-        plan = ContractionPlan(((1, 3), (2, 9), (4, 10), (0, 11), (5, 12),
-                                (6, 13), (7, 14), (8, 15)))
+        plan = SimulationPath(((1, 3), (2, 9), (4, 10), (0, 11), (5, 12),
+                               (6, 13), (7, 14), (8, 15)))
         path = import_path(plan, c)
         k = Kernel()
         f_plan, _ = execute(c, path, k)
@@ -269,24 +274,24 @@ class TestImportPath:
 
     def test_noncommuting_skip_rejected_with_step(self):
         c = qft(3)
-        plan = ContractionPlan(((1, 3), (0, 8), (2, 9), (4, 10), (5, 11),
-                                (6, 12), (7, 13)))
+        plan = SimulationPath(((1, 3), (0, 8), (2, 9), (4, 10), (5, 11),
+                               (6, 12), (7, 13)))
         with pytest.raises(PathValidationError) as exc:
             import_path(plan, c)
         assert exc.value.task_index is not None
 
     def test_plan_file_round_trip(self, tmp_path):
-        plan = ContractionPlan(((0, 1), (2, 3)))
+        plan = SimulationPath(((0, 1), (2, 3)))
         f = tmp_path / "plan.json"
-        f.write_text(json.dumps(plan.to_json()))
-        assert load_plan(str(f)) == plan
+        f.write_text(json.dumps({"pairs": [list(p) for p in plan.tasks]}))
+        assert load_path(str(f)) == plan
 
     def test_fractional_plan_index_rejected_with_file_name(self, tmp_path):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps({"pairs": [[0, 1.9], [2, 3]]}))
         with pytest.raises(InvalidArgumentError, match="plan.json.*1.9"):
-            load_plan(str(f))
-        assert ContractionPlan(((0, 1.0),)).pairs == ((0, 1),)
+            load_path(str(f))
+        assert SimulationPath(((0, 1.0),)).tasks == ((0, 1),)
 
     @pytest.mark.parametrize("field,value", [("id", 1.5), ("shape", [2.5]), ("qubits", 0.5)])
     def test_fractional_network_value_rejected(self, field, value):
