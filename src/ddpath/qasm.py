@@ -1,35 +1,39 @@
 """OpenQASM 2.0 subset: parser and emitter.
 
-Supported statements: the OPENQASM header, ``include`` (ignored), one
-``qreg``, ``creg`` / ``measure`` / ``barrier`` (ignored), and gate
-applications from the package gate alphabet with angle expressions over
-numbers and ``pi`` using + - * / and parentheses.  No custom gate
-definitions, no conditionals.
+The gate names are the kinds of ``gates.ALL_KINDS`` except ``u``, whose
+explicit matrix has no QASM spelling, plus the aliases ``u1`` (``p``) and
+``cu1`` (``cp``); a two-qubit gate lists its control first.  A statement
+ends at ``;``, any whitespace (line breaks included) separates tokens, and
+``//`` starts a comment that runs to the end of the line.  Angles are
+finite expressions over numbers and ``pi`` using + - * /, unary signs and
+parentheses.  A program opens with the ``OPENQASM 2.0`` header and declares
+one ``qreg``; ``include``, ``creg``, ``measure`` and ``barrier`` statements
+are skipped.  Custom gate definitions, register broadcast (``h q;``) and
+``if`` are not supported.  Malformed input raises ``QasmError`` with the
+line of the statement's first character.
 """
 from __future__ import annotations
 
 import math
 import re
 
+from . import gates as _gates
 from .circuit import Circuit, Gate
-from .errors import QasmError
+from .errors import InvalidArgumentError, QasmError
 
-# gate name -> (kind, parameter count, qubit count)
-_GATE_TABLE = {
-    "x": ("x", 0, 1), "y": ("y", 0, 1), "z": ("z", 0, 1), "h": ("h", 0, 1),
-    "s": ("s", 0, 1), "sdg": ("sdg", 0, 1), "t": ("t", 0, 1), "tdg": ("tdg", 0, 1),
-    "sx": ("sx", 0, 1), "sxdg": ("sxdg", 0, 1),
-    "p": ("p", 1, 1), "u1": ("p", 1, 1),
-    "ry": ("ry", 1, 1), "rz": ("rz", 1, 1),
-    "cx": ("cx", 0, 2), "cz": ("cz", 0, 2),
-    "cp": ("cp", 1, 2), "cu1": ("cp", 1, 2),
-    "swap": ("swap", 0, 2),
-}
+# QASM gate name -> gate kind
+_KINDS = {kind: kind for kind in _gates.ALL_KINDS - {"u"}} | {"u1": "p", "cu1": "cp"}
+
+_COMMENT_RE = re.compile(r"//[^\n]*")
+_HEADER_RE = re.compile(r"OPENQASM\s+2(\.0)?")
+# a declaration or a skipped statement: its keyword, then whitespace or nothing
+_KEYWORD_RE = re.compile(r"(qreg|include|creg|measure|barrier)(?:\s+(.*))?", re.DOTALL)
+# name [ "(" params ")" ] args
+_STATEMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(.*)", re.DOTALL)
+_QUBIT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]")
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                        r"|\d+(?:[eE][+-]?\d+)?|pi|[()*/+-])")
-
-_QUBIT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
 
 
 class _ExprParser:
@@ -111,60 +115,39 @@ class _ExprParser:
             raise QasmError(f"bad number {tok!r} in angle expression", self.line)
 
 
-def _statements(text: str):
-    """Yield (statement, starting line) with comments stripped."""
-    clean_lines = []
-    for raw in text.split("\n"):
-        cut = raw.find("//")
-        clean_lines.append(raw if cut < 0 else raw[:cut])
-    buf: list[str] = []
-    start = None
-    for lineno, line in enumerate(clean_lines, start=1):
-        for ch in line:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield stmt, start if start is not None else lineno
-                buf = []
-                start = None
-            else:
-                if ch.strip() and start is None:
-                    start = lineno
-                buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        yield tail, start if start is not None else len(clean_lines)
-
-
 def parse(text: str) -> Circuit:
     """Parse OpenQASM 2.0 subset source into a Circuit."""
     qreg_name: str | None = None
     qreg_size = 0
     gates: list[Gate] = []
     saw_header = False
-    for stmt, line in _statements(text):
+    line = 1
+    for chunk in _COMMENT_RE.sub("", text).split(";"):
+        stmt = chunk.lstrip()
+        # a statement's line is the one its first character stands on
+        start = line + chunk.count("\n", 0, len(chunk) - len(stmt))
+        line += chunk.count("\n")
+        stmt = stmt.rstrip()
+        if not stmt:
+            continue
         if not saw_header:
-            if re.fullmatch(r"OPENQASM\s+2(\.0)?", stmt):
-                saw_header = True
-                continue
-            raise QasmError(f"expected OPENQASM 2.0 header, got {stmt!r}", line)
-        head = stmt.split(None, 1)[0] if stmt.split() else ""
-        if head == "include":
+            if _HEADER_RE.fullmatch(stmt) is None:
+                raise QasmError(f"expected OPENQASM 2.0 header, got {stmt!r}", start)
+            saw_header = True
             continue
-        if head == "qreg":
-            m = re.fullmatch(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", stmt)
-            if m is None:
-                raise QasmError(f"malformed qreg declaration {stmt!r}", line)
+        k = _KEYWORD_RE.fullmatch(stmt)
+        if k is None:
+            gates.append(_parse_gate(stmt, start, qreg_name, qreg_size))
+        elif k.group(1) == "qreg":
+            qm = _QUBIT_RE.fullmatch(k.group(2) or "")
+            if qm is None:
+                raise QasmError(f"malformed qreg declaration {stmt!r}", start)
             if qreg_name is not None:
-                raise QasmError("only one qreg is supported", line)
-            qreg_name = m.group(1)
-            qreg_size = int(m.group(2))
+                raise QasmError("only one qreg is supported", start)
+            qreg_name = qm.group(1)
+            qreg_size = int(qm.group(2))
             if qreg_size < 1:
-                raise QasmError("qreg size must be >= 1", line)
-            continue
-        if head in ("creg", "measure", "barrier"):
-            continue
-        gates.append(_parse_gate(stmt, line, qreg_name, qreg_size))
+                raise QasmError("qreg size must be >= 1", start)
     if not saw_header:
         raise QasmError("expected OPENQASM 2.0 header", 1)
     if qreg_name is None:
@@ -172,46 +155,25 @@ def parse(text: str) -> Circuit:
     return Circuit(qreg_size, tuple(gates))
 
 
-def _split_params(stmt: str, line: int) -> tuple[str, str | None, str]:
-    """Split a gate statement into (name, parameter text, qubit argument text)."""
-    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*", stmt)
-    if m is None:
-        raise QasmError(f"malformed statement {stmt!r}", line)
-    name = m.group(1)
-    rest = stmt[m.end():]
-    if not rest.startswith("("):
-        return name, None, rest
-    depth = 0
-    for i, ch in enumerate(rest):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return name, rest[1:i], rest[i + 1:]
-    raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
-
-
 def _parse_gate(stmt: str, line: int, qreg_name: str | None, qreg_size: int) -> Gate:
     if qreg_name is None:
         raise QasmError("gate before qreg declaration", line)
-    name, param_text, arg_text = _split_params(stmt, line)
-    entry = _GATE_TABLE.get(name)
-    if entry is None:
+    m = _STATEMENT_RE.fullmatch(stmt)
+    if m is None:
+        raise QasmError(f"malformed statement {stmt!r}", line)
+    name, params, args = m.groups()
+    kind = _KINDS.get(name)
+    if kind is None:
         raise QasmError(f"unknown gate {name!r}", line)
-    kind, n_params, n_qubits = entry
-    params: list[float] = []
-    if param_text is not None:
-        body = param_text.strip()
-        parts = [p for p in body.split(",")] if body else []
-        params = [_ExprParser(p, line).parse() for p in parts]
-    if len(params) != n_params:
+    body = (params or "").strip()
+    angles = [_ExprParser(p, line).parse() for p in body.split(",")] if body else []
+    n_angles = 1 if kind in _gates.PARAMETERIZED else 0
+    if len(angles) != n_angles:
         raise QasmError(
-            f"gate {name!r} expects {n_params} parameter(s), got {len(params)}", line)
-    arg_text = arg_text.strip()
-    args = [a.strip() for a in arg_text.split(",")] if arg_text else []
+            f"gate {name!r} expects {n_angles} parameter(s), got {len(angles)}", line)
+    arg_list = [a.strip() for a in args.split(",")] if args else []
     qubits: list[int] = []
-    for a in args:
+    for a in arg_list:
         qm = _QUBIT_RE.fullmatch(a)
         if qm is None:
             raise QasmError(f"expected a qubit like {qreg_name}[0], got {a!r}", line)
@@ -222,19 +184,16 @@ def _parse_gate(stmt: str, line: int, qreg_name: str | None, qreg_size: int) -> 
             raise QasmError(
                 f"qubit index {idx} out of range for qreg of size {qreg_size}", line)
         qubits.append(idx)
+    n_qubits = 2 if kind in _gates.TWO_QUBIT_KINDS else 1
     if len(qubits) != n_qubits:
         raise QasmError(
             f"gate {name!r} expects {n_qubits} qubit(s), got {len(qubits)}", line)
-    if len(set(qubits)) != len(qubits):
-        raise QasmError(f"duplicate qubit in {name!r}", line)
-    parameter = params[0] if params else None
+    parameter = angles[0] if angles else None
     try:
-        if kind == "swap":
-            return Gate("swap", (qubits[0], qubits[1]))
-        if n_qubits == 2:
+        if kind in _gates.CONTROLLED_BASE:
             return Gate(kind, (qubits[1],), (qubits[0],), parameter)
-        return Gate(kind, (qubits[0],), parameter=parameter)
-    except Exception as exc:
+        return Gate(kind, tuple(qubits), parameter=parameter)
+    except InvalidArgumentError as exc:
         raise QasmError(str(exc), line)
 
 
@@ -247,18 +206,12 @@ def emit(c: Circuit) -> str:
 
 
 def _emit_gate(g: Gate) -> str:
-    if g.kind == "u":
-        raise QasmError("gate kind 'u' has no QASM spelling")
-    if g.kind in ("cx", "cz", "cp"):
-        if len(g.controls) != 1:
-            raise QasmError(f"cannot emit {g.kind} with {len(g.controls)} controls")
-        qubits = f"q[{g.controls[0]}],q[{g.targets[0]}]"
-    elif g.kind == "swap":
-        qubits = f"q[{g.targets[0]}],q[{g.targets[1]}]"
-    else:
-        if g.controls:
-            raise QasmError(f"cannot emit controlled {g.kind}")
-        qubits = f"q[{g.targets[0]}]"
+    if g.kind not in _KINDS:
+        raise QasmError(f"gate kind {g.kind!r} has no QASM spelling")
+    n_controls = 1 if g.kind in _gates.CONTROLLED_BASE else 0
+    if len(g.controls) != n_controls:
+        raise QasmError(f"cannot emit {g.kind} with {len(g.controls)} control(s)")
+    qubits = ",".join(f"q[{q}]" for q in g.controls + g.targets)
     if g.parameter is not None:
         return f"{g.kind}({g.parameter!r}) {qubits};"
     return f"{g.kind} {qubits};"

@@ -29,6 +29,7 @@ from .errors import (
     InternalError,
     InvalidArgumentError,
     PathValidationError,
+    UnsupportedGateError,
 )
 from .kernel import Edge, Kernel
 
@@ -150,16 +151,20 @@ def heuristic_path(g: Circuit, g_prime: Circuit) -> SimulationPath:
     second-half gates, so compiled counterparts cancel as they are consumed.
 
     The costs fit only when they sum to the second half's gate count, as
-    they do for ``transpile(g)``; any other second half is woven one for
-    one, like ``alternating_path``."""
+    they do for ``transpile(g)``; any other second half, and any ``g``
+    holding a gate with no decomposition rule, is woven one for one, like
+    ``alternating_path``."""
     if g.num_qubits != g_prime.num_qubits:
         raise InvalidArgumentError(
             f"qubit count mismatch: {g.num_qubits} vs {g_prime.num_qubits}")
     if len(g.gates) < 1 or len(g_prime.gates) < 1:
         raise InvalidArgumentError("both circuits need at least one gate")
-    costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
-    budgets = [costs[gate.kind] for gate in reversed(g.gates)]
-    if sum(budgets) != len(g_prime.gates):
+    try:
+        costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
+        budgets = [costs[gate.kind] for gate in reversed(g.gates)]
+    except UnsupportedGateError:
+        budgets = None
+    if budgets is None or sum(budgets) != len(g_prime.gates):
         budgets = [1] * len(g.gates)
     return _woven_path(len(g.gates), len(g_prime.gates), budgets)
 
@@ -365,6 +370,8 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
         t0 = time.perf_counter_ns()
         if initial is None:
             initial = kernel.make_zero_state(n)
+        if initial.node is None or len(initial.node.edges) != 2:
+            raise InvalidArgumentError("initial state must be a vector diagram")
         if initial.num_qubits != n:
             raise InvalidArgumentError(
                 f"initial state has {initial.num_qubits} qubits, circuit has {n}")

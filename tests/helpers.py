@@ -1,15 +1,23 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
 the reference path validator, the reference greedy planner, the reference
-value table, the explicit-form node count and the memo-free kernel."""
+value table, the explicit-form node count, the memo-free kernel and the
+reference OpenQASM parser."""
 from __future__ import annotations
 
 import cmath
 import math
 import random
+import re
 
 from ddpath.circuit import Circuit, Gate
-from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
+from ddpath.errors import (
+    InvalidArgumentError,
+    PathValidationError,
+    PlanningError,
+    QasmError,
+)
 from ddpath.kernel import EPS, Kernel, _INV_EPS
+from ddpath.qasm import _ExprParser
 from ddpath.simpath import SimulationPath, ValidatedTask
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
@@ -324,3 +332,148 @@ class MemoFreeKernel(Kernel):
         super().__init__()
         self._ct_mul = _Forgetful()
         self._ct_add = _Forgetful()
+
+
+# gate name -> (kind, parameter count, qubit count)
+_GATE_TABLE = {
+    "x": ("x", 0, 1), "y": ("y", 0, 1), "z": ("z", 0, 1), "h": ("h", 0, 1),
+    "s": ("s", 0, 1), "sdg": ("sdg", 0, 1), "t": ("t", 0, 1), "tdg": ("tdg", 0, 1),
+    "sx": ("sx", 0, 1), "sxdg": ("sxdg", 0, 1),
+    "p": ("p", 1, 1), "u1": ("p", 1, 1),
+    "ry": ("ry", 1, 1), "rz": ("rz", 1, 1),
+    "cx": ("cx", 0, 2), "cz": ("cz", 0, 2),
+    "cp": ("cp", 1, 2), "cu1": ("cp", 1, 2),
+    "swap": ("swap", 0, 2),
+}
+
+_QUBIT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+
+
+def _statements(text: str):
+    """Yield (statement, starting line) with comments stripped."""
+    clean_lines = []
+    for raw in text.split("\n"):
+        cut = raw.find("//")
+        clean_lines.append(raw if cut < 0 else raw[:cut])
+    buf: list[str] = []
+    start = None
+    for lineno, line in enumerate(clean_lines, start=1):
+        for ch in line:
+            if ch == ";":
+                stmt = "".join(buf).strip()
+                if stmt:
+                    yield stmt, start if start is not None else lineno
+                buf = []
+                start = None
+            else:
+                if ch.strip() and start is None:
+                    start = lineno
+                buf.append(ch)
+    tail = "".join(buf).strip()
+    if tail:
+        yield tail, start if start is not None else len(clean_lines)
+
+
+def reference_parse_qasm(text: str) -> Circuit:
+    """The per-character form of ``qasm.parse``: it strips comments line by
+    line and joins a statement's lines without a separator, so a line break
+    that alone separates two tokens glues them together.  Kept as the
+    reference the one-pass parser is compared against."""
+    qreg_name: str | None = None
+    qreg_size = 0
+    gates: list[Gate] = []
+    saw_header = False
+    for stmt, line in _statements(text):
+        if not saw_header:
+            if re.fullmatch(r"OPENQASM\s+2(\.0)?", stmt):
+                saw_header = True
+                continue
+            raise QasmError(f"expected OPENQASM 2.0 header, got {stmt!r}", line)
+        head = stmt.split(None, 1)[0] if stmt.split() else ""
+        if head == "include":
+            continue
+        if head == "qreg":
+            m = re.fullmatch(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", stmt)
+            if m is None:
+                raise QasmError(f"malformed qreg declaration {stmt!r}", line)
+            if qreg_name is not None:
+                raise QasmError("only one qreg is supported", line)
+            qreg_name = m.group(1)
+            qreg_size = int(m.group(2))
+            if qreg_size < 1:
+                raise QasmError("qreg size must be >= 1", line)
+            continue
+        if head in ("creg", "measure", "barrier"):
+            continue
+        gates.append(_parse_gate(stmt, line, qreg_name, qreg_size))
+    if not saw_header:
+        raise QasmError("expected OPENQASM 2.0 header", 1)
+    if qreg_name is None:
+        raise QasmError("no qreg declared", 1)
+    return Circuit(qreg_size, tuple(gates))
+
+
+def _split_params(stmt: str, line: int) -> tuple[str, str | None, str]:
+    """Split a gate statement into (name, parameter text, qubit argument text)."""
+    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*", stmt)
+    if m is None:
+        raise QasmError(f"malformed statement {stmt!r}", line)
+    name = m.group(1)
+    rest = stmt[m.end():]
+    if not rest.startswith("("):
+        return name, None, rest
+    depth = 0
+    for i, ch in enumerate(rest):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return name, rest[1:i], rest[i + 1:]
+    raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
+
+
+def _parse_gate(stmt: str, line: int, qreg_name: str | None, qreg_size: int) -> Gate:
+    if qreg_name is None:
+        raise QasmError("gate before qreg declaration", line)
+    name, param_text, arg_text = _split_params(stmt, line)
+    entry = _GATE_TABLE.get(name)
+    if entry is None:
+        raise QasmError(f"unknown gate {name!r}", line)
+    kind, n_params, n_qubits = entry
+    params: list[float] = []
+    if param_text is not None:
+        body = param_text.strip()
+        parts = [p for p in body.split(",")] if body else []
+        params = [_ExprParser(p, line).parse() for p in parts]
+    if len(params) != n_params:
+        raise QasmError(
+            f"gate {name!r} expects {n_params} parameter(s), got {len(params)}", line)
+    arg_text = arg_text.strip()
+    args = [a.strip() for a in arg_text.split(",")] if arg_text else []
+    qubits: list[int] = []
+    for a in args:
+        qm = _QUBIT_RE.fullmatch(a)
+        if qm is None:
+            raise QasmError(f"expected a qubit like {qreg_name}[0], got {a!r}", line)
+        if qm.group(1) != qreg_name:
+            raise QasmError(f"unknown register {qm.group(1)!r}", line)
+        idx = int(qm.group(2))
+        if idx >= qreg_size:
+            raise QasmError(
+                f"qubit index {idx} out of range for qreg of size {qreg_size}", line)
+        qubits.append(idx)
+    if len(qubits) != n_qubits:
+        raise QasmError(
+            f"gate {name!r} expects {n_qubits} qubit(s), got {len(qubits)}", line)
+    if len(set(qubits)) != len(qubits):
+        raise QasmError(f"duplicate qubit in {name!r}", line)
+    parameter = params[0] if params else None
+    try:
+        if kind == "swap":
+            return Gate("swap", (qubits[0], qubits[1]))
+        if n_qubits == 2:
+            return Gate(kind, (qubits[1],), (qubits[0],), parameter)
+        return Gate(kind, (qubits[0],), parameter=parameter)
+    except Exception as exc:
+        raise QasmError(str(exc), line)

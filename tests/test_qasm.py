@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddpath import emit_qasm, parse_qasm, qft
+from ddpath import emit_qasm, parse_qasm, qft, transpile
 from ddpath.errors import QasmError
 
-from helpers import random_circuit
+from helpers import random_circuit, reference_parse_qasm
 
 QFT3 = """\
 OPENQASM 2.0;
@@ -78,6 +78,14 @@ class TestParse:
         c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncp(pi/2)\n  q[0],\n  q[1];\n")
         assert c.gates[0].kind == "cp"
 
+    @pytest.mark.parametrize("text", [
+        "OPENQASM 2.0;\nqreg q[2];\nh\nq[0];\n",
+        "OPENQASM 2.0;\nqreg\nq[2];\nh q[0];\n",
+        "OPENQASM\n2.0;\nqreg q[2];\nh q[0];\n",
+    ])
+    def test_line_break_separates_tokens(self, text):
+        assert parse_qasm(text) == parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n")
+
     @pytest.mark.parametrize("expr,value", [
         ("pi/2", math.pi / 2),
         ("3*pi/4", 3 * math.pi / 4),
@@ -124,3 +132,87 @@ class TestRoundTrip:
         c = Circuit(1, (Gate("u", (0,), matrix=(1, 0, 0, 1)),))
         with pytest.raises(QasmError):
             emit_qasm(c)
+
+
+def _outcome(parse, text):
+    """``(num_qubits, gates)`` of the parsed text, or the line of its error."""
+    try:
+        c = parse(text)
+    except QasmError as exc:
+        return ("error", exc.line)
+    return (c.num_qubits, c.gates)
+
+
+def _noisy(rng: random.Random, text: str) -> str:
+    """``text`` with extra spaces, blank lines, ``//`` comments and
+    statements broken after commas.  Tokens stay apart by more than a
+    line break alone, which the reference parser would glue together."""
+    out = []
+    for stmt in text.splitlines():
+        if rng.random() < 0.3:
+            out.append("")
+        if rng.random() < 0.2:
+            out.append(rng.choice(["// note", "  // h q[0];", "//x;y,z"]))
+        stmt = stmt.replace(" ", rng.choice([" ", "  ", "\t"]), 1)
+        stmt = stmt.replace("(", rng.choice(["(", " ( ", "( "]))
+        stmt = stmt.replace(",", rng.choice([",", ", ", ",\n", ", \n  ", ", // c\n"]))
+        stmt = stmt.replace(";", rng.choice([";", " ;", "; // end"]))
+        out.append(rng.choice(["", "  ", "\t"]) + stmt)
+    return "\n".join(out) + rng.choice(["", "\n", "\n\n"])
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one to three characters deleted or inserted; no line
+    break is inserted."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice("();,[]q0 /.-xp") + text[at:]
+    return text
+
+
+_HEAD = "OPENQASM 2.0;\nqreg q[2];\n"
+BAD_INPUTS = [
+    "", "OPENQASM 3.0;", "qreg q[1];\nh q[0];", "OPENQASM 2.0;", "OPENQASM 2.0;\nh q[0];",
+    "OPENQASM 2.0;\nqreg q[0];", "OPENQASM 2.0;\nqreg q;", "OPENQASM 2.0;\nqreg(2) q[2];",
+    _HEAD + "qreg r[1];", _HEAD + "foo q[0];", _HEAD + "u q[0];", _HEAD + "u(0.5) q[0];",
+    _HEAD + "h(0.5) q[0];", _HEAD + "p q[0];", _HEAD + "p() q[0];", _HEAD + "cp(pi,pi) q[0],q[1];",
+    _HEAD + "p(pi/0) q[0];", _HEAD + "p((pi) q[0];", _HEAD + "p(pi)) q[0];", _HEAD + "p(pi q[0];",
+    _HEAD + "p(1e400) q[0];", _HEAD + "cx q[0];", _HEAD + "cx q[0],q[0];",
+    _HEAD + "swap q[1],q[1];", _HEAD + "cu1(pi) q[0];", _HEAD + "h r[0];", _HEAD + "h q[5];",
+    _HEAD + "h q0;", _HEAD + "h q[-1];", _HEAD + "h q[1.5];", _HEAD + "h q[0],q[1];",
+    _HEAD + "cx q[0] q[1];", _HEAD + "3 q[0];", _HEAD + "[0];", _HEAD + "h q[0]\nx q[1];",
+    _HEAD + "h q[0];;\n\n  x q[1]  // c\n;", _HEAD + "h() q[0];", _HEAD + "h q[0]",
+    _HEAD + "measure q[0] -> c[0];\nbarrier q;", "// c\n\nOPENQASM 2;\nqreg q[1];\nx q[1];",
+]
+
+
+class TestAgainstReference:
+    """The one-pass parser against the per-character reference parser:
+    equal gates, or a QasmError on the same line."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_texts(self, seed):
+        rng = random.Random(seed)
+        c = random_circuit(rng, rng.randint(1, 5), rng.randint(0, 15),
+                           allow_u=False, allow_controls=False)
+        text = emit_qasm(c)
+        noisy = _noisy(rng, text)
+        for t in (text, noisy):
+            assert _outcome(parse_qasm, t) == _outcome(reference_parse_qasm, t) \
+                == (c.num_qubits, c.gates)
+        for _ in range(25):
+            bad = _mutated(rng, rng.choice((text, noisy)))
+            assert _outcome(parse_qasm, bad) == _outcome(reference_parse_qasm, bad), bad
+
+    @pytest.mark.parametrize("text", BAD_INPUTS)
+    def test_bad_inputs(self, text):
+        assert _outcome(parse_qasm, text) == _outcome(reference_parse_qasm, text)
+
+    @pytest.mark.parametrize("circuit", [qft(32), transpile(qft(32))], ids=["qft", "transpiled"])
+    def test_benchmark_texts(self, circuit):
+        # the two texts the miter-heuristic workload parses
+        text = emit_qasm(circuit)
+        assert parse_qasm(text).gates == reference_parse_qasm(text).gates == circuit.gates

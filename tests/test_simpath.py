@@ -282,11 +282,11 @@ class TestHeuristicPath:
         assert heuristic_path(g, g).tasks == alternating_path(count, count).tasks
         assert heuristic_path(g, gp).tasks != alternating_path(count, len(gp.gates)).tasks
 
-    def test_missing_cost_rejected(self):
-        from ddpath.errors import UnsupportedGateError
-        c = Circuit(1, (Gate("u", (0,), matrix=(1, 0, 0, 1)),))
-        with pytest.raises(UnsupportedGateError):
-            heuristic_path(c, c)
+    def test_missing_cost_weaves_one_for_one(self):
+        # a u gate has no decomposition rule, so G' cannot be the transpiled G
+        c = Circuit(2, (Gate("u", (0,), matrix=(0, 1, 1, 0)), h(1)))
+        assert heuristic_path(c, c).tasks == alternating_path(2, 2).tasks
+        assert verify_equivalence(c, c, "heuristic").verdict == "consistent"
 
 
 class TestExecute:
@@ -363,6 +363,11 @@ class TestExecute:
         k = Kernel()
         with pytest.raises(InvalidArgumentError):
             execute(ghz(3), kernel=k, initial=k.make_zero_state(2))
+
+    def test_operator_as_initial_state_rejected(self):
+        k = Kernel()
+        with pytest.raises(InvalidArgumentError, match="vector"):
+            execute(ghz(2), kernel=k, initial=k.make_gate(h(1), 2))
 
     def test_observer_sees_every_task(self):
         seen = []
