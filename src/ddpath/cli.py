@@ -68,6 +68,15 @@ def _circuit_meta(source: str, c: Circuit) -> dict:
     return {"source": source, "qubits": c.num_qubits, "gates": len(c.gates)}
 
 
+def _write_output(text: str, out: str) -> None:
+    """``text`` and a newline to the file ``out``, or to stdout when it is empty."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_simulate(args) -> int:
     circuit = parse_circuit_source(args.circuit)
     kernel = Kernel()
@@ -119,12 +128,7 @@ def cmd_verify(args) -> int:
 def cmd_export_tn(args) -> int:
     circuit = parse_circuit_source(args.circuit)
     tn = tnbridge.export_tensor_network(circuit)
-    text = json.dumps(tn.to_json(), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_output(json.dumps(tn.to_json(), indent=2), args.out)
     return EXIT_OK
 
 
@@ -133,12 +137,7 @@ def cmd_dot(args) -> int:
     kernel = Kernel()
     path = simpath.make_path(args.path, circuit)
     final, _ = simpath.execute(circuit, path, kernel)
-    text = kernel.to_dot(final)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_output(kernel.to_dot(final), args.out)
     return EXIT_OK
 
 
@@ -199,12 +198,7 @@ def cmd_bench(args) -> int:
                     continue
                 rows.append(f"{family},{n},{gates},{strategy},"
                             f"{stats.peak_nodes},{stats.final_nodes},{stats.elapsed_ns}")
-    text = "\n".join(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_output("\n".join(rows), args.out)
     return EXIT_INPUT if failed else EXIT_OK
 
 

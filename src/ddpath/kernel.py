@@ -287,13 +287,6 @@ class Kernel:
                 e = self._vnode(level, self.zero_edge, e)
         return e
 
-    def identity(self, n: int) -> Edge:
-        """Identity operator over ``n`` qubits: the terminal edge, since every
-        level it skips is an identity level (n nodes in the explicit form)."""
-        if n < 1:
-            raise InvalidArgumentError(f"qubit count must be >= 1, got {n}")
-        return self.one_terminal
-
     def _terminal(self, value: complex) -> Edge:
         w = self.intern(value)
         return self.zero_edge if w == 0 else Edge(w, None)
@@ -374,24 +367,9 @@ class Kernel:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def add(self, a: Edge, b: Edge) -> Edge:
-        """Element-wise sum of two diagrams of the same kind; two vectors
-        must have the same level."""
-        if a.is_zero:
-            return b
-        if b.is_zero:
-            return a
-        if a.node is None or b.node is None:
-            raise InvalidArgumentError("add needs two non-terminal edges")
-        na, nb = len(a.node.edges), len(b.node.edges)
-        if na != nb:
-            raise InvalidArgumentError("cannot add a vector and a matrix diagram")
-        if na == 2 and a.node.level != b.node.level:
-            raise InvalidArgumentError(
-                f"level mismatch in add: {a.node.level} vs {b.node.level}")
-        return self._add(a, b)
-
     def _add(self, a: Edge, b: Edge) -> Edge:
+        """Element-wise sum of two diagrams of one kind; two vectors must
+        sit at the same level."""
         if a.node is None and a.w == 0:
             return b
         if b.node is None and b.w == 0:

@@ -7,10 +7,14 @@ ends at ``;``, any whitespace (line breaks included) separates tokens, and
 ``//`` starts a comment that runs to the end of the line.  Angles are
 finite expressions over numbers and ``pi`` using + - * /, unary signs and
 parentheses.  A program opens with the ``OPENQASM 2.0`` header and declares
-one ``qreg``; ``include``, ``creg``, ``measure`` and ``barrier`` statements
-are skipped.  Custom gate definitions, register broadcast (``h q;``) and
-``if`` are not supported.  Malformed input raises ``QasmError`` with the
-line of the statement's first character.
+one ``qreg``; ``include`` is skipped.  ``creg``, ``measure`` and
+``barrier`` are checked and then skipped: ``creg c[n]`` declares a new
+name with ``n >= 1``; ``measure a -> b`` reads the qreg or one of its
+qubits into a creg or one of its bits, both indexed or both whole registers
+of equal size; ``barrier`` lists the qreg or its qubits, separated by
+commas.  Custom gate definitions, register broadcast (``h q;``) and ``if``
+are not supported.  Malformed input raises ``QasmError`` with the line of
+the statement's first character.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ _HEADER_RE = re.compile(r"OPENQASM\s+2(\.0)?")
 _KEYWORD_RE = re.compile(r"(qreg|include|creg|measure|barrier)(?:\s+(.*))?", re.DOTALL)
 # name [ "(" params ")" ] args
 _STATEMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(.*)", re.DOTALL)
-_QUBIT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]")
+# a whole register or one of its bits
+_ARG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?")
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                        r"|\d+(?:[eE][+-]?\d+)?|pi|[()*/+-])")
@@ -117,8 +122,8 @@ class _ExprParser:
 
 def parse(text: str) -> Circuit:
     """Parse OpenQASM 2.0 subset source into a Circuit."""
-    qreg_name: str | None = None
-    qreg_size = 0
+    qreg: dict[str, int] = {}      # the one qreg: name -> size
+    cregs: dict[str, int] = {}
     gates: list[Gate] = []
     saw_header = False
     line = 1
@@ -137,26 +142,61 @@ def parse(text: str) -> Circuit:
             continue
         k = _KEYWORD_RE.fullmatch(stmt)
         if k is None:
-            gates.append(_parse_gate(stmt, start, qreg_name, qreg_size))
-        elif k.group(1) == "qreg":
-            qm = _QUBIT_RE.fullmatch(k.group(2) or "")
-            if qm is None:
-                raise QasmError(f"malformed qreg declaration {stmt!r}", start)
-            if qreg_name is not None:
+            gates.append(_parse_gate(stmt, start, qreg))
+            continue
+        keyword, rest = k.group(1), k.group(2) or ""
+        if keyword in ("qreg", "creg"):
+            qm = _ARG_RE.fullmatch(rest)
+            if qm is None or qm.group(2) is None:
+                raise QasmError(f"malformed {keyword} declaration {stmt!r}", start)
+            name, size = qm.group(1), int(qm.group(2))
+            if keyword == "qreg" and qreg:
                 raise QasmError("only one qreg is supported", start)
-            qreg_name = qm.group(1)
-            qreg_size = int(qm.group(2))
-            if qreg_size < 1:
-                raise QasmError("qreg size must be >= 1", start)
+            if name in qreg or name in cregs:
+                raise QasmError(f"register {name!r} is already declared", start)
+            if size < 1:
+                raise QasmError(f"{keyword} size must be >= 1", start)
+            (qreg if keyword == "qreg" else cregs)[name] = size
+        elif keyword == "measure":
+            sides = rest.split("->")
+            if len(sides) != 2:
+                raise QasmError(f"malformed measure {stmt!r}", start)
+            qname, qi = _register_arg(sides[0], qreg, start)
+            cname, ci = _register_arg(sides[1], cregs, start)
+            if (qi is None) != (ci is None) or qi is None and qreg[qname] != cregs[cname]:
+                raise QasmError(
+                    "measure needs two bits or two registers of equal size", start)
+        elif keyword == "barrier":
+            for arg in rest.split(","):
+                _register_arg(arg, qreg, start)
     if not saw_header:
         raise QasmError("expected OPENQASM 2.0 header", 1)
-    if qreg_name is None:
+    if not qreg:
         raise QasmError("no qreg declared", 1)
-    return Circuit(qreg_size, tuple(gates))
+    (size,) = qreg.values()
+    return Circuit(size, tuple(gates))
 
 
-def _parse_gate(stmt: str, line: int, qreg_name: str | None, qreg_size: int) -> Gate:
-    if qreg_name is None:
+def _register_arg(arg: str, registers: dict[str, int], line: int) -> tuple[str, int | None]:
+    """``(name, index)`` of a whole register of ``registers`` (index None)
+    or of one of its bits."""
+    m = _ARG_RE.fullmatch(arg.strip())
+    if m is None:
+        raise QasmError(f"expected a register or a bit like q[0], got {arg.strip()!r}", line)
+    name, index = m.group(1), m.group(2)
+    if name not in registers:
+        raise QasmError(f"unknown register {name!r}", line)
+    if index is None:
+        return name, None
+    if int(index) >= registers[name]:
+        raise QasmError(
+            f"index {index} out of range for register {name!r} of size {registers[name]}",
+            line)
+    return name, int(index)
+
+
+def _parse_gate(stmt: str, line: int, qreg: dict[str, int]) -> Gate:
+    if not qreg:
         raise QasmError("gate before qreg declaration", line)
     m = _STATEMENT_RE.fullmatch(stmt)
     if m is None:
@@ -171,18 +211,11 @@ def _parse_gate(stmt: str, line: int, qreg_name: str | None, qreg_size: int) -> 
     if len(angles) != n_angles:
         raise QasmError(
             f"gate {name!r} expects {n_angles} parameter(s), got {len(angles)}", line)
-    arg_list = [a.strip() for a in args.split(",")] if args else []
     qubits: list[int] = []
-    for a in arg_list:
-        qm = _QUBIT_RE.fullmatch(a)
-        if qm is None:
-            raise QasmError(f"expected a qubit like {qreg_name}[0], got {a!r}", line)
-        if qm.group(1) != qreg_name:
-            raise QasmError(f"unknown register {qm.group(1)!r}", line)
-        idx = int(qm.group(2))
-        if idx >= qreg_size:
-            raise QasmError(
-                f"qubit index {idx} out of range for qreg of size {qreg_size}", line)
+    for a in args.split(",") if args else []:
+        _, idx = _register_arg(a, qreg, line)
+        if idx is None:
+            raise QasmError(f"register broadcast {a.strip()!r} is not supported", line)
         qubits.append(idx)
     n_qubits = 2 if kind in _gates.TWO_QUBIT_KINDS else 1
     if len(qubits) != n_qubits:

@@ -38,12 +38,13 @@ STRATEGIES = ("sequential", "alternating", "heuristic", "greedy")
 
 
 def as_index(value, what: str) -> int:
-    """``value`` as an int; a non-integral value is an error, never truncated."""
+    """``value`` as an int; a non-integral value is an error, never truncated,
+    and so is a bool, which JSON reads as ``true`` / ``false``."""
     try:
         i = int(value)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != value:
+    if i is None or i != value or isinstance(value, bool):
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     return i
 
@@ -207,15 +208,6 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
 # ----------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidatedTask:
-    index: int                 # 1-based task number
-    left: int                  # operand applied later (the left factor)
-    right: int
-    result: int
-    matrix_vector: bool        # right operand carries the state
-
-
 class _Operand:
     __slots__ = ("span", "has_state", "hi")
 
@@ -241,8 +233,9 @@ def _order_conflict(left: _Operand, right: _Operand) -> tuple | None:
     return None
 
 
-def validate(path: SimulationPath, circuit: Circuit) -> tuple[ValidatedTask, ...]:
-    """Check usage and ordering rules and fix each task's operand orientation.
+def validate(path: SimulationPath, circuit: Circuit) -> tuple[tuple[int, int], ...]:
+    """Check usage and ordering rules; return each task's operands as an
+    oriented ``(left, right)`` pair, the left factor applied later.
 
     A product ``left · right`` is order-safe when, on every qubit both
     operands act on, the left factor's first gate comes after the right
@@ -260,7 +253,7 @@ def validate(path: SimulationPath, circuit: Circuit) -> tuple[ValidatedTask, ...
     operands = {0: _Operand({}, True, 0)}
     for k, gate in enumerate(circuit.gates, start=1):
         operands[k] = _Operand(dict.fromkeys(gate.qubits, (k, k)), False, k)
-    out: list[ValidatedTask] = []
+    out: list[tuple[int, int]] = []
     for ti, (a, b) in enumerate(path.tasks, start=1):
         result = count + ti
         if a == b:
@@ -296,7 +289,7 @@ def validate(path: SimulationPath, circuit: Circuit) -> tuple[ValidatedTask, ...
             big[q] = (first, last) if old is None \
                 else (min(first, old[0]), max(last, old[1]))
         operands[result] = _Operand(big, has_state, max(oa.hi, ob.hi))
-        out.append(ValidatedTask(ti, left, right, result, has_state))
+        out.append((left, right))
     return tuple(out)
 
 
@@ -390,35 +383,31 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                     peak = size
             return e
 
+        count = len(circuit.gates)
         counts: list[int] = []
         try:
-            for vt in tasks:
-                left = fetch(vt.left)
-                right = fetch(vt.right)
-                if vt.matrix_vector:
-                    if not _is_operator(left) \
-                            or right.node is None or len(right.node.edges) != 2:
-                        raise InternalError(
-                            f"task {vt.index}: operands do not form a matrix-vector product")
-                    result = kernel.multiply_mv(left, right)
-                else:
-                    if not (_is_operator(left) and _is_operator(right)):
-                        raise InternalError(
-                            f"task {vt.index}: operands do not form a matrix-matrix product")
+            for ti, (a, b) in enumerate(tasks, start=1):
+                left = fetch(a)
+                right = fetch(b)
+                if not _is_operator(left):
+                    raise InternalError(f"task {ti}: left operand is not an operator")
+                if _is_operator(right):
                     result = kernel.multiply_mm(left, right)
-                env[vt.result] = result
+                else:
+                    result = kernel.multiply_mv(left, right)
+                env[count + ti] = result
                 size = kernel.node_count(result, n)
                 counts.append(size)
                 if size > peak:
                     peak = size
                 if observer is not None:
-                    observer(vt.index, result)
+                    observer(ti, result)
                 if kernel.unique_size > gc_threshold:
                     kernel.gc(env.values())
                     gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
         except RecursionError as exc:
-            raise CapacityError(f"task {vt.index}: {_too_deep(n)}") from exc
-        final = env[2 * len(circuit.gates)]
+            raise CapacityError(f"task {ti}: {_too_deep(n)}") from exc
+        final = env[2 * count]
         kernel.inc_ref(final)
         elapsed = time.perf_counter_ns() - t0
         stats = RunStats(

@@ -51,16 +51,6 @@ class TensorNetworkDescription:
             "output_indices": list(self.output_indices),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "TensorNetworkDescription":
-        tensors = tuple(
-            Tensor(simpath.as_index(t["id"], "tensor id"), tuple(t["indices"]),
-                   tuple(simpath.as_index(s, "tensor shape") for s in t["shape"]),
-                   t["tag"])
-            for t in data["tensors"])
-        return cls(simpath.as_index(data["qubits"], "qubits"), tensors,
-                   tuple(data["output_indices"]))
-
 
 # ----------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
-the reference path validator, the reference greedy planner, the reference
+the reference path validators, the reference greedy planner, the reference
 value table, the explicit-form node count, the memo-free kernel and the
 reference OpenQASM parser."""
 from __future__ import annotations
@@ -18,7 +18,8 @@ from ddpath.errors import (
 )
 from ddpath.kernel import EPS, Kernel, _INV_EPS
 from ddpath.qasm import _ExprParser
-from ddpath.simpath import SimulationPath, ValidatedTask
+from ddpath.simpath import SimulationPath
+from ddpath.tnbridge import export_tensor_network
 
 SINGLE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "p", "ry", "rz"]
 TWO_KINDS = ["cx", "cz", "cp", "swap"]
@@ -175,7 +176,7 @@ def reference_validate(path, circuit):
         live.discard(b)
         consumed.update((a, b))
         live.add(result)
-        out.append(ValidatedTask(ti, chosen[0], chosen[1], result, has_state))
+        out.append(chosen)
     final = 2 * count
     if live != {final}:
         raise PathValidationError(f"path does not reduce to one result: {sorted(live)}")
@@ -196,32 +197,46 @@ def _reach(start, step) -> set:
     return seen
 
 
+class _LiveOrder:
+    """The order of the live tensors of a network under contraction: a live
+    tensor comes before another when one of its members shares a label with
+    a higher-id member of the other."""
+
+    def __init__(self, labels: dict[int, frozenset[str]]):
+        self.after = {t: [u for u in labels if u > t and labels[u] & labels[t]]
+                      for t in labels}
+        self.before = {t: [u for u in labels if u < t and labels[u] & labels[t]]
+                       for t in labels}
+        self.members = {tid: [tid] for tid in labels}
+        self.owner = {tid: tid for tid in labels}
+
+    def later(self, x) -> set:
+        return {self.owner[u] for m in self.members[x] for u in self.after[m]}
+
+    def earlier(self, x) -> set:
+        return {self.owner[u] for m in self.members[x] for u in self.before[m]}
+
+    def convex(self, a, b) -> bool:
+        """No live tensor lies both after and before the pair."""
+        return not (_reach((a, b), self.later) & _reach((a, b), self.earlier)) - {a, b}
+
+    def merge(self, a, b, result) -> None:
+        self.members[result] = self.members.pop(a) + self.members.pop(b)
+        for m in self.members[result]:
+            self.owner[m] = result
+
+
 def reference_greedy_plan(tn, convex: bool = True):
     """All-pairs form of ``tnbridge.greedy_plan``: rescans every pair of
     live tensors at each step and, with ``convex``, tests a pair's legality
     by searching the order of the live tensors for a tensor after the pair
-    and before it.  In that order a live tensor comes before another when
-    one of its members shares a label with a higher-id member of the other.
-    Kept as the reference the heap-driven, bitset-keeping planner is
-    compared against; ``convex=False`` is the plain tensor-network greedy,
-    which ignores the order of the gates."""
+    and before it.  Kept as the reference the heap-driven, bitset-keeping
+    planner is compared against; ``convex=False`` is the plain
+    tensor-network greedy, which ignores the order of the gates."""
     active: dict[int, frozenset[str]] = {t.id: frozenset(t.indices) for t in tn.tensors}
     if len(active) != len(tn.tensors):
         raise PlanningError("duplicate tensor ids")
-    after = {t: [u for u in active if u > t and active[u] & active[t]] for t in active}
-    before = {t: [u for u in active if u < t and active[u] & active[t]] for t in active}
-    members = {tid: [tid] for tid in active}
-    owner = {tid: tid for tid in active}
-
-    def legal(a, b):
-        def later(x):
-            return {owner[u] for m in members[x] for u in after[m]}
-
-        def earlier(x):
-            return {owner[u] for m in members[x] for u in before[m]}
-
-        return not (_reach((a, b), later) & _reach((a, b), earlier)) - {a, b}
-
+    order = _LiveOrder(active)
     next_id = max(active) + 1 if active else 0
     pairs: list[tuple[int, int]] = []
     while len(active) > 1:
@@ -237,7 +252,7 @@ def reference_greedy_plan(tn, convex: bool = True):
                 rank_cost = 1 << len(result)
                 input_cost = (1 << len(ia)) + (1 << len(ib))
                 cand = (rank_cost, input_cost, a, b)
-                if (best is None or cand < best) and (not convex or legal(a, b)):
+                if (best is None or cand < best) and (not convex or order.convex(a, b)):
                     best = cand
         if best is None:
             raise PlanningError(
@@ -246,11 +261,41 @@ def reference_greedy_plan(tn, convex: bool = True):
         _, _, a, b = best
         pairs.append((a, b))
         active[next_id] = active.pop(a) ^ active.pop(b)
-        members[next_id] = members.pop(a) + members.pop(b)
-        for m in members[next_id]:
-            owner[m] = next_id
+        order.merge(a, b, next_id)
         next_id += 1
     return SimulationPath(tuple(pairs))
+
+
+def reference_convex_validate(path, circuit):
+    """Replay ``path`` over ``export_tensor_network(circuit)`` and accept it
+    when every pair is convex in the order of the live tensors, the rule
+    ``reference_greedy_plan`` plans by.  Returns the pairs oriented as
+    ``simpath.validate`` orients them: the state, or else the earlier
+    operand, on the right, and two unrelated operands by their highest
+    gate.  Raises ``PathValidationError`` at the first pair that is not
+    convex or does not name two live tensors.  Kept as the reference that
+    the per-qubit span rule of ``validate`` accepts the same paths."""
+    count = len(circuit.gates)
+    if len(path.tasks) != count:
+        raise PathValidationError(
+            f"expected exactly {count} tasks, got {len(path.tasks)}")
+    tn = export_tensor_network(circuit)
+    order = _LiveOrder({t.id: frozenset(t.indices) for t in tn.tensors})
+    members = order.members
+    out = []
+    for ti, (a, b) in enumerate(path.tasks, start=1):
+        if a == b or a not in members or b not in members:
+            raise PathValidationError(f"pair ({a}, {b}) does not name two live tensors", ti)
+        if not order.convex(a, b):
+            raise PathValidationError(f"pair ({a}, {b}) is not convex", ti)
+        if 0 in members[a] or b in order.later(a):
+            out.append((b, a))
+        elif 0 in members[b] or a in order.later(b):
+            out.append((a, b))
+        else:
+            out.append((a, b) if max(members[a]) > max(members[b]) else (b, a))
+        order.merge(a, b, count + ti)
+    return tuple(out)
 
 
 class ReferenceKernel(Kernel):
@@ -381,6 +426,7 @@ def reference_parse_qasm(text: str) -> Circuit:
     reference the one-pass parser is compared against."""
     qreg_name: str | None = None
     qreg_size = 0
+    cregs: dict[str, int] = {}
     gates: list[Gate] = []
     saw_header = False
     for stmt, line in _statements(text):
@@ -398,12 +444,15 @@ def reference_parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"malformed qreg declaration {stmt!r}", line)
             if qreg_name is not None:
                 raise QasmError("only one qreg is supported", line)
+            if m.group(1) in cregs:
+                raise QasmError(f"register {m.group(1)!r} is already declared", line)
             qreg_name = m.group(1)
             qreg_size = int(m.group(2))
             if qreg_size < 1:
                 raise QasmError("qreg size must be >= 1", line)
             continue
         if head in ("creg", "measure", "barrier"):
+            _check_classical(head, stmt[len(head):], line, qreg_name, qreg_size, cregs)
             continue
         gates.append(_parse_gate(stmt, line, qreg_name, qreg_size))
     if not saw_header:
@@ -411,6 +460,69 @@ def reference_parse_qasm(text: str) -> Circuit:
     if qreg_name is None:
         raise QasmError("no qreg declared", 1)
     return Circuit(qreg_size, tuple(gates))
+
+
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | frozenset("0123456789")
+
+
+def _split_register_arg(arg: str, line: int) -> tuple[str, int | None]:
+    """``(name, index)`` of ``name`` or ``name[index]``, read character by
+    character."""
+    text = arg.strip()
+    i = 0
+    while i < len(text) and text[i] in (_NAME_CHARS if i else _NAME_START):
+        i += 1
+    if i == 0:
+        raise QasmError(f"expected a register, got {text!r}", line)
+    if i == len(text):
+        return text, None
+    digits = text[i + 1:-1]
+    if text[i] != "[" or text[-1] != "]" or not digits.isdecimal():
+        raise QasmError(f"expected a register or a bit, got {text!r}", line)
+    return text[:i], int(digits)
+
+
+def _check_register_arg(arg: str, registers: dict, line: int) -> tuple[str, int | None]:
+    name, index = _split_register_arg(arg, line)
+    if name not in registers:
+        raise QasmError(f"unknown register {name!r}", line)
+    if index is not None and index >= registers[name]:
+        raise QasmError(f"index {index} out of range for {name!r}", line)
+    return name, index
+
+
+def _check_classical(head: str, rest: str, line: int, qreg_name, qreg_size, cregs) -> None:
+    """Check a ``creg``, ``measure`` or ``barrier`` statement; a ``creg``
+    is recorded in ``cregs``."""
+    qregs = {} if qreg_name is None else {qreg_name: qreg_size}
+    if head == "creg":
+        name, size = _split_register_arg(rest, line)
+        if size is None:
+            raise QasmError("creg needs a size", line)
+        if name in qregs or name in cregs:
+            raise QasmError(f"register {name!r} is already declared", line)
+        if size < 1:
+            raise QasmError("creg size must be >= 1", line)
+        cregs[name] = size
+    elif head == "measure":
+        arrow = rest.find("->")
+        if arrow < 0 or "->" in rest[arrow + 2:]:
+            raise QasmError("measure needs one '->'", line)
+        qname, qi = _check_register_arg(rest[:arrow], qregs, line)
+        cname, ci = _check_register_arg(rest[arrow + 2:], cregs, line)
+        if (qi is None) != (ci is None):
+            raise QasmError("measure mixes a bit and a register", line)
+        if qi is None and qregs[qname] != cregs[cname]:
+            raise QasmError("measure between registers of different sizes", line)
+    else:
+        buf = ""
+        for ch in rest + ",":
+            if ch == ",":
+                _check_register_arg(buf, qregs, line)
+                buf = ""
+            else:
+                buf += ch
 
 
 def _split_params(stmt: str, line: int) -> tuple[str, str | None, str]:

@@ -118,7 +118,7 @@ def test_exponential_vs_linear_separation():
         combined = concat_inverse(g, g)
         kernel = Kernel()
         initial = ghz_initial(kernel, n)
-        ident = kernel.identity(n)
+        ident = kernel.one_terminal
         kernel.inc_ref(ident)
         _, seq = execute(combined, sequential_path(len(combined.gates)), kernel,
                          initial)

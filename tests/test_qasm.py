@@ -65,9 +65,20 @@ class TestParse:
 
     def test_ignored_statements(self):
         text = ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
-                "h q[0];\nbarrier q[0],q[1];\nmeasure q[0] -> c[0];\n")
-        c = parse_qasm(text)
-        assert [g.kind for g in c.gates] == ["h"]
+                "h q[0];\nmeasure q[1] -> c[1];\nmeasure q -> c;\nbarrier q;\n"
+                "barrier q[0],q[1];\nx q[1];\n")
+        for parse in (parse_qasm, reference_parse_qasm):
+            c = parse(text)
+            assert c.num_qubits == 2 and [g.kind for g in c.gates] == ["h", "x"]
+
+    @pytest.mark.parametrize("stmt", [
+        "measure q[9] -> c[0];", "barrier r[0];", "creg c[1];", "measure q[0] -> d[0];",
+        "measure q -> c[0];", "measure q[0] -> c;", "barrier;", "creg d[0];",
+    ])
+    def test_bad_checked_statement_names_its_line(self, stmt):
+        with pytest.raises(QasmError) as exc:
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n" + stmt + "\nx q[1];\n")
+        assert exc.value.line == 5
 
     def test_u1_and_cu1_aliases(self):
         c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nu1(pi/8) q[0];\ncu1(pi/8) q[0],q[1];\n")
@@ -186,6 +197,11 @@ BAD_INPUTS = [
     _HEAD + "cx q[0] q[1];", _HEAD + "3 q[0];", _HEAD + "[0];", _HEAD + "h q[0]\nx q[1];",
     _HEAD + "h q[0];;\n\n  x q[1]  // c\n;", _HEAD + "h() q[0];", _HEAD + "h q[0]",
     _HEAD + "measure q[0] -> c[0];\nbarrier q;", "// c\n\nOPENQASM 2;\nqreg q[1];\nx q[1];",
+    _HEAD + "creg c[0];", _HEAD + "creg q[1];", _HEAD + "creg c[1];\ncreg c[2];",
+    _HEAD + "creg c;", _HEAD + "creg c[3];\nmeasure q -> c;", _HEAD + "creg c[2];\nbarrier;",
+    _HEAD + "creg c[2];\nmeasure q[0] -> c;", _HEAD + "creg c[2];\nmeasure q[0] c[0];",
+    _HEAD + "creg c[2];\nmeasure q[0] -> c[0] -> c[1];", _HEAD + "barrier q[0],,q[1];",
+    "OPENQASM 2.0;\ncreg q[2];\nqreg q[2];", "OPENQASM 2.0;\nbarrier q;\nqreg q[2];",
 ]
 
 

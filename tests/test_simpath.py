@@ -33,10 +33,23 @@ from ddpath.circuit import GENERATORS, Circuit, Gate, cx, decomposition_cost, h,
 from ddpath.errors import CapacityError, InvalidArgumentError, PathValidationError
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
-from helpers import random_circuit, reference_greedy_plan, reference_validate
+from helpers import (random_circuit, reference_convex_validate, reference_greedy_plan,
+                     reference_validate)
 
 TREE_PATH_7 = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13))
 CHAIN_PATH_7 = ((0, 1), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12), (7, 13))
+
+
+def _matrix_vector(pairs, count):
+    """Per task, whether its right operand carries the state, which starts
+    at index 0 and moves into every result that absorbs it."""
+    state = 0
+    flags = []
+    for k, (_, right) in enumerate(pairs, start=1):
+        flags.append(right == state)
+        if right == state:
+            state = count + k
+    return flags
 
 
 class TestSequentialPath:
@@ -63,19 +76,16 @@ class TestSequentialPath:
 
     def test_every_task_is_matrix_vector(self):
         c = qft(3)
-        info = validate(sequential_path(7), c)
-        assert all(t.matrix_vector for t in info)
+        assert all(_matrix_vector(validate(sequential_path(7), c), 7))
 
 
 class TestValidate:
     def test_tree_path_is_valid(self):
-        info = validate(SimulationPath(TREE_PATH_7), qft(3))
-        assert [t.matrix_vector for t in info] == [
-            True, False, False, False, True, False, True]
+        pairs = validate(SimulationPath(TREE_PATH_7), qft(3))
+        assert _matrix_vector(pairs, 7) == [True, False, False, False, True, False, True]
 
     def test_plan_style_chain_is_valid(self):
-        info = validate(SimulationPath(CHAIN_PATH_7), qft(3))
-        assert all(t.matrix_vector for t in info)
+        assert all(_matrix_vector(validate(SimulationPath(CHAIN_PATH_7), qft(3)), 7))
 
     def test_skipping_noncommuting_gate_rejected(self):
         bad = SimulationPath(((0, 2), (1, 8), (3, 9), (4, 10), (5, 11),
@@ -134,6 +144,9 @@ class TestValidate:
         assert exc.value.task_index == 3
 
     def test_matches_reference_validator(self):
+        # the convexity reference accepts the same paths and orients them
+        # alike; validate may name a later task than the first pair that is
+        # not convex, the one that joins the skipped gate
         rng = random.Random(41)
         accepted = rejected = gap_accepted = 0
         for trial in range(2000):
@@ -142,6 +155,9 @@ class TestValidate:
             path = SimulationPath(tasks)
             want = _outcome(reference_validate, path, c)
             assert _outcome(validate, path, c) == want, (trial, tasks)
+            convex = _outcome(reference_convex_validate, path, c)
+            assert convex[0] == want[0], (trial, tasks)
+            assert convex == want if want[0] == "accept" else convex[1] <= want[1]
             if want[0] == "accept":
                 accepted += 1
                 gap_accepted += gaps > 0
@@ -222,9 +238,8 @@ class TestAlternatingPath:
     def test_all_matrix_until_final(self):
         g = qft(3)
         combined = concat_inverse(g, g)
-        info = validate(alternating_path(7, 7), combined)
-        flags = [t.matrix_vector for t in info]
-        assert flags == [False] * 13 + [True]
+        pairs = validate(alternating_path(7, 7), combined)
+        assert _matrix_vector(pairs, 14) == [False] * 13 + [True]
 
     def test_zero_counts_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -303,7 +318,7 @@ class TestExecute:
         first = []
         final, stats = execute(c, SimulationPath(tasks), k,
                                observer=lambda i, e: i == 1 and first.append(e))
-        assert first[0].node is None and root_equal(first[0], k.identity(n))
+        assert first[0].node is None and root_equal(first[0], k.one_terminal)
         assert stats.result_nodes[0] == n
         want, _ = execute(c, sequential_path(4), k)
         assert root_equal(final, want)

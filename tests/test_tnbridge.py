@@ -21,6 +21,7 @@ from ddpath import (
     transpile,
     validate,
 )
+from ddpath import cli
 from ddpath.circuit import GENERATORS, Circuit, Gate, deutsch_jozsa, graph_state
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.simpath import SimulationPath, load_path
@@ -69,11 +70,6 @@ class TestExport:
             seen[ix] = seen.get(ix, 0) + 1
         assert all(count == 2 for count in seen.values())
         assert len(tn.output_indices) == 4
-
-    def test_json_round_trip(self):
-        tn = export_tensor_network(qft(3))
-        again = TensorNetworkDescription.from_json(json.loads(json.dumps(tn.to_json())))
-        assert again == tn
 
 
 class TestGreedyPlan:
@@ -293,12 +289,14 @@ class TestImportPath:
             load_path(str(f))
         assert SimulationPath(((0, 1.0),)).tasks == ((0, 1),)
 
-    @pytest.mark.parametrize("field,value", [("id", 1.5), ("shape", [2.5]), ("qubits", 0.5)])
-    def test_fractional_network_value_rejected(self, field, value):
-        data = export_tensor_network(ghz(1)).to_json()
-        if field == "qubits":
-            data["qubits"] = value
-        else:
-            data["tensors"][1][field] = value
-        with pytest.raises(InvalidArgumentError, match=str(value)):
-            TensorNetworkDescription.from_json(data)
+    @pytest.mark.parametrize("data", [{"path": [[0, True]], "gate_count": True},
+                                      {"pairs": [[False, 1]]}], ids=["path", "plan"])
+    def test_boolean_index_rejected_with_file_name(self, tmp_path, capsys, data):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(InvalidArgumentError, match="p.json.*(True|False)"):
+            load_path(str(f))
+        one = tmp_path / "one.qasm"
+        one.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n")
+        assert cli.main(["simulate", str(one), "--path", f"file:{f}"]) == 2
+        assert "p.json" in json.loads(capsys.readouterr().err)["message"]
