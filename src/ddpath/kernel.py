@@ -44,6 +44,13 @@ together with the gate memo, so no entry outlives a node it names, and
 sweeps the value table down to ZERO, ONE and the successor weights of the
 nodes it keeps.
 
+Where an operator has off-diagonal blocks, a matrix-vector product forms
+each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
+which builds only the nodes of the sum and not those of the two products.
+A third table memoises these sums, keyed by the four operand nodes and the
+ratio of the two terms' weights.  It lives for one ``multiply_mv`` call,
+which empties it when it returns or raises, so it needs no sweep.
+
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
 not transferable between them.
@@ -114,8 +121,9 @@ _edge = functools.partial(tuple.__new__, Edge)
 class Kernel:
     """One unique table / compute table / value table instance.
 
-    The compute tables are exact memos that never drop an entry between two
-    ``gc`` sweeps; each sweep empties them and the gate memo.
+    The sum and product tables are exact memos that never drop an entry
+    between two ``gc`` sweeps; each sweep empties them and the gate memo.
+    The two-term table is emptied at the end of every ``multiply_mv``.
     """
 
     def __init__(self):
@@ -136,6 +144,8 @@ class Kernel:
         # operator nodes are distinct objects, so the kinds never share a key
         self._ct_mul: dict = {}
         self._ct_add: dict = {}
+        # a·x + b·y keyed (A, X, B, Y, ratio); lives for one multiply_mv
+        self._ct_mac: dict = {}
         # (gate diagram, its node count) by (kind, parameter, matrix,
         # controls, targets, n); emptied by gc, never a root
         self._gates: dict = {}
@@ -421,7 +431,10 @@ class Kernel:
         if m.node is not None and m.node.level > v.node.level:
             raise InvalidArgumentError(
                 f"level mismatch in multiply: {m.node.level} vs {v.node.level}")
-        return self._mul_mv(m, v)
+        try:
+            return self._mul_mv(m, v)
+        finally:
+            self._ct_mac.clear()
 
     def _mul_mv(self, m: Edge, v: Edge) -> Edge:
         mw, mn = m
@@ -451,12 +464,83 @@ class Kernel:
                 # case below without the calls that return at once
                 r = self._vnode(level, mul(me[0], ve[0]), mul(me[3], ve[1]))
             else:
-                add = self._add
-                r0 = add(mul(me[0], ve[0]), mul(me[1], ve[1]))
-                r1 = add(mul(me[2], ve[0]), mul(me[3], ve[1]))
-                r = self._vnode(level, r0, r1)
+                mac = self._mac
+                r = self._vnode(level, mac(me[0], ve[0], me[1], ve[1]),
+                                mac(me[2], ve[0], me[3], ve[1]))
             self._ct_mul[key] = r
         return self._scale(r, w)
+
+    def _mac(self, a: Edge, x: Edge, b: Edge, y: Edge) -> Edge:
+        """``a·x + b·y`` for operator edges ``a``, ``b`` and vector edges
+        ``x``, ``y`` of one level, in one recursion that builds only the
+        nodes of the sum, not those of the two products."""
+        aw, an = a
+        xw, xn = x
+        bw, bn = b
+        yw, yn = y
+        if (an is None and aw == 0) or (xn is None and xw == 0):
+            return self._mul_mv(b, y)
+        if (bn is None and bw == 0) or (yn is None and yw == 0):
+            return self._mul_mv(a, x)
+        if an is None and bn is None:
+            # two scaled identities, or below level 0 two scalars: the sum
+            # of the two scaled vectors
+            return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
+        w = aw * xw
+        ratio = self.intern(bw * yw / w)
+        if ratio == 0:
+            return self._mul_mv(a, x)
+        key = (an, xn, bn, yn, ratio)
+        r = self._ct_mac.get(key)
+        if r is None:
+            level = xn.level
+            xe = xn.edges
+            ye = yn.edges
+            ua = _edge((self.ONE, an))
+            ub = _edge((ratio, bn))
+            if (an is None or an.level < level) and (bn is None or bn.level < level):
+                # both operators are identity levels here, diag(A, A) and
+                # diag(B, B): each half of the sum pairs the two halves
+                mac = self._mac
+                r = self._vnode(level, mac(ua, xe[0], ub, ye[0]),
+                                mac(ua, xe[1], ub, ye[1]))
+            else:
+                r = self._mac_quadrants(level, ua, xn, ub, yn)
+            self._ct_mac[key] = r
+        return self._scale(r, w)
+
+    def _mac_quadrants(self, level: int, a: Edge, xn: Node, b: Edge, yn: Node) -> Edge:
+        """``a·x + b·y`` at a level where an operator has a node: each half
+        of the sum gathers its nonzero quadrant products.  A half with three
+        or four of them (dense operators, whose products several sums share)
+        makes the whole pair a sum of two products."""
+        zero = self.zero_edge
+        ae = a.node.edges if a.node is not None and a.node.level == level else self._diag(a.node)
+        be = [self._scale(e, b.w) for e in
+              (b.node.edges if b.node is not None and b.node.level == level
+               else self._diag(b.node))]
+        xe = xn.edges
+        ye = yn.edges
+        halves = []
+        for i in (0, 2):
+            terms = [(m, v) for m, v in ((ae[i], xe[0]), (ae[i + 1], xe[1]),
+                                         (be[i], ye[0]), (be[i + 1], ye[1]))
+                     if m != zero and v != zero]
+            if len(terms) > 2:
+                x = _edge((self.ONE, xn))
+                y = _edge((self.ONE, yn))
+                return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
+            halves.append(terms)
+        out = []
+        for terms in halves:
+            if not terms:
+                out.append(zero)
+            elif len(terms) == 1:
+                out.append(self._mul_mv(*terms[0]))
+            else:
+                (m0, v0), (m1, v1) = terms
+                out.append(self._mac(m0, v0, m1, v1))
+        return self._vnode(level, out[0], out[1])
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
         """Matrix-matrix product ``a @ b``; each operand skips the identity

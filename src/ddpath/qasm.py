@@ -7,14 +7,14 @@ ends at ``;``, any whitespace (line breaks included) separates tokens, and
 ``//`` starts a comment that runs to the end of the line.  Angles are
 finite expressions over numbers and ``pi`` using + - * /, unary signs and
 parentheses.  A program opens with the ``OPENQASM 2.0`` header and declares
-one ``qreg``; ``include`` is skipped.  ``creg``, ``measure`` and
-``barrier`` are checked and then skipped: ``creg c[n]`` declares a new
-name with ``n >= 1``; ``measure a -> b`` reads the qreg or one of its
-qubits into a creg or one of its bits, both indexed or both whole registers
-of equal size; ``barrier`` lists the qreg or its qubits, separated by
-commas.  Custom gate definitions, register broadcast (``h q;``) and ``if``
-are not supported.  Malformed input raises ``QasmError`` with the line of
-the statement's first character.
+one ``qreg``.  ``include``, ``creg``, ``measure`` and ``barrier`` are
+checked and then skipped: ``include "file"`` names one file in double
+quotes; ``creg c[n]`` declares a new name with ``n >= 1``; ``measure a ->
+b`` reads the qreg or one of its qubits into a creg or one of its bits,
+both indexed or both whole registers of equal size; ``barrier`` lists the
+qreg or its qubits, separated by commas.  Custom gate definitions, register
+broadcast (``h q;``) and ``if`` are not supported.  Malformed input raises
+``QasmError`` with the line of the statement's first character.
 """
 from __future__ import annotations
 
@@ -34,6 +34,8 @@ _HEADER_RE = re.compile(r"OPENQASM\s+2(\.0)?")
 _KEYWORD_RE = re.compile(r"(qreg|include|creg|measure|barrier)(?:\s+(.*))?", re.DOTALL)
 # name [ "(" params ")" ] args
 _STATEMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(.*)", re.DOTALL)
+# the argument of include: a file name in double quotes
+_INCLUDE_RE = re.compile(r'"[^"]+"')
 # a whole register or one of its bits
 _ARG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?")
 
@@ -145,7 +147,10 @@ def parse(text: str) -> Circuit:
             gates.append(_parse_gate(stmt, start, qreg))
             continue
         keyword, rest = k.group(1), k.group(2) or ""
-        if keyword in ("qreg", "creg"):
+        if keyword == "include":
+            if _INCLUDE_RE.fullmatch(rest) is None:
+                raise QasmError(f'expected include "file", got {stmt!r}', start)
+        elif keyword in ("qreg", "creg"):
             qm = _ARG_RE.fullmatch(rest)
             if qm is None or qm.group(2) is None:
                 raise QasmError(f"malformed {keyword} declaration {stmt!r}", start)

@@ -1,7 +1,7 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
 the reference path validators, the reference greedy planner, the reference
-value table, the explicit-form node count, the memo-free kernel and the
-reference OpenQASM parser."""
+value table, the explicit-form node count, the memo-free and unfused
+kernels and the reference OpenQASM parser."""
 from __future__ import annotations
 
 import cmath
@@ -368,7 +368,7 @@ class _Forgetful(dict):
 
 
 class MemoFreeKernel(Kernel):
-    """``Kernel`` whose two compute tables never keep an entry, so every
+    """``Kernel`` whose compute tables never keep an entry, so every
     sub-result is recomputed.  That changes the cost of a product (it grows
     exponentially with the qubit count) but never its result: kept as the
     reference the memoising ``Kernel`` is compared against."""
@@ -377,6 +377,16 @@ class MemoFreeKernel(Kernel):
         super().__init__()
         self._ct_mul = _Forgetful()
         self._ct_add = _Forgetful()
+        self._ct_mac = _Forgetful()
+
+
+class UnfusedKernel(Kernel):
+    """``Kernel`` that forms a two-term sum ``a·x + b·y`` as the sum of the
+    two full products, building every node of both.  Kept as the reference
+    the fused ``Kernel._mac`` recursion is compared against."""
+
+    def _mac(self, a, x, b, y):
+        return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
 
 
 # gate name -> (kind, parameter count, qubit count)
@@ -437,6 +447,8 @@ def reference_parse_qasm(text: str) -> Circuit:
             raise QasmError(f"expected OPENQASM 2.0 header, got {stmt!r}", line)
         head = stmt.split(None, 1)[0] if stmt.split() else ""
         if head == "include":
+            if re.fullmatch(r'include\s+"[^"]+"', stmt) is None:
+                raise QasmError(f"malformed include {stmt!r}", line)
             continue
         if head == "qreg":
             m = re.fullmatch(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", stmt)

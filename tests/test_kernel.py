@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 from ddpath import (Kernel, SimulationPath, execute, root_equal, sequential_path,
                     verify_equivalence)
 from ddpath import oracle
-from ddpath.circuit import (GENERATORS, Gate, cp, cx, deutsch_jozsa, ghz, entangled_qft, h,
-                            qft, swap)
+from ddpath.circuit import (GENERATORS, Circuit, Gate, cp, cx, deutsch_jozsa, ghz,
+                            entangled_qft, h, qft, swap)
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
 from ddpath.kernel import EPS, Edge
 from ddpath.simpath import make_path
 
-from helpers import (MemoFreeKernel, ReferenceKernel, explicit_node_count, random_circuit,
-                     random_gate, random_unitary_2x2)
+from helpers import (MemoFreeKernel, ReferenceKernel, UnfusedKernel, explicit_node_count,
+                     random_circuit, random_gate, random_unitary_2x2)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -415,11 +415,14 @@ class TestGarbageCollection:
             k.inc_ref(e)
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
         assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
-            == ["_ct_add", "_ct_mul"]
+            == ["_ct_add", "_ct_mac", "_ct_mul"]
+        # the two-term table lives for one multiply_mv call
+        assert not k._ct_mac
         assert all((k._ct_mul, k._ct_add, k._gates))
         k.gc([])
-        assert not any((k._ct_mul, k._ct_add, k._gates))
+        assert not any((k._ct_mul, k._ct_add, k._ct_mac, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
+        assert not k._ct_mac
         assert (k.signature(again[0]), k.signature(again[1])) == before
         # rebuilt into the unique table, not the swept nodes from before gc
         live = set(k._vec_unique.values()) | set(k._mat_unique.values())
@@ -727,6 +730,138 @@ class TestBlockDiagonalProducts:
                 out.append(k.signature(k.multiply_mm(other, diag)))
             sigs.append(out)
         assert sigs[0] == sigs[1]
+
+
+class TestFusedSums:
+    """``Kernel`` forms ``a·x + b·y`` in one recursion; ``UnfusedKernel``
+    sums the two full products.  Both must give the same diagrams, and the
+    fused kernel may build no node the unfused one does not."""
+
+    @staticmethod
+    def _same_run(make_run, amplitudes):
+        """``make_run(kernel)`` -> (final edge, stats or None, verdict or
+        None) on a fresh kernel of each kind; ``amplitudes(kernel, edge)``
+        -> array compared within 1e-12."""
+        runs = []
+        for kernel_cls in (Kernel, UnfusedKernel):
+            k = kernel_cls()
+            final, stats, verdict = make_run(k)
+            runs.append((k, final, stats, verdict))
+        (kf, ff, sf, vf), (ku, fu, su, vu) = runs
+        assert vf == vu
+        if sf is not None:
+            assert sf.result_nodes == su.result_nodes
+            assert (sf.peak_nodes, sf.final_nodes) == (su.peak_nodes, su.final_nodes)
+        assert kf.node_count(ff) == ku.node_count(fu)
+        assert np.max(np.abs(amplitudes(kf, ff) - amplitudes(ku, fu))) <= 1e-12
+        assert kf._uid <= ku._uid
+        return kf._uid, ku._uid
+
+    def test_random_circuits_sequential(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            c = random_circuit(rng, rng.randint(3, 7), 40)
+            emptied = []
+
+            def run(k):
+                def observer(ti, result):
+                    emptied.append(not k._ct_mac)
+                final, stats = execute(c, kernel=k, observer=observer)
+                return final, stats, None
+
+            self._same_run(run, lambda k, e: k.to_vector(e))
+            assert all(emptied)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_qft_self_miter_from_ghz(self, n):
+        def run(k):
+            initial, _ = execute(ghz(n), kernel=k)
+            res = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
+            return res.final, res.stats, res.verdict
+
+        self._same_run(run, lambda k, e: k.to_vector(e))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_entangled_qft(self, n):
+        def run(k):
+            final, stats = execute(entangled_qft(n), kernel=k)
+            return final, stats, None
+
+        def miter(k):
+            initial, _ = execute(ghz(n), kernel=k)
+            res = verify_equivalence(entangled_qft(n), entangled_qft(n), "sequential",
+                                     k, initial)
+            return res.final, res.stats, res.verdict
+
+        self._same_run(run, lambda k, e: k.to_vector(e))
+        self._same_run(miter, lambda k, e: k.to_vector(e))
+
+    @pytest.mark.parametrize("prep", ["ghz", "plus"])
+    @pytest.mark.parametrize("gate", ["swap", "cx-down", "cx-up"])
+    def test_long_range_gates_on_64_qubits(self, prep, gate):
+        n = 64
+        circuit = ghz(n) if prep == "ghz" else Circuit(n, tuple(h(q) for q in range(n)))
+        g = {"swap": swap(0, n - 1), "cx-down": cx(0, n - 1), "cx-up": cx(n - 1, 0)}[gate]
+        rng = random.Random(2)
+        bits = ["0" * n, "1" * n, "0" + "1" * (n - 1), "1" + "0" * (n - 1)]
+        bits += ["".join(rng.choice("01") for _ in range(n)) for _ in range(16)]
+
+        def run(k):
+            state, _ = execute(circuit, kernel=k)
+            return k.multiply_mv(k.make_gate(g, n), state), None, None
+
+        def amplitudes(k, e):
+            return np.array([k.amplitude(e, b) for b in bits])
+
+        fused, unfused = self._same_run(run, amplitudes)
+        if prep == "plus" and gate != "cx-up":
+            # the two half-state products the unfused sum builds and drops
+            assert fused < unfused
+
+    @pytest.mark.parametrize("low", [0, 1, 2])
+    def test_dense_operator(self, low):
+        # random single-qubit unitaries and a cx chain on three adjacent
+        # qubits make a dense product: the halves of its sums have three or
+        # four terms
+        n = 5
+        rng = random.Random(8 + low)
+        gates = []
+        for _ in range(3):
+            gates += [Gate("u", (q,), matrix=random_unitary_2x2(rng))
+                      for q in range(low, low + 3)]
+            gates += [cx(low, low + 1), cx(low + 1, low + 2)]
+        state_circuit = random_circuit(rng, n, 20)
+
+        def run(k):
+            op = k.one_terminal
+            for g in gates:
+                op = k.multiply_mm(k.make_gate(g, n), op)
+            return k.multiply_mv(op, run_gates(k, state_circuit)), None, None
+
+        self._same_run(run, lambda k, e: k.to_vector(e))
+        want = oracle.simulate(Circuit(n, tuple(state_circuit.gates) + tuple(gates)))
+        k = Kernel()
+        assert np.max(np.abs(k.to_vector(run(k)[0]) - want)) < 1e-10
+
+    def test_two_term_table_emptied_when_multiply_raises(self):
+        n = 8
+        k = Kernel()
+        state, _ = execute(Circuit(n, tuple(h(q) for q in range(n))), kernel=k)
+        op = k.make_gate(swap(0, n - 1), n)
+        real = k._vnode
+        seen = []
+
+        def failing(level, e0, e1):
+            if len(seen) == 6:
+                raise RecursionError
+            seen.append(len(k._ct_mac))
+            return real(level, e0, e1)
+
+        k._vnode = failing
+        with pytest.raises(RecursionError):
+            k.multiply_mv(op, state)
+        assert max(seen) > 0
+        assert not k._ct_mac
 
 
 def _walk_nodes(edge):

@@ -80,6 +80,14 @@ class TestParse:
             parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n" + stmt + "\nx q[1];\n")
         assert exc.value.line == 5
 
+    @pytest.mark.parametrize("stmt", ["include 42 x y;", "include;", 'include "";',
+                                      "include qelib1.inc;", 'include "a" "b";'])
+    def test_malformed_include_names_its_line(self, stmt):
+        for parse in (parse_qasm, reference_parse_qasm):
+            with pytest.raises(QasmError) as exc:
+                parse("OPENQASM 2.0;\nqreg q[1];\n" + stmt + "\nh q[0];\n")
+            assert exc.value.line == 3
+
     def test_u1_and_cu1_aliases(self):
         c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nu1(pi/8) q[0];\ncu1(pi/8) q[0],q[1];\n")
         assert [g.kind for g in c.gates] == ["p", "cp"]
@@ -202,6 +210,7 @@ BAD_INPUTS = [
     _HEAD + "creg c[2];\nmeasure q[0] -> c;", _HEAD + "creg c[2];\nmeasure q[0] c[0];",
     _HEAD + "creg c[2];\nmeasure q[0] -> c[0] -> c[1];", _HEAD + "barrier q[0],,q[1];",
     "OPENQASM 2.0;\ncreg q[2];\nqreg q[2];", "OPENQASM 2.0;\nbarrier q;\nqreg q[2];",
+    _HEAD + "include 42 x y;", _HEAD + "include;", 'OPENQASM 2.0;\ninclude "x;\nqreg q[1];',
 ]
 
 
