@@ -28,28 +28,36 @@ shrinks like 2^(-n/2) and stays a plain product, never interned.  Two
 scalars sum by the same relative rule, as ``a · (1 + b/a)``, so a sum below
 EPS is kept unless it vanishes relative to its summands.  The value table
 maps the bucket ``complex(kr, ki)``, the real and imaginary parts in units
-of EPS rounded to integers, to that representative; a miss probes the eight
-neighbouring buckets, unless the sets of occupied ``kr`` and occupied ``ki``
-show that no neighbour exists.  The vector unique table is keyed by the node's successor
-tuple, which is also its ``edges``: terminal successors occur only at level
-0 and every other successor sits one level down, so the successors fix the
-level.  Operator successors may sit at any lower level, so the operator
-unique table is keyed by the level plus the successors.
+of EPS rounded to integers (ties to even), to that representative; a miss
+probes the eight neighbouring buckets, unless two byte maps show that no
+neighbour exists.  Byte ``kr & mask`` of the row map and ``ki & mask`` of
+the column map are set for every key, so three zero bytes around ``kr`` (or
+``ki``) prove that no neighbouring row (column) is occupied; a set byte may
+be a collision, and then the probe runs.  The maps hold a power of two bytes,
+at least 8 per key and at least 4096; they grow 4x when the table outgrows
+them and are rebuilt from the keys then and after every sweep.  The vector
+unique table is keyed by the node's successor tuple, which is also its
+``edges``: terminal successors occur only at level 0 and every other
+successor sits one level down, so the successors fix the level.  Operator
+successors may sit at any lower level, so the operator unique table is
+keyed by the level plus the successors.
 
 Sums and products are memoised in two compute tables, one for sums and one
 for products: plain dicts, exact per kernel, keyed by operand nodes (and the
 weight ratio, for sums).  Vector and operator nodes are distinct objects, so
-one table serves both kinds.  Every ``Kernel.gc`` sweep empties them
-together with the gate memo, so no entry outlives a node it names, and
-sweeps the value table down to ZERO, ONE and the successor weights of the
-nodes it keeps.
+one table serves both kinds.  The product table lives until the next
+``Kernel.gc`` sweep, which empties it together with the gate memo, so no
+entry outlives a node it names, and sweeps the value table down to ZERO,
+ONE and the successor weights of the nodes it keeps.  The sum table lives
+for one public product: ``multiply_mv`` and ``multiply_mm`` empty it when
+they return or raise, since its entries are rarely hit by a later product.
 
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
 which builds only the nodes of the sum and not those of the two products.
 A third table memoises these sums, keyed by the four operand nodes and the
-ratio of the two terms' weights.  It lives for one ``multiply_mv`` call,
-which empties it when it returns or raises, so it needs no sweep.
+ratio of the two terms' weights.  It too lives for one ``multiply_mv``
+call.
 
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
@@ -74,6 +82,12 @@ _INV_EPS = 1.0 / EPS
 _MAG_TOL = 4 * EPS
 # bucket offsets probed, in order, when a value misses its own bucket
 _NEIGHBOURS = tuple((dr, di) for dr in (-1, 0, 1) for di in (-1, 0, 1) if dr or di)
+# for |x| < 2^51, (x + _ROUNDER) - _ROUNDER is round(x), ties to even: the
+# sum lies in [2^52, 2^53), where the float spacing is 1
+_ROUNDER = 1.5 * 2.0 ** 52
+_ROUND_LIMIT = 2.0 ** 51
+# smallest size of the occupancy byte maps
+_MAP_MIN = 4096
 
 
 class Node:
@@ -121,27 +135,30 @@ _edge = functools.partial(tuple.__new__, Edge)
 class Kernel:
     """One unique table / compute table / value table instance.
 
-    The sum and product tables are exact memos that never drop an entry
-    between two ``gc`` sweeps; each sweep empties them and the gate memo.
-    The two-term table is emptied at the end of every ``multiply_mv``.
+    The product table and the gate memo are exact memos that never drop an
+    entry between two ``gc`` sweeps; each sweep empties them.  The sum
+    table is emptied at the end of every ``multiply_mv`` and
+    ``multiply_mm``, the two-term table at the end of every
+    ``multiply_mv``.  The value table's occupancy byte maps hold at least 8
+    bytes per bucket, in a power of two of at least 4096.
     """
 
     def __init__(self):
         self.ZERO = 0j
         self.ONE = 1 + 0j
-        kr_one = round(_INV_EPS)
-        # bucket complex(kr, ki) -> representative; the two sets hold every
-        # kr and every ki that occurs in a bucket key
-        self._values: dict[complex, complex] = {0j: self.ZERO, complex(kr_one, 0): self.ONE}
-        self._occupied_re: set[int] = {0, kr_one}
-        self._occupied_im: set[int] = {0}
+        # bucket complex(kr, ki) -> representative; the byte maps mark
+        # kr & mask and ki & mask for every key (see _rebuild_maps)
+        self._values: dict[complex, complex] = {0j: self.ZERO,
+                                                complex(round(_INV_EPS), 0): self.ONE}
+        self._rebuild_maps(_MAP_MIN)
         self.zero_edge = Edge(self.ZERO, None)
         self.one_terminal = Edge(self.ONE, None)
         self._vec_unique: dict = {}
         self._mat_unique: dict = {}
         self._uid = 0
         # products keyed (M, V) or (A, B), sums (A, B, ratio); vector and
-        # operator nodes are distinct objects, so the kinds never share a key
+        # operator nodes are distinct objects, so the kinds never share a key.
+        # Sums live for one public product
         self._ct_mul: dict = {}
         self._ct_add: dict = {}
         # a·x + b·y keyed (A, X, B, Y, ratio); lives for one multiply_mv
@@ -158,28 +175,39 @@ class Kernel:
 
         ``w`` falls in bucket ``(kr, ki)``, its parts in units of EPS rounded
         to integers.  A miss there probes the eight neighbouring buckets, but
-        only when some neighbour row and some neighbour column are occupied;
-        otherwise no neighbour exists and the probe is skipped.
+        only when the byte maps mark some neighbour row and some neighbour
+        column; a zero byte proves that no such row or column is occupied.
         """
         re = w.real
         im = w.imag
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise InvalidArgumentError(f"non-finite edge weight {w!r}")
-        kr = round(re * _INV_EPS)
-        ki = round(im * _INV_EPS)
+        xr = re * _INV_EPS
+        xi = im * _INV_EPS
+        if -_ROUND_LIMIT < xr < _ROUND_LIMIT and -_ROUND_LIMIT < xi < _ROUND_LIMIT:
+            kr = (xr + _ROUNDER) - _ROUNDER
+            ki = (xi + _ROUNDER) - _ROUNDER
+        else:
+            # also false for NaN, so every non-finite weight lands here
+            if not (math.isfinite(xr) and math.isfinite(xi)):
+                raise InvalidArgumentError(f"edge weight {w!r} is not finite in units of EPS")
+            kr = round(xr)
+            ki = round(xi)
         table = self._values
-        # kr and ki are integral floats, so complex(kr, ki) is exact; a
-        # neighbour key complex(kr ± 1, ki) may round where |kr| > 2^53, but
-        # there the float spacing of ``re`` exceeds EPS, so a value found
-        # through a rounded key never passes the EPS test below
+        # kr and ki are integral, so complex(kr, ki) is exact; a neighbour
+        # key complex(kr ± 1, ki) may round where |kr| > 2^53, but there the
+        # float spacing of ``re`` exceeds EPS, so a value found through a
+        # rounded key never passes the EPS test below
         key = complex(kr, ki)
         v = table.get(key)
         if v is not None:
             return v
         rows = self._occupied_re
         cols = self._occupied_im
-        if (kr in rows or kr - 1 in rows or kr + 1 in rows) \
-                and (ki in cols or ki - 1 in cols or ki + 1 in cols):
+        mask = len(rows) - 1
+        r = int(kr) & mask
+        c = int(ki) & mask
+        # at r = 0, rows[r - 1] is rows[mask], the byte of kr - 1
+        if (rows[r] or rows[r - 1] or rows[(r + 1) & mask]) \
+                and (cols[c] or cols[c - 1] or cols[(c + 1) & mask]):
             for dr, di in _NEIGHBOURS:
                 u = table.get(complex(kr + dr, ki + di))
                 if u is not None and abs(u.real - re) <= EPS and abs(u.imag - im) <= EPS:
@@ -188,9 +216,25 @@ class Kernel:
         if v is None:
             v = complex(re, im)
         table[key] = v
-        rows.add(kr)
-        cols.add(ki)
+        if 8 * len(table) > mask:
+            self._rebuild_maps(4 * (mask + 1))
+        else:
+            rows[r] = 1
+            cols[c] = 1
         return v
+
+    def _rebuild_maps(self, size: int) -> None:
+        """Occupancy byte maps of ``size`` bytes, a power of two: byte
+        ``kr & (size - 1)`` of the row map and ``ki & (size - 1)`` of the
+        column map are set for every bucket key ``complex(kr, ki)``."""
+        mask = size - 1
+        rows = bytearray(size)
+        cols = bytearray(size)
+        for k in self._values:
+            rows[int(k.real) & mask] = 1
+            cols[int(k.imag) & mask] = 1
+        self._occupied_re = rows
+        self._occupied_im = cols
 
     def _scale(self, e: Edge, w: complex) -> Edge:
         """``w`` times edge ``e``, a plain product: the weight on an incoming
@@ -228,21 +272,30 @@ class Kernel:
         return _edge((norm, node))
 
     def _mnode(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
-        edges = (e0, e1, e2, e3)
-        mags = (abs(e0.w), abs(e1.w), abs(e2.w), abs(e3.w))
-        mx = max(mags)
+        a0 = abs(e0.w)
+        a1 = abs(e1.w)
+        a2 = abs(e2.w)
+        a3 = abs(e3.w)
+        mx = max(a0, a1, a2, a3)
         if mx == 0.0:
             return self.zero_edge
-        best = 0
-        for i in (0, 1, 2, 3):
-            if mags[i] >= mx - _MAG_TOL * mx:
-                best = i
-                break
-        norm = edges[best].w
-        out = tuple(
-            _edge((self.ONE, e.node)) if i == best else self._scale_succ(e, norm)
-            for i, e in enumerate(edges)
-        )
+        # the norm is the first successor tied with the largest; the others
+        # are scaled in e0..e3 order, which fixes the order of interning
+        tied = mx - _MAG_TOL * mx
+        scale = self._scale_succ
+        one = self.ONE
+        if a0 >= tied:
+            norm = e0.w
+            out = (_edge((one, e0.node)), scale(e1, norm), scale(e2, norm), scale(e3, norm))
+        elif a1 >= tied:
+            norm = e1.w
+            out = (scale(e0, norm), _edge((one, e1.node)), scale(e2, norm), scale(e3, norm))
+        elif a2 >= tied:
+            norm = e2.w
+            out = (scale(e0, norm), scale(e1, norm), _edge((one, e2.node)), scale(e3, norm))
+        else:
+            norm = e3.w
+            out = (scale(e0, norm), scale(e1, norm), scale(e2, norm), _edge((one, e3.node)))
         n0, n1, n2, n3 = out
         if n1.w == 0 and n2.w == 0 and n0 == n3:
             # an identity level (ONE·x, 0, 0, ONE·x) is not stored: the edge
@@ -435,6 +488,7 @@ class Kernel:
             return self._mul_mv(m, v)
         finally:
             self._ct_mac.clear()
+            self._ct_add.clear()
 
     def _mul_mv(self, m: Edge, v: Edge) -> Edge:
         mw, mn = m
@@ -550,7 +604,10 @@ class Kernel:
         for e in (a, b):
             if e.node is not None and len(e.node.edges) != 4:
                 raise InvalidArgumentError("multiply_mm needs two matrix diagrams")
-        return self._mul_mm(a, b)
+        try:
+            return self._mul_mm(a, b)
+        finally:
+            self._ct_add.clear()
 
     def _mul_mm(self, a: Edge, b: Edge) -> Edge:
         aw, an = a
@@ -790,10 +847,13 @@ class Kernel:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
         The compute tables and the gate memo are emptied wholesale, since
-        their entries may name swept nodes.  The value table keeps the
-        buckets whose representative is ZERO, ONE or a successor weight of a
-        kept node, so every weight a kept node holds still interns to
-        itself; root weights are plain products and need no bucket.
+        their entries may name swept nodes; the sum table is empty already
+        unless ``_add`` was called outside a product.  The value table keeps
+        the buckets whose representative is ZERO, ONE or a successor weight
+        of a kept node, so every weight a kept node holds still interns to
+        itself; root weights are plain products and need no bucket.  The
+        byte maps are rebuilt at the smallest power of two above 8 bytes per
+        kept bucket, and at least 4096.
         """
         marked: set = set()
         live = {self.ZERO, self.ONE}
@@ -825,9 +885,8 @@ class Kernel:
 
     def _sweep_values(self, live: set) -> None:
         """Keep the buckets whose representative is in ``live``."""
-        self._values = values = {k: v for k, v in self._values.items() if v in live}
-        self._occupied_re = {int(k.real) for k in values}
-        self._occupied_im = {int(k.imag) for k in values}
+        self._values = {k: v for k, v in self._values.items() if v in live}
+        self._rebuild_maps(max(_MAP_MIN, 1 << (8 * len(self._values)).bit_length()))
 
     # ------------------------------------------------------------------
     # export

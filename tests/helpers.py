@@ -299,11 +299,12 @@ def reference_convex_validate(path, circuit):
 
 
 class ReferenceKernel(Kernel):
-    """``Kernel`` whose value table is keyed by ``(kr, ki)`` tuples and
-    probes all eight neighbour buckets on every miss.  Kept as the reference
-    the complex-keyed, occupancy-filtered ``Kernel.intern`` is compared
-    against; ``gc`` sweeps it by the same rule, with no occupancy sets to
-    rebuild."""
+    """``Kernel`` whose value table is keyed by ``(kr, ki)`` tuples, rounds
+    every part with ``round()`` and probes all eight neighbour buckets on
+    every miss.  Kept as the reference ``Kernel.intern`` is compared
+    against: complex keys, rounding by float addition, and a probe skipped
+    when the occupancy byte maps show no neighbour.  ``gc`` sweeps it by the
+    same rule, with no byte maps to rebuild."""
 
     def __init__(self):
         super().__init__()
@@ -312,8 +313,8 @@ class ReferenceKernel(Kernel):
     def intern(self, w: complex) -> complex:
         re = w.real
         im = w.imag
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise InvalidArgumentError(f"non-finite edge weight {w!r}")
+        if not (math.isfinite(re * _INV_EPS) and math.isfinite(im * _INV_EPS)):
+            raise InvalidArgumentError(f"edge weight {w!r} is not finite in units of EPS")
         kr = round(re * _INV_EPS)
         ki = round(im * _INV_EPS)
         table = self._values

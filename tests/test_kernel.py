@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddpath import (Kernel, SimulationPath, execute, root_equal, sequential_path,
-                    verify_equivalence)
+from ddpath import (Kernel, SimulationPath, concat_inverse, execute, root_equal,
+                    sequential_path, transpile, verify_equivalence)
 from ddpath import oracle
 from ddpath.circuit import (GENERATORS, Circuit, Gate, cp, cx, deutsch_jozsa, ghz,
                             entangled_qft, h, qft, swap)
 from ddpath.errors import InvalidArgumentError, PathValidationError
 from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
-from ddpath.kernel import EPS, Edge
+from ddpath.kernel import _INV_EPS, EPS, Edge
 from ddpath.simpath import make_path
 
 from helpers import (MemoFreeKernel, ReferenceKernel, UnfusedKernel, explicit_node_count,
@@ -416,9 +416,12 @@ class TestGarbageCollection:
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
         assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
             == ["_ct_add", "_ct_mac", "_ct_mul"]
-        # the two-term table lives for one multiply_mv call
-        assert not k._ct_mac
-        assert all((k._ct_mul, k._ct_add, k._gates))
+        # the sum and two-term tables live for one public product
+        assert not k._ct_mac and not k._ct_add
+        assert all((k._ct_mul, k._gates))
+        # called directly, _add leaves its entries for gc to empty
+        k._add(a, b)
+        assert k._ct_add
         k.gc([])
         assert not any((k._ct_mul, k._ct_add, k._ct_mac, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
@@ -428,6 +431,59 @@ class TestGarbageCollection:
         live = set(k._vec_unique.values()) | set(k._mat_unique.values())
         for e in again:
             assert all(node in live for node in _walk_nodes(e))
+
+    @pytest.mark.parametrize("strategy", ["sequential", "heuristic", "greedy"])
+    def test_sum_tables_emptied_after_every_product(self, strategy):
+        n = 6
+        k = Kernel()
+        initial, _ = execute(ghz(n), kernel=k)
+        filled = []
+        real_add = k._add
+
+        def add(a, b):
+            r = real_add(a, b)
+            filled.append(len(k._ct_add))
+            return r
+
+        def observer(ti, result):
+            assert not k._ct_add and not k._ct_mac
+
+        k._add = add
+        g = qft(n)
+        g_prime = transpile(g)
+        final, _ = execute(concat_inverse(g, g_prime), make_path(strategy, g, g_prime),
+                           kernel=k, initial=initial, observer=observer)
+        assert max(filled) > 0
+        assert abs(k.inner_product(initial, final)) > 1 - 1e-9
+
+    @pytest.mark.parametrize("product", ["mv", "mm"])
+    def test_sum_tables_emptied_when_a_product_raises(self, product):
+        # dense operators on three qubits: their products form sums
+        n = 5
+        rng = random.Random(3)
+        k = Kernel()
+        op = k.one_terminal
+        for _ in range(2):
+            for q in range(3):
+                op = k.multiply_mm(k.make_gate(Gate("u", (q,), matrix=random_unitary_2x2(rng)), n), op)
+            op = k.multiply_mm(k.make_gate(cx(0, 2), n), op)
+        state = run_gates(k, Circuit(n, tuple(h(q) for q in range(n))))
+        state = run_gates(k, random_circuit(rng, n, 20), state)
+        name = "_vnode" if product == "mv" else "_mnode"
+        real = getattr(k, name)
+
+        def failing(*args):
+            if k._ct_add:
+                raise RecursionError
+            return real(*args)
+
+        setattr(k, name, failing)
+        with pytest.raises(RecursionError):
+            if product == "mv":
+                k.multiply_mv(op, state)
+            else:
+                k.multiply_mm(op, op)
+        assert not k._ct_add and not k._ct_mac
 
     def test_external_refs_survive_gc(self):
         k = Kernel()
@@ -451,8 +507,7 @@ class TestGarbageCollection:
         for w in live:
             assert k.intern(w) is w
         if kernel_cls is Kernel:
-            assert k._occupied_re == {int(key.real) for key in k._values}
-            assert k._occupied_im == {int(key.imag) for key in k._values}
+            _assert_maps_cover(k)
         again = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
         assert again.stats.peak_nodes == first.stats.peak_nodes == 2 ** n - 1
         assert again.stats.result_nodes == first.stats.result_nodes
@@ -560,22 +615,97 @@ def _value_stream(rng: random.Random, count: int) -> list[complex]:
     return out
 
 
+def _rounding_edge_cases() -> list[complex]:
+    """Weights whose parts in units of EPS are exact ties (k + 1/2) of both
+    signs, neighbours of ±2^51 (where the bucket rounding changes method),
+    signed zeros, subnormals, and 1e300 (a weight of 1e300 itself is beyond
+    the buckets and rejected)."""
+    parts = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300 * EPS]
+    for k in (0, 1, 2, 7, 1000, 123456789, 2 ** 40 + 3):
+        for sign in (1, -1):
+            tie = sign * (k + 0.5)
+            w = tie * EPS
+            parts.append(w)
+            # the float nearest to (k + 1/2)·EPS rarely scales back to the
+            # tie itself: walk to a neighbour that does
+            for _ in range(4):
+                if w * _INV_EPS == tie:
+                    parts.append(w)
+                    break
+                w = math.nextafter(w, math.inf if w * _INV_EPS < tie else -math.inf)
+    for edge in (2.0 ** 51, -(2.0 ** 51)):
+        w = edge * EPS
+        for direction in (math.inf, -math.inf):
+            x = w
+            for _ in range(3):
+                x = math.nextafter(x, direction)
+                parts.append(x)
+        parts += [w, (edge - 0.5) * EPS, (edge + 0.5) * EPS, (edge - 1.5) * EPS]
+    return [complex(re, im) for re in parts for im in (0.0, -0.0, 0.5, parts[len(parts) // 2])]
+
+
+def _assert_maps_cover(k):
+    """No false negatives: every bucket key marks its row and column byte.
+    The maps are a power of two of at least 8 bytes per key, and at most 32
+    above the minimum."""
+    rows = k._occupied_re
+    cols = k._occupied_im
+    size = len(rows)
+    assert len(cols) == size and size & (size - 1) == 0
+    assert 8 * len(k._values) <= size <= max(4096, 32 * len(k._values))
+    mask = size - 1
+    for key in k._values:
+        assert rows[int(key.real) & mask] and cols[int(key.imag) & mask], key
+
+
 class TestValueTable:
+    def test_bucket_rounding_equals_round(self):
+        # every weight interned into an empty table stores exactly one key,
+        # its parts in units of EPS rounded by round(), ties to even
+        rng = random.Random(17)
+        stream = _value_stream(rng, 3000) + _rounding_edge_cases()
+        stream += [complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-14, 3),
+                           rng.uniform(-1, 1) * 10.0 ** rng.randint(-14, 3))
+                   for _ in range(3000)]
+        ties = 0
+        k = Kernel()
+        for w in stream:
+            k._values.clear()
+            k.intern(w)
+            kr = round(w.real * _INV_EPS)
+            ki = round(w.imag * _INV_EPS)
+            assert [repr(key) for key in k._values] == [repr(complex(kr, ki))], w
+            ties += (w.real * _INV_EPS) % 1 == 0.5
+        assert ties >= 20
+
+    @pytest.mark.parametrize("w", [complex(0, math.nan), complex(math.inf, 0),
+                                   complex(0, -math.inf), complex(1e300, 0),
+                                   complex(0.5, -1e300)])
+    def test_weight_beyond_the_buckets_rejected(self, w):
+        for k in (Kernel(), ReferenceKernel()):
+            with pytest.raises(InvalidArgumentError):
+                k.intern(w)
+
     def test_intern_matches_reference(self):
         rng = random.Random(8)
         k = Kernel()
         ref = ReferenceKernel()
         snapped = 0
-        for w in _value_stream(rng, 20000):
+        grown = 0
+        for w in _value_stream(rng, 20000) + _rounding_edge_cases():
+            size = len(k._occupied_re)
             got = k.intern(w)
             want = ref.intern(w)
             # repr tells apart -0.0 and 0.0
             assert repr(got) == repr(want), w
             snapped += got != w
+            if len(k._occupied_re) != size:
+                grown += 1
+                _assert_maps_cover(k)
         assert snapped > 1000
         assert len(k._values) == len(ref._values)
-        assert k._occupied_re == {int(key.real) for key in k._values}
-        assert k._occupied_im == {int(key.imag) for key in k._values}
+        assert grown >= 2
+        _assert_maps_cover(k)
 
     def test_signature_matches_reference_on_random_circuits(self):
         rng = random.Random(12)
