@@ -19,24 +19,30 @@ diagrams keep a node on every level.  ``node_count(e, n)`` counts the
 explicit form, where each skipped level is one identity node, so counts do
 not depend on the reduction; ``to_matrix(e, n)`` expands skipped levels.
 
-Only values relative to a sibling are interned: a successor weight divided
-by its node's norm, the ratio of two summands, one plus the ratio of two
-scalar or scaled-identity summands and a gate-matrix entry, all of magnitude
-about 1 or less.  There weights within an absolute EPS = 1e-12 share a
-representative.  A root weight, the norm a node passes up its incoming edge,
-shrinks like 2^(-n/2) and stays a plain product, never interned.  Two
-scalars sum by the same relative rule, as ``a · (1 + b/a)``, so a sum below
-EPS is kept unless it vanishes relative to its summands.  The value table
-maps the bucket ``complex(kr, ki)``, the real and imaginary parts in units
-of EPS rounded to integers (ties to even), to that representative; a miss
-probes the eight neighbouring buckets, unless two byte maps show that no
-neighbour exists.  Byte ``kr & mask`` of the row map and ``ki & mask`` of
-the column map are set for every key, so three zero bytes around ``kr`` (or
-``ki``) prove that no neighbouring row (column) is occupied; a set byte may
-be a collision, and then the probe runs.  The maps hold a power of two bytes,
-at least 8 per key and at least 4096; they grow 4x when the table outgrows
-them and are rebuilt from the keys then and after every sweep.  The vector
-unique table is keyed by the node's successor tuple, which is also its
+Only values relative to a sibling go through the value table, all of
+magnitude about 1 or less; there weights within an absolute EPS = 1e-12
+share a representative.  Two kinds are stored (``intern``): a successor
+weight divided by its node's norm, and a gate-matrix entry.  Sums only read
+the table (``lookup``): the ratio of two summands and one plus the ratio of
+two scalar or scaled-identity summands take the stored representative
+within EPS, else keep their own value.  A ratio that keys a sum's memo
+entry and misses takes instead the first value of its bucket in the running
+product, from a ratio table that lives as long as the sum table, so keys
+that differ only in the last bits still meet.  A root weight, the norm a
+node passes up its incoming edge, shrinks like 2^(-n/2) and stays a plain
+product, never looked up.  Two scalars sum by the same relative rule, as
+``a · (1 + b/a)``, so a sum below EPS is kept unless it vanishes relative
+to its summands.  The value table maps the bucket ``complex(kr, ki)``, the
+real and imaginary parts in units of EPS rounded to integers (ties to
+even), to that representative; a miss probes the eight neighbouring
+buckets, unless two byte maps show that no neighbour exists.  Byte
+``kr & mask`` of the row map and ``ki & mask`` of the column map are set
+for every key, so three zero bytes around ``kr`` (or ``ki``) prove that
+no neighbouring row (column) is occupied; a set byte may be a collision,
+and then the probe runs.  The maps hold a power of two bytes, at least 8
+per key and at least 4096; they grow 4x when the table outgrows them and
+are rebuilt from the keys then and after every sweep.  The vector unique
+table is keyed by the node's successor tuple, which is also its
 ``edges``: terminal successors occur only at level 0 and every other
 successor sits one level down, so the successors fix the level.  Operator
 successors may sit at any lower level, so the operator unique table is
@@ -48,9 +54,11 @@ weight ratio, for sums).  Vector and operator nodes are distinct objects, so
 one table serves both kinds.  The product table lives until the next
 ``Kernel.gc`` sweep, which empties it together with the gate memo, so no
 entry outlives a node it names, and sweeps the value table down to ZERO,
-ONE and the successor weights of the nodes it keeps.  The sum table lives
-for one public product: ``multiply_mv`` and ``multiply_mm`` empty it when
-they return or raise, since its entries are rarely hit by a later product.
+ONE and the successor weights of the nodes it keeps.  The sum table and the
+ratio table live for one public product: ``multiply_mv`` and
+``multiply_mm`` empty them when they return or raise, since a later
+product rarely hits their entries.  Between sweeps the value table holds
+only ZERO, ONE, gate-matrix entries and successor weights of stored nodes.
 
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
@@ -137,10 +145,11 @@ class Kernel:
 
     The product table and the gate memo are exact memos that never drop an
     entry between two ``gc`` sweeps; each sweep empties them.  The sum
-    table is emptied at the end of every ``multiply_mv`` and
-    ``multiply_mm``, the two-term table at the end of every
-    ``multiply_mv``.  The value table's occupancy byte maps hold at least 8
-    bytes per bucket, in a power of two of at least 4096.
+    table and the ratio table are emptied at the end of every
+    ``multiply_mv`` and ``multiply_mm``, the two-term table at the end of
+    every ``multiply_mv``.  Only ``intern`` stores into the value table;
+    sums only read it.  Its occupancy byte maps hold at least 8 bytes per
+    bucket, in a power of two of at least 4096.
     """
 
     def __init__(self):
@@ -163,20 +172,26 @@ class Kernel:
         self._ct_add: dict = {}
         # a·x + b·y keyed (A, X, B, Y, ratio); lives for one multiply_mv
         self._ct_mac: dict = {}
+        # bucket -> first memo-key ratio of the running product that missed
+        # the value table; lives for one public product, like _ct_add
+        self._ratios: dict = {}
         # (gate diagram, its node count) by (kind, parameter, matrix,
         # controls, targets, n); emptied by gc, never a root
         self._gates: dict = {}
 
     # ------------------------------------------------------------------
-    # value interning
+    # value table
 
-    def intern(self, w: complex) -> complex:
-        """Canonical representative for ``w``; values within EPS collapse.
+    def _probe(self, w: complex) -> tuple:
+        """Rounding and probe behind every read of the value table.
 
         ``w`` falls in bucket ``(kr, ki)``, its parts in units of EPS rounded
         to integers.  A miss there probes the eight neighbouring buckets, but
         only when the byte maps mark some neighbour row and some neighbour
         column; a zero byte proves that no such row or column is occupied.
+        Returns ``(None, v)`` when the own bucket holds ``v``, ``(key, v)``
+        when a neighbour holds a ``v`` within EPS and ``(key, None)`` on a
+        miss, ``key`` being the own bucket.
         """
         re = w.real
         im = w.imag
@@ -199,7 +214,7 @@ class Kernel:
         key = complex(kr, ki)
         v = table.get(key)
         if v is not None:
-            return v
+            return None, v
         rows = self._occupied_re
         cols = self._occupied_im
         mask = len(rows) - 1
@@ -211,16 +226,43 @@ class Kernel:
             for dr, di in _NEIGHBOURS:
                 u = table.get(complex(kr + dr, ki + di))
                 if u is not None and abs(u.real - re) <= EPS and abs(u.imag - im) <= EPS:
-                    v = u
-                    break
+                    return key, u
+        return key, None
+
+    def intern(self, w: complex) -> complex:
+        """Canonical representative for ``w``; values within EPS collapse.
+
+        The representative found by ``lookup``, else ``w`` itself; either is
+        stored in ``w``'s bucket."""
+        key, v = self._probe(w)
+        if key is None:
+            return v
         if v is None:
-            v = complex(re, im)
+            v = complex(w.real, w.imag)
+        table = self._values
         table[key] = v
+        rows = self._occupied_re
+        mask = len(rows) - 1
         if 8 * len(table) > mask:
             self._rebuild_maps(4 * (mask + 1))
         else:
-            rows[r] = 1
-            cols[c] = 1
+            rows[int(key.real) & mask] = 1
+            self._occupied_im[int(key.imag) & mask] = 1
+        return v
+
+    def lookup(self, w: complex) -> complex:
+        """The stored representative within EPS of ``w``, else ``w``; the
+        value table is only read."""
+        v = self._probe(w)[1]
+        return w if v is None else v
+
+    def _ratio(self, w: complex) -> complex:
+        """``lookup(w)`` for a ratio that keys a sum's memo entry.  On a miss
+        the first value of ``w``'s bucket in the running product, so keys
+        that differ only in the last bits still meet."""
+        key, v = self._probe(w)
+        if v is None:
+            v = self._ratios.setdefault(key, w)
         return v
 
     def _rebuild_maps(self, size: int) -> None:
@@ -350,10 +392,6 @@ class Kernel:
                 e = self._vnode(level, self.zero_edge, e)
         return e
 
-    def _terminal(self, value: complex) -> Edge:
-        w = self.intern(value)
-        return self.zero_edge if w == 0 else Edge(w, None)
-
     def make_gate(self, gate, n: int) -> Edge:
         """Operator diagram of ``gate`` extended to ``n`` qubits.
 
@@ -446,15 +484,16 @@ class Kernel:
             if an is bn:
                 # two scalars or two scaled identities, summed as
                 # a.w · (1 + ratio)
-                ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
-                return self._scale(self._terminal(1 + ratio), a.w)
+                ratio = b.w if a.w == 1 else self.lookup(b.w / a.w)
+                s = self.lookup(1 + ratio)
+                return self.zero_edge if s == 0 else self._scale(_edge((s, None)), a.w)
             if bn is not None and (an is None or an.level < bn.level):
                 a, b = b, a
                 an, bn = bn, an
         elif an.uid > bn.uid:
             a, b = b, a
             an, bn = bn, an
-        ratio = b.w if a.w == 1 else self.intern(b.w / a.w)
+        ratio = b.w if a.w == 1 else self._ratio(b.w / a.w)
         if ratio == 0:
             return a
         key = (an, bn, ratio)
@@ -489,6 +528,7 @@ class Kernel:
         finally:
             self._ct_mac.clear()
             self._ct_add.clear()
+            self._ratios.clear()
 
     def _mul_mv(self, m: Edge, v: Edge) -> Edge:
         mw, mn = m
@@ -541,7 +581,7 @@ class Kernel:
             # of the two scaled vectors
             return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
         w = aw * xw
-        ratio = self.intern(bw * yw / w)
+        ratio = self._ratio(bw * yw / w)
         if ratio == 0:
             return self._mul_mv(a, x)
         key = (an, xn, bn, yn, ratio)
@@ -608,6 +648,7 @@ class Kernel:
             return self._mul_mm(a, b)
         finally:
             self._ct_add.clear()
+            self._ratios.clear()
 
     def _mul_mm(self, a: Edge, b: Edge) -> Edge:
         aw, an = a
@@ -847,8 +888,9 @@ class Kernel:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
         The compute tables and the gate memo are emptied wholesale, since
-        their entries may name swept nodes; the sum table is empty already
-        unless ``_add`` was called outside a product.  The value table keeps
+        their entries may name swept nodes; the sum and ratio tables are
+        empty already unless ``_add`` was called outside a product.  The
+        value table, which holds no value of a sum, keeps
         the buckets whose representative is ZERO, ONE or a successor weight
         of a kept node, so every weight a kept node holds still interns to
         itself; root weights are plain products and need no bucket.  The
@@ -880,6 +922,7 @@ class Kernel:
         self._sweep_values(live)
         self._ct_mul.clear()
         self._ct_add.clear()
+        self._ratios.clear()
         self._gates.clear()
         return removed
 

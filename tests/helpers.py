@@ -301,16 +301,18 @@ def reference_convex_validate(path, circuit):
 class ReferenceKernel(Kernel):
     """``Kernel`` whose value table is keyed by ``(kr, ki)`` tuples, rounds
     every part with ``round()`` and probes all eight neighbour buckets on
-    every miss.  Kept as the reference ``Kernel.intern`` is compared
+    every miss.  Kept as the reference ``Kernel._probe`` is compared
     against: complex keys, rounding by float addition, and a probe skipped
-    when the occupancy byte maps show no neighbour.  ``gc`` sweeps it by the
-    same rule, with no byte maps to rebuild."""
+    when the occupancy byte maps show no neighbour.  Its probe, which only
+    reads the table, serves ``intern``, ``lookup`` and the sums' ratios
+    alike; ``intern`` alone stores.  ``gc`` sweeps it by the same rule, with
+    no byte maps to rebuild."""
 
     def __init__(self):
         super().__init__()
         self._values = {(0, 0): self.ZERO, (round(_INV_EPS), 0): self.ONE}
 
-    def intern(self, w: complex) -> complex:
+    def _probe(self, w: complex) -> tuple:
         re = w.real
         im = w.imag
         if not (math.isfinite(re * _INV_EPS) and math.isfinite(im * _INV_EPS)):
@@ -320,17 +322,23 @@ class ReferenceKernel(Kernel):
         table = self._values
         v = table.get((kr, ki))
         if v is not None:
-            return v
+            return None, v
         for dr in (-1, 0, 1):
             for di in (-1, 0, 1):
                 if dr == 0 and di == 0:
                     continue
                 v = table.get((kr + dr, ki + di))
                 if v is not None and abs(v.real - re) <= EPS and abs(v.imag - im) <= EPS:
-                    table[(kr, ki)] = v
-                    return v
-        v = complex(re, im)
-        table[(kr, ki)] = v
+                    return (kr, ki), v
+        return (kr, ki), None
+
+    def intern(self, w: complex) -> complex:
+        key, v = self._probe(w)
+        if key is None:
+            return v
+        if v is None:
+            v = complex(w.real, w.imag)
+        self._values[key] = v
         return v
 
     def _sweep_values(self, live: set) -> None:

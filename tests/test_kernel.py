@@ -13,7 +13,7 @@ from ddpath import oracle
 from ddpath.circuit import (GENERATORS, Circuit, Gate, cp, cx, deutsch_jozsa, ghz,
                             entangled_qft, h, qft, swap)
 from ddpath.errors import InvalidArgumentError, PathValidationError
-from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED
+from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED, base_matrix
 from ddpath.kernel import _INV_EPS, EPS, Edge
 from ddpath.simpath import make_path
 
@@ -176,7 +176,7 @@ class TestAdd:
         lies below EPS.  (The vector [-1, -1e-6 + 1e-13] would not do: its
         successor weight 1e-6 - 1e-13 interns to 1e-6, so it is -1 times the
         first and the sum cancels exactly.)"""
-        a = k._vnode(0, k._terminal(1), k._terminal(1e-6))
+        a = k._vnode(0, Edge(k.intern(1), None), Edge(k.intern(1e-6), None))
         return a, Edge(-1 + 1e-7, a.node)
 
     def test_scalar_sum_is_relative_to_the_summands(self):
@@ -416,14 +416,15 @@ class TestGarbageCollection:
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
         assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
             == ["_ct_add", "_ct_mac", "_ct_mul"]
-        # the sum and two-term tables live for one public product
-        assert not k._ct_mac and not k._ct_add
+        # the sum, ratio and two-term tables live for one public product
+        assert not k._ct_mac and not k._ct_add and not k._ratios
         assert all((k._ct_mul, k._gates))
-        # called directly, _add leaves its entries for gc to empty
+        # called directly, _add leaves its entries and the ratios keying
+        # them for gc to empty
         k._add(a, b)
-        assert k._ct_add
+        assert k._ct_add and k._ratios
         k.gc([])
-        assert not any((k._ct_mul, k._ct_add, k._ct_mac, k._gates))
+        assert not any((k._ct_mul, k._ct_add, k._ct_mac, k._ratios, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
         assert not k._ct_mac
         assert (k.signature(again[0]), k.signature(again[1])) == before
@@ -446,7 +447,9 @@ class TestGarbageCollection:
             return r
 
         def observer(ti, result):
-            assert not k._ct_add and not k._ct_mac
+            assert not k._ct_add and not k._ct_mac and not k._ratios
+            # sums only read the value table
+            assert set(k._values.values()) <= _value_owners(k)
 
         k._add = add
         g = qft(n)
@@ -455,6 +458,15 @@ class TestGarbageCollection:
                            kernel=k, initial=initial, observer=observer)
         assert max(filled) > 0
         assert abs(k.inner_product(initial, final)) > 1 - 1e-9
+
+    def test_value_table_holds_only_node_and_gate_weights(self):
+        # the sequential miter never sweeps; its sums leave no value behind
+        n = 14
+        k = Kernel()
+        initial, _ = execute(ghz(n), kernel=k)
+        r = verify_equivalence(qft(n), qft(n), "sequential", k, initial)
+        assert r.stats.peak_nodes == 2 ** n - 1
+        assert set(k._values.values()) <= _value_owners(k)
 
     @pytest.mark.parametrize("product", ["mv", "mm"])
     def test_sum_tables_emptied_when_a_product_raises(self, product):
@@ -471,9 +483,11 @@ class TestGarbageCollection:
         state = run_gates(k, random_circuit(rng, n, 20), state)
         name = "_vnode" if product == "mv" else "_mnode"
         real = getattr(k, name)
+        ratios = []
 
         def failing(*args):
             if k._ct_add:
+                ratios.append(len(k._ratios))
                 raise RecursionError
             return real(*args)
 
@@ -483,7 +497,8 @@ class TestGarbageCollection:
                 k.multiply_mv(op, state)
             else:
                 k.multiply_mm(op, op)
-        assert not k._ct_add and not k._ct_mac
+        assert ratios[0] > 0
+        assert not k._ct_add and not k._ct_mac and not k._ratios
 
     def test_external_refs_survive_gc(self):
         k = Kernel()
@@ -706,6 +721,30 @@ class TestValueTable:
         assert len(k._values) == len(ref._values)
         assert grown >= 2
         _assert_maps_cover(k)
+
+    @pytest.mark.parametrize("kernel_cls", [Kernel, ReferenceKernel])
+    def test_lookup_reads_without_storing(self, kernel_cls):
+        k = kernel_cls()
+        v = k.intern(complex(0.3, -0.6))
+        kr = round(v.real * _INV_EPS)
+        own = complex(v.real + 0.3 * EPS, v.imag)
+        near = complex(v.real + 0.9 * EPS, v.imag - 0.2 * EPS)
+        far = complex(v.real + 3 * EPS, v.imag)
+        assert round(own.real * _INV_EPS) == kr and round(near.real * _INV_EPS) == kr + 1
+        before = (dict(k._values), bytes(k._occupied_re), bytes(k._occupied_im))
+        assert k.lookup(own) is v
+        assert k.lookup(near) is v
+        assert k.lookup(far) is far
+        assert (dict(k._values), bytes(k._occupied_re), bytes(k._occupied_im)) == before
+        # a ratio keying a sum takes the first value of its bucket that
+        # missed the table, which gc forgets
+        first = k._ratio(far)
+        assert first is far
+        assert k._ratio(complex(far.real + 0.2 * EPS, far.imag)) is first
+        assert k._ratio(near) is v
+        assert dict(k._values) == before[0]
+        k.gc([])
+        assert not k._ratios
 
     def test_signature_matches_reference_on_random_circuits(self):
         rng = random.Random(12)
@@ -992,6 +1031,20 @@ class TestFusedSums:
             k.multiply_mv(op, state)
         assert max(seen) > 0
         assert not k._ct_mac
+
+
+def _value_owners(k):
+    """ZERO, ONE, the representatives of the entries of every gate in the
+    gate memo, and the successor weights of every stored node: the values
+    ``intern`` is asked to keep."""
+    owners = {k.ZERO, k.ONE}
+    for kind, parameter, matrix, _, _, _ in k._gates:
+        if kind != "swap":
+            owners.update(k.lookup(x) for x in base_matrix(kind, parameter, matrix))
+    for table in (k._vec_unique, k._mat_unique):
+        for node in table.values():
+            owners.update(s.w for s in node.edges)
+    return owners
 
 
 def _walk_nodes(edge):
