@@ -87,9 +87,6 @@ class Circuit:
                     raise InvalidArgumentError(
                         f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 # ----------------------------------------------------------------------
 # gate construction helpers
@@ -102,48 +99,12 @@ def x(q: int) -> Gate:
     return Gate("x", (q,))
 
 
-def y(q: int) -> Gate:
-    return Gate("y", (q,))
-
-
-def z(q: int) -> Gate:
-    return Gate("z", (q,))
-
-
-def s(q: int) -> Gate:
-    return Gate("s", (q,))
-
-
-def sdg(q: int) -> Gate:
-    return Gate("sdg", (q,))
-
-
-def t(q: int) -> Gate:
-    return Gate("t", (q,))
-
-
-def tdg(q: int) -> Gate:
-    return Gate("tdg", (q,))
-
-
-def sx(q: int) -> Gate:
-    return Gate("sx", (q,))
-
-
-def sxdg(q: int) -> Gate:
-    return Gate("sxdg", (q,))
-
-
 def phase(theta: float, q: int) -> Gate:
     return Gate("p", (q,), parameter=theta)
 
 
 def ry(theta: float, q: int) -> Gate:
     return Gate("ry", (q,), parameter=theta)
-
-
-def rz(theta: float, q: int) -> Gate:
-    return Gate("rz", (q,), parameter=theta)
 
 
 def cx(control: int, target: int) -> Gate:
@@ -160,10 +121,6 @@ def cp(theta: float, control: int, target: int) -> Gate:
 
 def swap(a: int, b: int) -> Gate:
     return Gate("swap", (a, b))
-
-
-def unitary(matrix: _gates.Mat2, q: int, controls: tuple[int, ...] = ()) -> Gate:
-    return Gate("u", (q,), tuple(controls), matrix=tuple(matrix))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line entry point: simulate, verify, export-tn, bench, dot.
 
 Exit codes: 0 success, 1 inconsistent verdict, 2 input or validation error,
-3 internal error.  Reports are JSON on stdout; errors are JSON on stderr.
+3 internal error, 141 (128 + SIGPIPE) when the reader closed stdout early.
+Reports are JSON on stdout; errors are JSON on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import qasm, simpath, tnbridge
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 def parse_circuit_source(source: str) -> Circuit:
@@ -263,7 +266,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that left early shows here, not at the interpreter's exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # as `| head` does; stdout goes to the null device so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InternalError as exc:
         print(json.dumps(_error_payload("internal", exc)), file=sys.stderr)
         return EXIT_INTERNAL

@@ -5,7 +5,7 @@ edges per node); an operator diagram splits a 2^n x 2^n matrix into quadrants
 (four successors ordered 00, 01, 10, 11 by row/column bit of that level's
 qubit).  Common factors are pulled out into complex edge weights, the
 weights a node is keyed by are interned in a bucketed value table, and nodes
-are hash-consed in unique tables, so any two construction orders of the same
+are hash-consed in one unique table, so any two construction orders of the same
 quantity end at the same root node, with root weights equal up to rounding
 (``root_equal``).  Qubit k lives at level k; level n-1 is the root / most
 significant bit of a basis string.
@@ -41,12 +41,13 @@ for every key, so three zero bytes around ``kr`` (or ``ki``) prove that
 no neighbouring row (column) is occupied; a set byte may be a collision,
 and then the probe runs.  The maps hold a power of two bytes, at least 8
 per key and at least 4096; they grow 4x when the table outgrows them and
-are rebuilt from the keys then and after every sweep.  The vector unique
-table is keyed by the node's successor tuple, which is also its
-``edges``: terminal successors occur only at level 0 and every other
-successor sits one level down, so the successors fix the level.  Operator
-successors may sit at any lower level, so the operator unique table is
-keyed by the level plus the successors.
+are rebuilt from the keys then and after every sweep.  The unique table
+keys a vector node by its successor pair, which is also its ``edges``:
+terminal successors occur only at level 0 and every other successor sits
+one level down, so the successors fix the level.  Operator successors may
+sit at any lower level, so it keys an operator node by the level plus the
+four successors.  The keys have different lengths, so the two kinds never
+share one.
 
 Sums and products are memoised in two compute tables, one for sums and one
 for products: plain dicts, exact per kernel, keyed by operand nodes (and the
@@ -74,6 +75,7 @@ not transferable between them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -141,7 +143,8 @@ _edge = functools.partial(tuple.__new__, Edge)
 
 
 class Kernel:
-    """One unique table / compute table / value table instance.
+    """One unique table, for vector and operator nodes alike, plus the
+    compute tables and the value table.
 
     The product table and the gate memo are exact memos that never drop an
     entry between two ``gc`` sweeps; each sweep empties them.  The sum
@@ -162,8 +165,8 @@ class Kernel:
         self._rebuild_maps(_MAP_MIN)
         self.zero_edge = Edge(self.ZERO, None)
         self.one_terminal = Edge(self.ONE, None)
-        self._vec_unique: dict = {}
-        self._mat_unique: dict = {}
+        # vector nodes keyed (e0, e1), operator nodes (level, e0, e1, e2, e3)
+        self._unique: dict = {}
         self._uid = 0
         # products keyed (M, V) or (A, B), sums (A, B, ratio); vector and
         # operator nodes are distinct objects, so the kinds never share a key.
@@ -306,11 +309,11 @@ class Kernel:
         else:
             return self.zero_edge
         edges = (n0, n1)
-        node = self._vec_unique.get(edges)
+        node = self._unique.get(edges)
         if node is None:
             self._uid += 1
             node = Node(level, edges, self._uid)
-            self._vec_unique[edges] = node
+            self._unique[edges] = node
         return _edge((norm, node))
 
     def _mnode(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
@@ -344,11 +347,11 @@ class Kernel:
             # goes straight to x
             return _edge((norm, n0.node))
         key = (level, n0, n1, n2, n3)
-        node = self._mat_unique.get(key)
+        node = self._unique.get(key)
         if node is None:
             self._uid += 1
             node = Node(level, out, self._uid)
-            self._mat_unique[key] = node
+            self._unique[key] = node
         return _edge((norm, node))
 
     def _diag(self, node: Node | None) -> tuple:
@@ -728,7 +731,7 @@ class Kernel:
         if root is None:
             return 0 if e.w == 0 or n is None else n
         if len(root.edges) == 2:
-            return len(self._reachable(e))
+            return len(self._reachable((root,)))
         top = root.level if n is None else n - 1
         if top < root.level:
             raise InvalidArgumentError(
@@ -755,12 +758,10 @@ class Kernel:
                     skip[x] = d
         return len(seen) + sum(skip.values())
 
-    def _reachable(self, e: Edge) -> set:
-        root = e.node
-        if root is None:
-            return set()
-        seen = {root}
-        stack = [root]
+    def _reachable(self, roots: Iterable[Node | None]) -> set:
+        """Every node reachable from ``roots``; a None root is skipped."""
+        stack = [x for x in roots if x is not None]
+        seen = set(stack)
         while stack:
             for s in stack.pop().edges:
                 x = s.node
@@ -803,7 +804,7 @@ class Kernel:
         equality), built level by level from the bottom rather than by
         recursion: every successor of a node sits at a lower level."""
         memo: dict = {None: None}
-        for node in sorted(self._reachable(e), key=lambda x: x.level):
+        for node in sorted(self._reachable((e.node,)), key=lambda x: x.level):
             memo[node] = (node.level,
                           tuple((x.w.real, x.w.imag, memo[x.node]) for x in node.edges))
         return (e.w.real, e.w.imag, memo[e.node])
@@ -882,12 +883,14 @@ class Kernel:
 
     @property
     def unique_size(self) -> int:
-        return len(self._vec_unique) + len(self._mat_unique)
+        return len(self._unique)
 
     def gc(self, roots: Iterable[Edge] = ()) -> int:
         """Sweep nodes unreachable from ``roots`` and externally ref'd nodes.
 
-        The compute tables and the gate memo are emptied wholesale, since
+        The nodes ``_reachable`` finds from both are kept in the one unique
+        table and the rest dropped; the count dropped is returned.  The
+        compute tables and the gate memo are emptied wholesale, since
         their entries may name swept nodes; the sum and ratio tables are
         empty already unless ``_add`` was called outside a product.  The
         value table, which holds no value of a sum, keeps
@@ -897,34 +900,18 @@ class Kernel:
         byte maps are rebuilt at the smallest power of two above 8 bytes per
         kept bucket, and at least 4096.
         """
-        marked: set = set()
+        table = self._unique
+        marked = self._reachable(itertools.chain(
+            (e.node for e in roots), (x for x in table.values() if x.ref > 0)))
         live = {self.ZERO, self.ONE}
-        stack = [e.node for e in roots if e.node is not None]
-        for table in (self._vec_unique, self._mat_unique):
-            for node in table.values():
-                if node.ref > 0:
-                    stack.append(node)
-        while stack:
-            node = stack.pop()
-            if node in marked:
-                continue
-            marked.add(node)
-            for s in node.edges:
-                live.add(s.w)
-                if s.node is not None and s.node not in marked:
-                    stack.append(s.node)
-        removed = 0
-        for name in ("_vec_unique", "_mat_unique"):
-            table = getattr(self, name)
-            kept = {k: v for k, v in table.items() if v in marked}
-            removed += len(table) - len(kept)
-            setattr(self, name, kept)
+        live.update(s.w for node in marked for s in node.edges)
+        self._unique = {k: v for k, v in table.items() if v in marked}
         self._sweep_values(live)
         self._ct_mul.clear()
         self._ct_add.clear()
         self._ratios.clear()
         self._gates.clear()
-        return removed
+        return len(table) - len(self._unique)
 
     def _sweep_values(self, live: set) -> None:
         """Keep the buckets whose representative is in ``live``."""

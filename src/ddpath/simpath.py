@@ -178,8 +178,8 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
     g_prime)``, otherwise over ``g``.  ``alternating`` and ``heuristic``
     weave the two halves of a miter; when one half is empty they fall back
     to the chain.  Both file prefixes read either schema (``load_path``).
-    The greedy plan and file paths pass ``validate`` before they are
-    returned.
+    No path is checked here: ``execute`` validates every path once, before
+    its first product, whatever built it.
     """
     if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
         raise InvalidArgumentError(
@@ -196,13 +196,10 @@ def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> Simu
         if strategy == "alternating":
             return alternating_path(len(g.gates), len(g_prime.gates))
         return heuristic_path(g, g_prime)
-    circuit = g if g_prime is None else concat_inverse(g, g_prime)
     if strategy == "greedy":
-        path = tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
-    else:
-        path = load_path(strategy.partition(":")[2])
-    validate(path, circuit)
-    return path
+        circuit = g if g_prime is None else concat_inverse(g, g_prime)
+        return tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
+    return load_path(strategy.partition(":")[2])
 
 
 # ----------------------------------------------------------------------
@@ -345,14 +342,16 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     An operator operand may be a terminal edge, a scaled identity; node
     counts are taken over all ``n`` levels (``Kernel.node_count(e, n)``).
 
-    Python's cyclic garbage collector is paused while this runs and turned
-    back on afterwards only if it was on before.  Nodes, edges and
-    compute-table entries form a DAG and are freed by reference counting,
-    so the collector's walks over them free nothing.  This is unrelated to
-    ``Kernel.gc``, the unique-table sweep, which still runs here.
+    Python's cyclic garbage collector is paused while this runs if it was
+    on; a run that finds it off, perhaps paused by an overlapping run,
+    leaves it alone.  Nodes, edges and compute-table entries form a DAG and
+    are freed by reference counting, so the collector's walks over them
+    free nothing.  This is unrelated to ``Kernel.gc``, the unique-table
+    sweep, which still runs here.
     """
     collector_was_on = gc.isenabled()
-    gc.disable()
+    if collector_was_on:
+        gc.disable()
     try:
         if path is None:
             path = sequential_path(len(circuit.gates))

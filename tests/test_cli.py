@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ddpath
 from ddpath import emit_qasm, qft
 from ddpath.cli import main
 from ddpath.circuit import Circuit, Gate
@@ -400,3 +404,23 @@ class TestSourceParsing:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/does/not/exist.qasm")
         assert code == 2
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head`` does, ends the run
+    quietly with 141 (128 + SIGPIPE), not as an internal error."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dot", "qft:6"), ("simulate", "qft:8"), ("export-tn", "qft:12"),
+        # output small enough to sit in the buffer until the final flush
+        ("simulate", "ghz:2"),
+    ])
+    def test_reader_gone_before_the_first_write(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(ddpath.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "ddpath.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""

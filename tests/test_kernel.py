@@ -429,7 +429,7 @@ class TestGarbageCollection:
         assert not k._ct_mac
         assert (k.signature(again[0]), k.signature(again[1])) == before
         # rebuilt into the unique table, not the swept nodes from before gc
-        live = set(k._vec_unique.values()) | set(k._mat_unique.values())
+        live = set(k._unique.values())
         for e in again:
             assert all(node in live for node in _walk_nodes(e))
 
@@ -799,22 +799,22 @@ def _kind_gates(n: int) -> list[Gate]:
 
 def _check_unique_tables(k: Kernel) -> int:
     checked = 0
-    for key, node in k._vec_unique.items():
-        assert key is node.edges
-        for s in node.edges:
-            if node.level == 0:
-                assert s.node is None
-            else:
-                assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
-        checked += 1
-    # operator successors may skip identity levels, so the level is part of
-    # the key; no stored node is itself an identity level
-    for key, node in k._mat_unique.items():
-        assert key == (node.level,) + node.edges
-        for s in node.edges:
-            assert s.node is None or s.node.level < node.level
-        e0, e1, e2, e3 = node.edges
-        assert not (e1.w == 0 and e2.w == 0 and e0 == e3 and e0.w == k.ONE)
+    for key, node in k._unique.items():
+        if len(node.edges) == 2:
+            assert key is node.edges
+            for s in node.edges:
+                if node.level == 0:
+                    assert s.node is None
+                else:
+                    assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
+        else:
+            # operator successors may skip identity levels, so the level is
+            # part of the key; no stored node is itself an identity level
+            assert key == (node.level,) + node.edges
+            for s in node.edges:
+                assert s.node is None or s.node.level < node.level
+            e0, e1, e2, e3 = node.edges
+            assert not (e1.w == 0 and e2.w == 0 and e0 == e3 and e0.w == k.ONE)
         checked += 1
     return checked
 
@@ -1041,9 +1041,8 @@ def _value_owners(k):
     for kind, parameter, matrix, _, _, _ in k._gates:
         if kind != "swap":
             owners.update(k.lookup(x) for x in base_matrix(kind, parameter, matrix))
-    for table in (k._vec_unique, k._mat_unique):
-        for node in table.values():
-            owners.update(s.w for s in node.edges)
+    for node in k._unique.values():
+        owners.update(s.w for s in node.edges)
     return owners
 
 

@@ -615,6 +615,124 @@ class TestCollectorPause:
         assert results == [expected] * 12
         assert gc.isenabled()
 
+    def test_run_that_finds_it_paused_leaves_it_alone(self, monkeypatch):
+        # run B reads the collector while run A has it paused, and goes on
+        # only after A has turned it back on; B must not pause it then
+        a_paused = threading.Event()
+        b_read = threading.Event()
+        a_done = threading.Event()
+
+        class Shim:
+            enable = staticmethod(gc.enable)
+            disable = staticmethod(gc.disable)
+
+            @staticmethod
+            def isenabled():
+                on = gc.isenabled()
+                if threading.current_thread() is b:
+                    b_read.set()
+                    a_done.wait(30)
+                return on
+
+        def hold_at_first_task(ti, _):
+            if ti == 1:
+                a_paused.set()
+                b_read.wait(30)
+
+        def run_a():
+            try:
+                execute(ghz(4), observer=hold_at_first_task)
+            finally:
+                a_done.set()
+
+        a = threading.Thread(target=run_a)
+        b = threading.Thread(target=lambda: execute(ghz(4)))
+        assert gc.isenabled()
+        monkeypatch.setattr(simpath, "gc", Shim)
+        try:
+            a.start()
+            assert a_paused.wait(30)
+            b.start()
+            a.join(timeout=60)
+            b.join(timeout=60)
+            assert not a.is_alive() and not b.is_alive()
+            assert b_read.is_set()
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestOneValidation:
+    """``execute`` is the one caller of ``validate`` in a run, whatever
+    built the path."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = simpath.validate
+
+        def counted(path, circuit):
+            calls.append(path)
+            return real(path, circuit)
+
+        monkeypatch.setattr(simpath, "validate", counted)
+        return calls
+
+    @staticmethod
+    def _files(tmp_path, path, stem):
+        """``file:`` and ``plan:`` names for ``path``, one per schema."""
+        f = tmp_path / f"{stem}-path.json"
+        save_path(path, str(f))
+        p = tmp_path / f"{stem}-plan.json"
+        p.write_text(json.dumps({"pairs": [list(t) for t in path.tasks]}))
+        return (f"file:{f}", f"plan:{p}")
+
+    def test_make_path_validates_nothing(self, calls, tmp_path):
+        g, g_prime = qft(3), transpile(qft(3))
+        combined = concat_inverse(g, g_prime)
+        for name in STRATEGIES + self._files(tmp_path, greedy_plan(
+                export_tensor_network(combined)), "miter"):
+            make_path(name, g, g_prime)
+        for name in ("sequential", "greedy") + self._files(
+                tmp_path, sequential_path(len(g.gates)), "single"):
+            make_path(name, g)
+        assert calls == []
+
+    def test_execute_validates_once(self, calls, tmp_path):
+        c = qft(4)
+        k = Kernel()
+        want, _ = execute(c, kernel=k)
+        for name in ("sequential", "greedy") + self._files(
+                tmp_path, greedy_plan(export_tensor_network(c)), "qft"):
+            calls.clear()
+            final, _ = execute(c, make_path(name, c), k)
+            assert len(calls) == 1, name
+            assert root_equal(final, want), name
+
+    def test_each_verify_validates_once(self, calls, tmp_path):
+        g, g_prime = qft(3), transpile(qft(3))
+        combined = concat_inverse(g, g_prime)
+        for name in STRATEGIES + self._files(tmp_path, greedy_plan(
+                export_tensor_network(combined)), "miter"):
+            calls.clear()
+            assert verify_equivalence(g, g_prime, name).verdict == "consistent"
+            assert len(calls) == 1, name
+
+    def test_reordering_file_fails_in_execute_before_the_first_product(
+            self, calls, tmp_path):
+        c = ghz(3)
+        bad = SimulationPath(((0, 3), (1, 4), (2, 5)))
+        for name in self._files(tmp_path, bad, "bad"):
+            calls.clear()
+            path = make_path(name, c)
+            assert calls == []
+            products = []
+            with pytest.raises(PathValidationError) as info:
+                execute(c, path, observer=lambda ti, _: products.append(ti))
+            assert info.value.task_index == 3
+            assert "pair (2, 5) would reorder gate 3 above gate 2" in str(info.value)
+            assert len(calls) == 1 and products == []
+
 
 def _random_job(strategy):
     def job(k):
@@ -659,7 +777,6 @@ class TestInRunGc:
         assert stats.result_nodes == want.result_nodes
         # rebuilt after the gate memo was emptied, onto the held nodes
         assert root_equal(held, k.make_gate(swap(0, 4), 5))
-        live = {node for table in (k._vec_unique, k._mat_unique)
-                for node in table.values() if node.ref > 0}
+        live = {node for node in k._unique.values() if node.ref > 0}
         assert live == {held.node, final.node}
         assert held.node.ref == 1 and final.node.ref == 1
