@@ -68,6 +68,18 @@ A third table memoises these sums, keyed by the four operand nodes and the
 ratio of the two terms' weights.  It too lives for one ``multiply_mv``
 call.
 
+Inside the kernel an edge is a plain ``(weight, node)`` tuple, read by
+unpacking: the results of the recursions, the compute-table entries and the
+candidate successors of a node are all plain pairs.  ``Edge``, the one
+public type, is built only where an edge is kept or leaves the kernel: the
+successors of a newly stored node (``node.edges`` is a tuple of ``Edge``s),
+the gate memo, and the edges ``make_zero_state``, ``make_basis_state``,
+``make_gate``, ``multiply_mv`` and ``multiply_mm`` return.  A unique-table
+lookup keys on the plain candidate pairs: ``Edge`` is a tuple subclass that
+keeps tuple hashing and equality, so a plain pair finds the stored key with
+the same items, a hit builds no ``Edge`` and only a miss converts its
+successors.  The public readers take any ``(weight, node)`` pair.
+
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
 not transferable between them.
@@ -121,6 +133,11 @@ class Edge(NamedTuple):
     weight with a ``None`` node is a terminal value: a scalar below level 0,
     and for an operator edge that scalar times the identity on every level
     it skips.
+
+    The kernel builds an ``Edge`` only where it keeps or returns one (see
+    the module docstring); inside its recursions an edge is a plain
+    ``(w, node)`` tuple, which hashes and compares equal to the ``Edge``
+    with the same items.
     """
 
     w: complex
@@ -138,7 +155,7 @@ class Edge(NamedTuple):
 
 
 # ``_edge((w, node))`` builds an Edge without the NamedTuple's Python-level
-# ``__new__``; the hot paths below use it
+# ``__new__``; the kernel uses it where it keeps or returns an edge
 _edge = functools.partial(tuple.__new__, Edge)
 
 
@@ -281,46 +298,55 @@ class Kernel:
         self._occupied_re = rows
         self._occupied_im = cols
 
-    def _scale(self, e: Edge, w: complex) -> Edge:
+    def _scale(self, e: tuple, w: complex) -> tuple:
         """``w`` times edge ``e``, a plain product: the weight on an incoming
         edge is not interned."""
         if w == 1:
             return e
-        if w == 0 or e.node is None and e.w == 0:
+        ew, en = e
+        if w == 0 or en is None and ew == 0:
             return self.zero_edge
-        if e.w == 1:
-            return _edge((w, e.node))
-        return _edge((e.w * w, e.node))
+        if ew == 1:
+            return (w, en)
+        return (ew * w, en)
 
     # ------------------------------------------------------------------
     # node construction (normalization + hash consing)
 
-    def _vnode(self, level: int, e0: Edge, e1: Edge) -> Edge:
-        a0 = abs(e0.w)
-        a1 = abs(e1.w)
+    def _vnode(self, level: int, e0: tuple, e1: tuple) -> tuple:
+        w0, x0 = e0
+        w1, x1 = e1
+        a0 = abs(w0)
+        a1 = abs(w1)
         if a1 - a0 > _MAG_TOL * a0:
-            norm = e1.w
-            n0 = self._scale_succ(e0, norm)
-            n1 = _edge((self.ONE, e1.node))
+            norm = w1
+            n0 = self._scale_succ(w0, x0, norm)
+            n1 = (self.ONE, x1)
         elif a0 > 0.0:
-            norm = e0.w
-            n0 = _edge((self.ONE, e0.node))
-            n1 = self._scale_succ(e1, norm)
+            norm = w0
+            n0 = (self.ONE, x0)
+            n1 = self._scale_succ(w1, x1, norm)
         else:
             return self.zero_edge
-        edges = (n0, n1)
-        node = self._unique.get(edges)
+        # a plain pair hashes and compares like the Edge of a stored key
+        node = self._unique.get((n0, n1))
         if node is None:
             self._uid += 1
+            zero = self.zero_edge
+            edges = (n0 if n0 is zero else _edge(n0), n1 if n1 is zero else _edge(n1))
             node = Node(level, edges, self._uid)
             self._unique[edges] = node
-        return _edge((norm, node))
+        return (norm, node)
 
-    def _mnode(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
-        a0 = abs(e0.w)
-        a1 = abs(e1.w)
-        a2 = abs(e2.w)
-        a3 = abs(e3.w)
+    def _mnode(self, level: int, e0: tuple, e1: tuple, e2: tuple, e3: tuple) -> tuple:
+        w0, x0 = e0
+        w1, x1 = e1
+        w2, x2 = e2
+        w3, x3 = e3
+        a0 = abs(w0)
+        a1 = abs(w1)
+        a2 = abs(w2)
+        a3 = abs(w3)
         mx = max(a0, a1, a2, a3)
         if mx == 0.0:
             return self.zero_edge
@@ -330,46 +356,50 @@ class Kernel:
         scale = self._scale_succ
         one = self.ONE
         if a0 >= tied:
-            norm = e0.w
-            out = (_edge((one, e0.node)), scale(e1, norm), scale(e2, norm), scale(e3, norm))
+            norm = w0
+            out = ((one, x0), scale(w1, x1, norm), scale(w2, x2, norm), scale(w3, x3, norm))
         elif a1 >= tied:
-            norm = e1.w
-            out = (scale(e0, norm), _edge((one, e1.node)), scale(e2, norm), scale(e3, norm))
+            norm = w1
+            out = (scale(w0, x0, norm), (one, x1), scale(w2, x2, norm), scale(w3, x3, norm))
         elif a2 >= tied:
-            norm = e2.w
-            out = (scale(e0, norm), scale(e1, norm), _edge((one, e2.node)), scale(e3, norm))
+            norm = w2
+            out = (scale(w0, x0, norm), scale(w1, x1, norm), (one, x2), scale(w3, x3, norm))
         else:
-            norm = e3.w
-            out = (scale(e0, norm), scale(e1, norm), scale(e2, norm), _edge((one, e3.node)))
+            norm = w3
+            out = (scale(w0, x0, norm), scale(w1, x1, norm), scale(w2, x2, norm), (one, x3))
         n0, n1, n2, n3 = out
-        if n1.w == 0 and n2.w == 0 and n0 == n3:
+        if n1[0] == 0 and n2[0] == 0 and n0 == n3:
             # an identity level (ONE·x, 0, 0, ONE·x) is not stored: the edge
             # goes straight to x
-            return _edge((norm, n0.node))
-        key = (level, n0, n1, n2, n3)
-        node = self._unique.get(key)
+            return (norm, n0[1])
+        node = self._unique.get((level, n0, n1, n2, n3))
         if node is None:
             self._uid += 1
-            node = Node(level, out, self._uid)
-            self._unique[key] = node
-        return _edge((norm, node))
+            zero = self.zero_edge
+            edges = (n0 if n0 is zero else _edge(n0), n1 if n1 is zero else _edge(n1),
+                     n2 if n2 is zero else _edge(n2), n3 if n3 is zero else _edge(n3))
+            node = Node(level, edges, self._uid)
+            self._unique[(level,) + edges] = node
+        return (norm, node)
 
     def _diag(self, node: Node | None) -> tuple:
         """Successors of an identity level above ``node``: diag(x, x), x the
         unit edge into ``node`` (None: the identity)."""
-        half = _edge((self.ONE, node))
+        half = (self.ONE, node)
         zero = self.zero_edge
         return (half, zero, zero, half)
 
-    def _scale_succ(self, e: Edge, norm: complex) -> Edge:
-        if e.node is None and e.w == 0:
+    def _scale_succ(self, w: complex, node: Node | None, norm: complex) -> tuple:
+        """The successor ``(w, node)`` divided by its node's norm, the
+        weight interned."""
+        if node is None and w == 0:
             return self.zero_edge
-        if e.w == norm:
-            return _edge((self.ONE, e.node))
-        w = self.intern(e.w / norm)
+        if w == norm:
+            return (self.ONE, node)
+        w = self.intern(w / norm)
         if w == 0:
             return self.zero_edge
-        return _edge((w, e.node))
+        return (w, node)
 
     # ------------------------------------------------------------------
     # constructors
@@ -380,7 +410,7 @@ class Kernel:
         e = self.one_terminal
         for level in range(n):
             e = self._vnode(level, e, self.zero_edge)
-        return e
+        return _edge(e)
 
     def make_basis_state(self, bits: str) -> Edge:
         """Computational basis state from a most-significant-first bit string."""
@@ -393,7 +423,7 @@ class Kernel:
                 e = self._vnode(level, e, self.zero_edge)
             else:
                 e = self._vnode(level, self.zero_edge, e)
-        return e
+        return _edge(e)
 
     def make_gate(self, gate, n: int) -> Edge:
         """Operator diagram of ``gate`` extended to ``n`` qubits.
@@ -432,10 +462,11 @@ class Kernel:
                     f"gate {gate.kind} expects one target, got {targets}")
             mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
             e = self._controlled_single(mat, targets[0], controls)
+        e = _edge(e)
         entry = self._gates[key] = (e, self.node_count(e, n))
         return entry
 
-    def _controlled_single(self, mat, target: int, controls: tuple) -> Edge:
+    def _controlled_single(self, mat, target: int, controls: tuple) -> tuple:
         """Nodes at the target and control levels only; the levels between
         them act as the identity and are skipped."""
         zero = self.zero_edge
@@ -443,7 +474,7 @@ class Kernel:
         em = []
         for x in mat:
             w = self.intern(x)
-            em.append(zero if w == 0 else _edge((w, None)))
+            em.append(zero if w == 0 else (w, None))
         for level in sorted(c for c in controls if c < target):
             # the inactive control branch is the identity below the control,
             # which only the diagonal entry blocks pick up
@@ -456,7 +487,7 @@ class Kernel:
             e = self._mnode(level, one, zero, zero, e)
         return e
 
-    def _swap(self, a: int, b: int) -> Edge:
+    def _swap(self, a: int, b: int) -> tuple:
         """swap(a, b), a < b: quadrant (r, c) at level b is |c><r| on qubit a."""
         one = self.one_terminal
         zero = self.zero_edge
@@ -471,15 +502,15 @@ class Kernel:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _add(self, a: Edge, b: Edge) -> Edge:
+    def _add(self, a: tuple, b: tuple) -> tuple:
         """Element-wise sum of two diagrams of one kind; two vectors must
         sit at the same level."""
-        if a.node is None and a.w == 0:
+        aw, an = a
+        bw, bn = b
+        if an is None and aw == 0:
             return b
-        if b.node is None and b.w == 0:
+        if bn is None and bw == 0:
             return a
-        an = a.node
-        bn = b.node
         if an is None or bn is None or an.level != bn.level:
             # two terminal scalars, or operator edges whose nodes sit at
             # different levels: the one whose node sits higher goes first,
@@ -487,53 +518,57 @@ class Kernel:
             if an is bn:
                 # two scalars or two scaled identities, summed as
                 # a.w · (1 + ratio)
-                ratio = b.w if a.w == 1 else self.lookup(b.w / a.w)
+                ratio = bw if aw == 1 else self.lookup(bw / aw)
                 s = self.lookup(1 + ratio)
-                return self.zero_edge if s == 0 else self._scale(_edge((s, None)), a.w)
+                return self.zero_edge if s == 0 else self._scale((s, None), aw)
             if bn is not None and (an is None or an.level < bn.level):
-                a, b = b, a
-                an, bn = bn, an
+                a, aw, an, bw, bn = b, bw, bn, aw, an
         elif an.uid > bn.uid:
-            a, b = b, a
-            an, bn = bn, an
-        ratio = b.w if a.w == 1 else self._ratio(b.w / a.w)
+            a, aw, an, bw, bn = b, bw, bn, aw, an
+        ratio = bw if aw == 1 else self._ratio(bw / aw)
         if ratio == 0:
             return a
         key = (an, bn, ratio)
         r = self._ct_add.get(key)
         if r is None:
+            add = self._add
+            scale = self._scale
             level = an.level
             ae = an.edges
             be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
             if len(ae) == 2:
-                r = self._vnode(level, self._add(ae[0], self._scale(be[0], ratio)),
-                                self._add(ae[1], self._scale(be[1], ratio)))
+                r = self._vnode(level, add(ae[0], scale(be[0], ratio)),
+                                add(ae[1], scale(be[1], ratio)))
             else:
-                r = self._mnode(level, *[self._add(x, self._scale(y, ratio))
-                                         for x, y in zip(ae, be)])
+                r = self._mnode(level, add(ae[0], scale(be[0], ratio)),
+                                add(ae[1], scale(be[1], ratio)),
+                                add(ae[2], scale(be[2], ratio)),
+                                add(ae[3], scale(be[3], ratio)))
             self._ct_add[key] = r
-        return self._scale(r, a.w)
+        return self._scale(r, aw)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
         """Matrix-vector product; the operator's node may sit below the
         state's top level (it skips identity levels), never above it."""
-        if m.is_zero or v.is_zero:
+        mw, mn = m
+        vw, vn = v
+        if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
-        if m.node is not None and len(m.node.edges) != 4:
+        if mn is not None and len(mn.edges) != 4:
             raise InvalidArgumentError("left operand must be a matrix diagram")
-        if v.node is None or len(v.node.edges) != 2:
+        if vn is None or len(vn.edges) != 2:
             raise InvalidArgumentError("right operand must be a vector diagram")
-        if m.node is not None and m.node.level > v.node.level:
+        if mn is not None and mn.level > vn.level:
             raise InvalidArgumentError(
-                f"level mismatch in multiply: {m.node.level} vs {v.node.level}")
+                f"level mismatch in multiply: {mn.level} vs {vn.level}")
         try:
-            return self._mul_mv(m, v)
+            return _edge(self._mul_mv(m, v))
         finally:
             self._ct_mac.clear()
             self._ct_add.clear()
             self._ratios.clear()
 
-    def _mul_mv(self, m: Edge, v: Edge) -> Edge:
+    def _mul_mv(self, m: tuple, v: tuple) -> tuple:
         mw, mn = m
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
@@ -541,7 +576,7 @@ class Kernel:
         w = vw if mw == 1 else mw if vw == 1 else mw * vw
         if mn is None:
             # the identity, or below level 0 a scalar
-            return _edge((w, vn))
+            return (w, vn)
         key = (mn, vn)
         r = self._ct_mul.get(key)
         if r is None:
@@ -553,7 +588,7 @@ class Kernel:
             if mn.level < level:
                 # an identity level of the operator, diag(M, M); the most
                 # frequent case on a state wider than the gate
-                half = _edge((self.ONE, mn))
+                half = (self.ONE, mn)
                 r = self._vnode(level, mul(half, ve[0]), mul(half, ve[1]))
             elif me[1] == zero and me[2] == zero:
                 # block-diagonal diag(M0, M3): the two off-diagonal products
@@ -567,7 +602,7 @@ class Kernel:
             self._ct_mul[key] = r
         return self._scale(r, w)
 
-    def _mac(self, a: Edge, x: Edge, b: Edge, y: Edge) -> Edge:
+    def _mac(self, a: tuple, x: tuple, b: tuple, y: tuple) -> tuple:
         """``a·x + b·y`` for operator edges ``a``, ``b`` and vector edges
         ``x``, ``y`` of one level, in one recursion that builds only the
         nodes of the sum, not those of the two products."""
@@ -591,49 +626,62 @@ class Kernel:
         r = self._ct_mac.get(key)
         if r is None:
             level = xn.level
-            xe = xn.edges
-            ye = yn.edges
-            ua = _edge((self.ONE, an))
-            ub = _edge((ratio, bn))
             if (an is None or an.level < level) and (bn is None or bn.level < level):
                 # both operators are identity levels here, diag(A, A) and
                 # diag(B, B): each half of the sum pairs the two halves
                 mac = self._mac
-                r = self._vnode(level, mac(ua, xe[0], ub, ye[0]),
-                                mac(ua, xe[1], ub, ye[1]))
+                ua = (self.ONE, an)
+                ub = (ratio, bn)
+                x0, x1 = xn.edges
+                y0, y1 = yn.edges
+                r = self._vnode(level, mac(ua, x0, ub, y0), mac(ua, x1, ub, y1))
             else:
-                r = self._mac_quadrants(level, ua, xn, ub, yn)
+                r = self._mac_quadrants(level, an, xn, ratio, bn, yn)
             self._ct_mac[key] = r
         return self._scale(r, w)
 
-    def _mac_quadrants(self, level: int, a: Edge, xn: Node, b: Edge, yn: Node) -> Edge:
-        """``a·x + b·y`` at a level where an operator has a node: each half
-        of the sum gathers its nonzero quadrant products.  A half with three
-        or four of them (dense operators, whose products several sums share)
-        makes the whole pair a sum of two products."""
+    def _mac_quadrants(self, level: int, an: Node | None, xn: Node,
+                       ratio: complex, bn: Node | None, yn: Node) -> tuple:
+        """``A·x + ratio·B·y`` for unit edges into ``an``, ``xn``, ``bn``
+        and ``yn``, at a level where an operator has a node: each half of
+        the sum gathers its nonzero quadrant products.  A half with three
+        or four of them (dense operators, whose products several sums
+        share) makes the whole pair a sum of two products."""
         zero = self.zero_edge
-        ae = a.node.edges if a.node is not None and a.node.level == level else self._diag(a.node)
-        be = [self._scale(e, b.w) for e in
-              (b.node.edges if b.node is not None and b.node.level == level
-               else self._diag(b.node))]
-        xe = xn.edges
-        ye = yn.edges
+        scale = self._scale
+        ae = an.edges if an is not None and an.level == level else self._diag(an)
+        be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
+        x0, x1 = xn.edges
+        y0, y1 = yn.edges
         halves = []
         for i in (0, 2):
-            terms = [(m, v) for m, v in ((ae[i], xe[0]), (ae[i + 1], xe[1]),
-                                         (be[i], ye[0]), (be[i + 1], ye[1]))
-                     if m != zero and v != zero]
+            # the products of quadrants i and i + 1 with the halves of x
+            # and y, in the order x0, x1, y0, y1; a zero factor drops one
+            terms = []
+            if x0 != zero and ae[i] != zero:
+                terms.append((ae[i], x0))
+            if x1 != zero and ae[i + 1] != zero:
+                terms.append((ae[i + 1], x1))
+            if y0 != zero:
+                m = scale(be[i], ratio)
+                if m != zero:
+                    terms.append((m, y0))
+            if y1 != zero:
+                m = scale(be[i + 1], ratio)
+                if m != zero:
+                    terms.append((m, y1))
             if len(terms) > 2:
-                x = _edge((self.ONE, xn))
-                y = _edge((self.ONE, yn))
-                return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
+                one = self.ONE
+                return self._add(self._mul_mv((one, an), (one, xn)),
+                                 self._mul_mv((ratio, bn), (one, yn)))
             halves.append(terms)
         out = []
         for terms in halves:
             if not terms:
                 out.append(zero)
             elif len(terms) == 1:
-                out.append(self._mul_mv(*terms[0]))
+                m, v = terms[0]
+                out.append(self._mul_mv(m, v))
             else:
                 (m0, v0), (m1, v1) = terms
                 out.append(self._mac(m0, v0, m1, v1))
@@ -642,27 +690,29 @@ class Kernel:
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
         """Matrix-matrix product ``a @ b``; each operand skips the identity
         levels above its node, so their nodes may sit at different levels."""
-        if a.is_zero or b.is_zero:
+        aw, an = a
+        bw, bn = b
+        if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
-        for e in (a, b):
-            if e.node is not None and len(e.node.edges) != 4:
+        for node in (an, bn):
+            if node is not None and len(node.edges) != 4:
                 raise InvalidArgumentError("multiply_mm needs two matrix diagrams")
         try:
-            return self._mul_mm(a, b)
+            return _edge(self._mul_mm(a, b))
         finally:
             self._ct_add.clear()
             self._ratios.clear()
 
-    def _mul_mm(self, a: Edge, b: Edge) -> Edge:
+    def _mul_mm(self, a: tuple, b: tuple) -> tuple:
         aw, an = a
         bw, bn = b
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
         w = bw if aw == 1 else aw if bw == 1 else aw * bw
         if an is None:
-            return _edge((w, bn))
+            return (w, bn)
         if bn is None:
-            return _edge((w, an))
+            return (w, an)
         key = (an, bn)
         r = self._ct_mul.get(key)
         if r is None:
@@ -697,24 +747,22 @@ class Kernel:
 
     def amplitude(self, v: Edge, bits: str) -> complex:
         """Amplitude of the basis state ``bits`` (most significant bit first)."""
-        if v.node is None:
-            if v.w == 0:
+        w, node = v
+        if node is None:
+            if w == 0:
                 return 0j
             raise InvalidArgumentError("terminal edge has no amplitudes")
-        n = v.node.level + 1
+        n = node.level + 1
         if len(bits) != n or any(c not in "01" for c in bits):
             raise InvalidArgumentError(
                 f"basis string {bits!r} does not address {n} qubits")
-        if len(v.node.edges) != 2:
+        if len(node.edges) != 2:
             raise InvalidArgumentError("amplitude extraction needs a vector diagram")
-        w = v.w
-        node = v.node
         for c in bits:
-            e = node.edges[1 if c == "1" else 0]
-            w *= e.w
+            sw, node = node.edges[1 if c == "1" else 0]
+            w *= sw
             if w == 0:
                 return 0j
-            node = e.node
         return complex(w)
 
     def node_count(self, e: Edge, n: int | None = None) -> int:
@@ -727,9 +775,9 @@ class Kernel:
         the explicit form adds the longest skip into each target to the
         stored nodes.  Vector diagrams skip no level.
         """
-        root = e.node
+        w, root = e
         if root is None:
-            return 0 if e.w == 0 or n is None else n
+            return 0 if w == 0 or n is None else n
         if len(root.edges) == 2:
             return len(self._reachable((root,)))
         top = root.level if n is None else n - 1
@@ -743,10 +791,9 @@ class Kernel:
         while stack:
             node = stack.pop()
             lo = node.level - 1
-            for s in node.edges:
-                x = s.node
+            for sw, x in node.edges:
                 if x is None:
-                    if s.w == 0:
+                    if sw == 0:
                         continue
                     d = node.level
                 else:
@@ -763,8 +810,7 @@ class Kernel:
         stack = [x for x in roots if x is not None]
         seen = set(stack)
         while stack:
-            for s in stack.pop().edges:
-                x = s.node
+            for _, x in stack.pop().edges:
                 if x is not None and x not in seen:
                     seen.add(x)
                     stack.append(x)
@@ -772,61 +818,68 @@ class Kernel:
 
     def inner_product(self, a: Edge, b: Edge) -> complex:
         """Hermitian inner product <a|b> of two vector diagrams."""
-        if a.is_zero or b.is_zero:
+        aw, an = a
+        bw, bn = b
+        if (an is None and aw == 0) or (bn is None and bw == 0):
             return 0j
-        for e in (a, b):
-            if e.node is None or len(e.node.edges) != 2:
+        for node in (an, bn):
+            if node is None or len(node.edges) != 2:
                 raise InvalidArgumentError("inner_product needs two vector diagrams")
-        if a.node.level != b.node.level:
+        if an.level != bn.level:
             raise InvalidArgumentError(
-                f"level mismatch in inner_product: {a.node.level} vs {b.node.level}")
+                f"level mismatch in inner_product: {an.level} vs {bn.level}")
         return self._inner(a, b, {})
 
-    def _inner(self, ea: Edge, eb: Edge, memo: dict) -> complex:
+    def _inner(self, ea: tuple, eb: tuple, memo: dict) -> complex:
         # a method, not a nested closure: a closure that calls itself is a
         # reference cycle, left for the cyclic collector with its memo
-        if (ea.node is None and ea.w == 0) or (eb.node is None and eb.w == 0):
+        aw, an = ea
+        bw, bn = eb
+        if (an is None and aw == 0) or (bn is None and bw == 0):
             return 0j
-        if ea.node is None:
+        if an is None:
             # two vectors of one level reach the terminal together
-            return ea.w.conjugate() * eb.w
-        key = (ea.node, eb.node)
+            return aw.conjugate() * bw
+        key = (an, bn)
         s = memo.get(key)
         if s is None:
-            sa = ea.node.edges
-            sb = eb.node.edges
+            sa = an.edges
+            sb = bn.edges
             s = self._inner(sa[0], sb[0], memo) + self._inner(sa[1], sb[1], memo)
             memo[key] = s
-        return ea.w.conjugate() * eb.w * s
+        return aw.conjugate() * bw * s
 
     def signature(self, e: Edge):
         """Kernel-independent structural fingerprint (for cross-instance
         equality), built level by level from the bottom rather than by
         recursion: every successor of a node sits at a lower level."""
+        w, root = e
         memo: dict = {None: None}
-        for node in sorted(self._reachable((e.node,)), key=lambda x: x.level):
+        for node in sorted(self._reachable((root,)), key=lambda x: x.level):
             memo[node] = (node.level,
-                          tuple((x.w.real, x.w.imag, memo[x.node]) for x in node.edges))
-        return (e.w.real, e.w.imag, memo[e.node])
+                          tuple((sw.real, sw.imag, memo[x]) for sw, x in node.edges))
+        return (w.real, w.imag, memo[root])
 
     # ------------------------------------------------------------------
     # dense reconstruction (n must stay small; intended for checks and export)
 
     def to_vector(self, e: Edge, n: int | None = None) -> np.ndarray:
-        if e.node is None:
-            if e.w == 0:
+        w, root = e
+        if root is None:
+            if w == 0:
                 if n is None:
                     raise InvalidArgumentError("zero edge needs an explicit qubit count")
                 return np.zeros(1 << n, dtype=complex)
-            return np.array([e.w], dtype=complex)
+            return np.array([w], dtype=complex)
         memo: dict = {}
 
-        def sub(edge: Edge, size: int) -> np.ndarray:
-            if edge.node is None:
-                if edge.w == 0:
+        def sub(edge: tuple, size: int) -> np.ndarray:
+            w, node = edge
+            if node is None:
+                if w == 0:
                     return np.zeros(size, dtype=complex)
-                return np.array([edge.w], dtype=complex)
-            return edge.w * arr(edge.node)
+                return np.array([w], dtype=complex)
+            return w * arr(node)
 
         def arr(node) -> np.ndarray:
             a = memo.get(node)
@@ -836,27 +889,28 @@ class Kernel:
                 memo[node] = a
             return a
 
-        return e.w * arr(e.node)
+        return w * arr(root)
 
     def to_matrix(self, e: Edge, n: int) -> np.ndarray:
         """Dense 2^n x 2^n matrix of an operator edge; the levels an edge
         skips are expanded as identity levels."""
-        if e.node is not None and e.node.level >= n:
+        root = e[1]
+        if root is not None and root.level >= n:
             raise InvalidArgumentError(
-                f"operator on {e.node.level + 1} qubits does not fit {n}")
+                f"operator on {root.level + 1} qubits does not fit {n}")
         memo: dict = {}
 
-        def sub(edge: Edge, level: int) -> np.ndarray:
+        def sub(edge: tuple, level: int) -> np.ndarray:
             dim = 1 << (level + 1)
-            node = edge.node
+            w, node = edge
             if node is None:
-                if edge.w == 0:
+                if w == 0:
                     return np.zeros((dim, dim), dtype=complex)
-                return edge.w * np.eye(dim, dtype=complex)
+                return w * np.eye(dim, dtype=complex)
             a = arr(node)
             if node.level < level:
                 a = np.kron(np.eye(1 << (level - node.level)), a)
-            return edge.w * a
+            return w * a
 
         def arr(node) -> np.ndarray:
             a = memo.get(node)
@@ -874,12 +928,14 @@ class Kernel:
     # memory management
 
     def inc_ref(self, e: Edge) -> None:
-        if e.node is not None:
-            e.node.ref += 1
+        node = e[1]
+        if node is not None:
+            node.ref += 1
 
     def dec_ref(self, e: Edge) -> None:
-        if e.node is not None and e.node.ref > 0:
-            e.node.ref -= 1
+        node = e[1]
+        if node is not None and node.ref > 0:
+            node.ref -= 1
 
     @property
     def unique_size(self) -> int:
@@ -902,9 +958,9 @@ class Kernel:
         """
         table = self._unique
         marked = self._reachable(itertools.chain(
-            (e.node for e in roots), (x for x in table.values() if x.ref > 0)))
+            (e[1] for e in roots), (x for x in table.values() if x.ref > 0)))
         live = {self.ZERO, self.ONE}
-        live.update(s.w for node in marked for s in node.edges)
+        live.update(w for node in marked for w, _ in node.edges)
         self._unique = {k: v for k, v in table.items() if v in marked}
         self._sweep_values(live)
         self._ct_mul.clear()
@@ -923,14 +979,15 @@ class Kernel:
 
     def to_dot(self, e: Edge) -> str:
         """Graphviz rendering of a diagram; layout is best-effort only."""
+        w, root = e
         lines = ["digraph dd {", "  rankdir=TB;", '  root [shape=point, label=""];']
-        if e.node is None:
+        if root is None:
             lines.append('  t [shape=box, label="1"];')
-            if e.w == 0:
+            if w == 0:
                 lines.append("  z0 [shape=point, style=filled];")
                 lines.append("  root -> z0;")
             else:
-                lines.append(f'  root -> t [label="{_fmt_weight(e.w)}"];')
+                lines.append(f'  root -> t [label="{_fmt_weight(w)}"];')
             lines.append("}")
             return "\n".join(lines)
         order: list = []
@@ -945,10 +1002,10 @@ class Kernel:
                 if s.node is not None:
                     visit(s.node)
 
-        visit(e.node)
+        visit(root)
         names = {node: f"n{i}" for i, node in enumerate(order)}
         lines.append('  t [shape=box, label="1"];')
-        lines.append(f'  root -> n0 [label="{_fmt_weight(e.w)}"];')
+        lines.append(f'  root -> n0 [label="{_fmt_weight(w)}"];')
         stub = 0
         for node in order:
             lines.append(f'  {names[node]} [shape=circle, label="{node.level}"];')
@@ -979,4 +1036,6 @@ def _fmt_weight(w: complex) -> str:
 def root_equal(a: Edge, b: Edge) -> bool:
     """Same-kernel identity check: the same node object, and root weights
     (plain products, not interned) within EPS relative to the larger one."""
-    return a.node is b.node and abs(a.w - b.w) <= EPS * max(abs(a.w), abs(b.w))
+    aw, an = a
+    bw, bn = b
+    return an is bn and abs(aw - bw) <= EPS * max(abs(aw), abs(bw))

@@ -176,7 +176,7 @@ class TestAdd:
         lies below EPS.  (The vector [-1, -1e-6 + 1e-13] would not do: its
         successor weight 1e-6 - 1e-13 interns to 1e-6, so it is -1 times the
         first and the sum cancels exactly.)"""
-        a = k._vnode(0, Edge(k.intern(1), None), Edge(k.intern(1e-6), None))
+        a = Edge(*k._vnode(0, Edge(k.intern(1), None), Edge(k.intern(1e-6), None)))
         return a, Edge(-1 + 1e-7, a.node)
 
     def test_scalar_sum_is_relative_to_the_summands(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddpath import (
+    Edge,
     Kernel,
     alternating_path,
     concat_inverse,
@@ -780,3 +781,98 @@ class TestInRunGc:
         live = {node for node in k._unique.values() if node.ref > 0}
         assert live == {held.node, final.node}
         assert held.node.ref == 1 and final.node.ref == 1
+
+
+_PUBLIC_EDGES = ("make_zero_state", "make_basis_state", "make_gate",
+                 "multiply_mv", "multiply_mm")
+
+
+def _recorded(name):
+    def method(self, *args):
+        e = getattr(Kernel, name)(self, *args)
+        self.returned[name].append(e)
+        return e
+    return method
+
+
+class _RecordingKernel(Kernel):
+    """``Kernel`` that keeps every edge its public constructors and
+    products return."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = {name: [] for name in _PUBLIC_EDGES}
+
+    make_zero_state = _recorded("make_zero_state")
+    make_basis_state = _recorded("make_basis_state")
+    make_gate = _recorded("make_gate")
+    multiply_mv = _recorded("multiply_mv")
+    multiply_mm = _recorded("multiply_mm")
+
+
+def _ghz_miter(g, g_prime, n, strategy):
+    """``verify_equivalence(g, g_prime)`` from a GHZ state, as the
+    benchmark's miter workloads run it: the kernel, the final edges of
+    ``execute`` and ``verify_equivalence``, and the result."""
+    k = _RecordingKernel()
+    initial, _ = execute(ghz(n), kernel=k)
+    res = verify_equivalence(g, g_prime, strategy, k, initial)
+    return k, (initial, res.final), res
+
+
+@pytest.fixture(scope="module")
+def benchmark_runs():
+    """The two benchmark miters and a greedy run, each on its own
+    recording kernel, which then also builds a basis state."""
+    g = qft(32)
+    c = deutsch_jozsa(64)
+    k = _RecordingKernel()
+    final, stats = execute(c, make_path("greedy", c), k)
+    runs = {
+        "sequential": _ghz_miter(qft(14), qft(14), 14, "sequential"),
+        "heuristic": _ghz_miter(parse_qasm(emit_qasm(g)),
+                                parse_qasm(emit_qasm(transpile(g))), 32, "heuristic"),
+        "greedy": (k, (final,), stats),
+    }
+    for kernel, _, _ in runs.values():
+        kernel.make_basis_state("0110")
+    return runs
+
+
+class TestBenchmarkMiters:
+    """The node counts of the two miters the benchmark times; its greedy
+    jobs are pinned in ``test_tnbridge``."""
+
+    @pytest.mark.parametrize("name,tasks,peak,final", [
+        ("sequential", 224, 16383, 27), ("heuristic", 3104, 125, 63)])
+    def test_counts_and_verdict(self, benchmark_runs, name, tasks, peak, final):
+        res = benchmark_runs[name][2]
+        assert res.verdict == "consistent"
+        assert (res.stats.task_count, res.stats.peak_nodes,
+                res.stats.final_nodes) == (tasks, peak, final)
+
+
+class TestEdgeBoundary:
+    """Inside the kernel an edge is a plain ``(weight, node)`` pair; what a
+    node keeps and what the kernel returns is an ``Edge``, whose ``.w`` and
+    ``.node`` callers read."""
+
+    @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
+    def test_stored_successors_are_edges(self, benchmark_runs, name):
+        k = benchmark_runs[name][0]
+        assert k._unique
+        for node in k._unique.values():
+            assert all(type(s) is Edge for s in node.edges), node
+
+    @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
+    def test_public_results_are_edges(self, benchmark_runs, name):
+        k = benchmark_runs[name][0]
+        for method, edges in k.returned.items():
+            # the sequential miter multiplies no two operators
+            if method != "multiply_mm" or name != "sequential":
+                assert edges, method
+            assert all(type(e) is Edge for e in edges), method
+
+    @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
+    def test_final_edges_are_edges(self, benchmark_runs, name):
+        assert all(type(e) is Edge for e in benchmark_runs[name][1])
