@@ -73,11 +73,14 @@ def _circuit_meta(source: str, c: Circuit) -> dict:
 
 def _write_output(text: str, out: str) -> None:
     """``text`` and a newline to the file ``out``, or to stdout when it is empty."""
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -101,8 +104,7 @@ def cmd_simulate(args) -> int:
             amps[bits] = [a.real, a.imag]
         report["amplitudes"] = amps
     if args.stats_out:
-        with open(args.stats_out, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_json(), fh, indent=2)
+        _write_output(json.dumps(stats.to_json(), indent=2), args.stats_out)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

@@ -144,10 +144,6 @@ class Edge(NamedTuple):
     node: Node | None
 
     @property
-    def is_zero(self) -> bool:
-        return self.node is None and self.w == 0
-
-    @property
     def num_qubits(self) -> int:
         """Qubits of a vector edge; for an operator edge, the levels up to
         its node, above which it acts as the identity."""

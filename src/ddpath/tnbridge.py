@@ -8,13 +8,15 @@ is exported as one full rank-n tensor because the diagram kernel multiplies
 whole operators and state vectors only; per-qubit state tensors would ask
 for contractions it cannot perform.
 
-``greedy_plan`` contracts, at each step, the legal pair of live tensors
-sharing an index with the smallest result rank, breaking ties by the smaller
-combined input size and then by the lowest id pair.  A pair is legal when its
-union is convex in the order the circuit applies the tensors, so every plan
-it makes for an exported circuit is a valid simulation path.  It keeps its
-candidates in a heap, so planning costs O(E log E) in the number E of shared
-indices.
+A pair of live tensors is legal when its union is convex in the order the
+circuit applies the tensors: a shared index runs from the lower id to the
+higher, and no other live tensor comes both after and before the pair.
+Convex merges keep that order acyclic, which is what makes a plan a valid
+simulation path; ``LiveOrder`` holds this rule.  ``greedy_plan`` contracts,
+at each step, the legal pair of live tensors sharing an index with the
+smallest result rank, breaking ties by the smaller combined input size and
+then by the lowest id pair.  It keeps its candidates in a heap, so planning
+costs O(E log E) in the number E of shared indices.
 """
 from __future__ import annotations
 
@@ -75,29 +77,77 @@ def export_tensor_network(c: Circuit) -> TensorNetworkDescription:
     return TensorNetworkDescription(n, tuple(tensors), outputs)
 
 
+class LiveOrder:
+    """The order of the live tensors of a network under contraction, kept
+    as int bitsets with one bit per original tensor.
+
+    Each live tensor holds ``[members, rep, up, down]``: its ``members``,
+    the ``rep`` bit of one of them that stands for it, and ``up`` and
+    ``down``, which hold the ``rep`` bit of every live tensor before and
+    after it, its own included, plus only bits of members of those
+    tensors.  So a pair is legal when the ORs of its ``up`` and of its
+    ``down`` sets share no bit outside its members.  A merge ORs the pair's
+    sets and keeps the ``rep`` of one of the pair, chosen so that every
+    other set stays exact; only when neither choice does, the tensors
+    before the pair gain all that comes after it, and the reverse.
+
+    A merge can put a tensor between two others but never take one away,
+    so legality, once lost, never returns while both are live.
+    """
+
+    def __init__(self, ids, edges):
+        """``ids`` are the tensors; ``edges`` the pairs ``(a, b)``, ``a < b``,
+        that share a label, each an edge a -> b of the order."""
+        self._sets = {tid: [1 << i] * 4 for i, tid in enumerate(sorted(ids))}
+        sets = self._sets
+        # in sorted order every edge into a comes before the edges out of a
+        edges = sorted(edges)
+        for a, b in edges:
+            sets[b][2] |= sets[a][2]
+        for a, b in reversed(edges):
+            sets[a][3] |= sets[b][3]
+
+    def legal(self, a: int, b: int) -> bool:
+        """No other live tensor comes both after and before the pair."""
+        ma, _, ua, da = self._sets[a]
+        mb, _, ub, db = self._sets[b]
+        return not (ua | ub) & (da | db) & ~(ma | mb)
+
+    def merge(self, a: int, b: int, c: int) -> None:
+        """Replace the live tensors ``a`` and ``b``, which must share a
+        label, by their merged tensor ``c``."""
+        sets = self._sets
+        # s comes before t: they share a label, so one reaches the other.
+        # The merged tensor keeps t's rep if s reaches nothing except
+        # through t, or s's rep if nothing reaches t except through s; then
+        # no other set changes.  Otherwise a tensor before t gains all that
+        # s reaches and one after s all that reaches t.
+        s, t = (a, b) if sets[a][3] & sets[b][1] else (b, a)
+        ms, rs, us, ds = sets.pop(s)
+        mt, rt, ut, dt = sets.pop(t)
+        if not ds & ~dt & ~ms:
+            rc = rt
+        elif not ut & ~us & ~mt:
+            rc = rs
+        else:
+            rc = rt
+            for x in sets.values():
+                if x[3] & rt:
+                    x[3] |= ds
+                elif x[2] & rs:
+                    x[2] |= ut
+        sets[c] = [ms | mt, rc, us | ut, ds | dt]
+
+
 def greedy_plan(tn: TensorNetworkDescription) -> simpath.SimulationPath:
-    """Repeatedly contract the cheapest legal pair of live tensors that share
-    an index: the minimum of ``(2^|a△b|, 2^|a|+2^|b|, a, b)`` with
-    ``a < b``, so the smallest result wins, ties go to the smaller combined
-    input and then to the lowest id pair.
+    """Repeatedly contract the cheapest pair of live tensors that share an
+    index and that ``LiveOrder`` holds legal: the minimum of
+    ``(2^|a△b|, 2^|a|+2^|b|, a, b)`` with ``a < b``, so the smallest result
+    wins, ties go to the smaller combined input and then to the lowest id
+    pair.
 
-    A pair is legal when its union is convex in the order of the live
-    tensors, where a shared label runs from the lower tensor id to the
-    higher: no other live tensor comes both after and before the pair.
-    Convex merges keep that order acyclic, which is what makes the plan a
-    valid simulation path.  Each live tensor keeps int bitsets with one bit
-    per original tensor: its ``members``, and ``up`` and ``down``, which
-    hold the ``rep`` bit of every live tensor before and after it, its own
-    included, plus only bits of members of those tensors.  So a pair is
-    legal when the ORs of its ``up`` and of its ``down`` sets share no bit
-    outside its members.  A merge ORs the pair's sets and keeps the ``rep``
-    of one of the pair, chosen so that the other sets stay exact; only when
-    neither choice does, the tensors before the pair gain all that comes
-    after it, and the reverse.
-
-    A pair's cost depends only on its two tensors.  A later merge can put a
-    tensor between them but never take one away, so legality, once lost,
-    never returns while both are live.  So candidates sit in one heap, an
+    A pair's cost depends only on its two tensors, and by ``LiveOrder``'s
+    rule an illegal pair stays illegal.  So candidates sit in one heap, an
     illegal pair is dropped for good, and an entry goes stale only when one
     of its tensors is consumed; stale entries are dropped as they are
     popped.  Each contraction pushes only the pairs of the new tensor with
@@ -110,17 +160,8 @@ def greedy_plan(tn: TensorNetworkDescription) -> simpath.SimulationPath:
     for tid, ix in live.items():
         for label in ix:
             holders.setdefault(label, set()).add(tid)
-    # the pairs sharing an index, each an edge a -> b of the order; in
-    # sorted order every edge into a comes before the edges out of a
-    edges = sorted({(a, b) for ids in holders.values() for a in ids for b in ids if a < b})
-    members = {tid: 1 << i for i, tid in enumerate(sorted(live))}
-    rep = dict(members)
-    up = dict(members)
-    down = dict(members)
-    for a, b in edges:
-        up[b] |= up[a]
-    for a, b in reversed(edges):
-        down[a] |= down[b]
+    edges = {(a, b) for ids in holders.values() for a in ids for b in ids if a < b}
+    order = LiveOrder(live, edges)
 
     def entry(a: int, b: int) -> tuple[int, int, int, int]:
         ia, ib = live[a], live[b]
@@ -133,8 +174,7 @@ def greedy_plan(tn: TensorNetworkDescription) -> simpath.SimulationPath:
     while len(live) > 1:
         while heap:
             _, _, a, b = heapq.heappop(heap)
-            if a in live and b in live and not (
-                    (up[a] | up[b]) & (down[a] | down[b]) & ~(members[a] | members[b])):
+            if a in live and b in live and order.legal(a, b):
                 break
         else:
             raise PlanningError(
@@ -145,32 +185,9 @@ def greedy_plan(tn: TensorNetworkDescription) -> simpath.SimulationPath:
         ib = live.pop(b)
         for label in ia | ib:
             holders[label].difference_update((a, b))
-        # s comes before t: they share an index, so one reaches the other.
-        # The merged tensor keeps rep[t] if s reaches nothing except through
-        # t, or rep[s] if nothing reaches t except through s; then no other
-        # set changes.  Otherwise a tensor before t gains all that s reaches
-        # and one after s all that reaches t.
-        s, t = (a, b) if down[a] & rep[b] else (b, a)
-        rs, rt = rep.pop(s), rep.pop(t)
-        us, ut, ds, dt = up.pop(s), up.pop(t), down.pop(s), down.pop(t)
-        ms, mt = members.pop(s), members.pop(t)
-        if not ds & ~dt & ~ms:
-            rc = rt
-        elif not ut & ~us & ~mt:
-            rc = rs
-        else:
-            rc = rt
-            for x, d in down.items():
-                if d & rt:
-                    down[x] = d | ds
-                elif up[x] & rs:
-                    up[x] |= ut
+        order.merge(a, b, next_id)
         merged = ia ^ ib
         live[next_id] = merged
-        members[next_id] = ms | mt
-        rep[next_id] = rc
-        up[next_id] = us | ut
-        down[next_id] = ds | dt
         partners: set[int] = set()
         for label in merged:
             partners |= holders[label]

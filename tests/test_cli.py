@@ -317,6 +317,22 @@ def test_bad_path_or_plan_file_is_input_error(capsys, tmp_path, command, content
     assert str(f) in payload["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ("export-tn", "qft:3", "--out"),
+    ("dot", "ghz:3", "--out"),
+    ("bench", "ghz:3", "--out"),
+    ("simulate", "ghz:3", "--stats-out"),
+], ids=["export-tn", "dot", "bench", "simulate-stats"])
+def test_unwritable_output_file_is_input_error(capsys, tmp_path, command):
+    f = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *command, str(f))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidArgumentError"
+    assert str(f) in payload["message"]
+
+
 class TestExportTn:
     def test_qft3_file(self, capsys, tmp_path):
         out_file = tmp_path / "tn.json"

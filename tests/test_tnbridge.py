@@ -25,9 +25,9 @@ from ddpath import cli
 from ddpath.circuit import GENERATORS, Circuit, Gate, deutsch_jozsa, graph_state
 from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningError
 from ddpath.simpath import SimulationPath, load_path
-from ddpath.tnbridge import Tensor, TensorNetworkDescription
+from ddpath.tnbridge import LiveOrder, Tensor, TensorNetworkDescription
 
-from helpers import random_circuit, reference_greedy_plan
+from helpers import _LiveOrder, random_circuit, reference_greedy_plan
 
 
 def layered_circuit(rng: random.Random, n: int, depth: int) -> Circuit:
@@ -244,6 +244,33 @@ class TestGreedyPlanMatchesReference:
         path = import_path(greedy_plan(export_tensor_network(circuit)), circuit)
         _, stats = execute(circuit, path)
         assert stats.peak_nodes == peak
+
+
+class TestLiveOrder:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 9))
+    def test_legal_matches_reference_after_random_merges(self, seed):
+        # after each random legal merge, every pair of live tensors, sharing
+        # a label or not, is legal exactly when the reference search finds
+        # no live tensor both after and before it
+        rng = random.Random(seed)
+        c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 25))
+        labels = {t.id: frozenset(t.indices) for t in export_tensor_network(c).tensors}
+        order = LiveOrder(labels, {(a, b) for a in labels for b in labels
+                                   if a < b and labels[a] & labels[b]})
+        reference = _LiveOrder(labels)
+        next_id = len(labels)
+        while len(labels) > 1:
+            ids = sorted(labels)
+            legal = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                     if order.legal(a, b)]
+            assert legal == [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                             if reference.convex(a, b)]
+            a, b = rng.choice([(a, b) for a, b in legal if labels[a] & labels[b]])
+            labels[next_id] = labels.pop(a) ^ labels.pop(b)
+            order.merge(a, b, next_id)
+            reference.merge(a, b, next_id)
+            next_id += 1
 
 
 class TestImportPath:
