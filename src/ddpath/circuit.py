@@ -232,8 +232,9 @@ def _expansion(g: Gate) -> list[Gate]:
     Expansions are exact except where noted; y / ry / rz trade a global phase.
     """
     k = g.kind
-    if k in NATIVE_GATES:
-        # h, p or cx with more controls than the native form has
+    # every rule takes the controls of its kind: one for cx, cz and cp, none
+    # otherwise; a native gate reaches here only with some other count
+    if len(g.controls) != (1 if k in _gates.CONTROLLED_BASE else 0):
         raise UnsupportedGateError(
             f"no decomposition rule for {k!r} with {len(g.controls)} controls")
     if k == "swap":
@@ -245,8 +246,6 @@ def _expansion(g: Gate) -> list[Gate]:
         return [phase(th / 2, c), cx(c, t_), phase(-th / 2, t_), cx(c, t_), phase(th / 2, t_)]
     if k == "cz":
         return _expansion(cp(math.pi, g.controls[0], g.targets[0]))
-    if g.controls:
-        raise UnsupportedGateError(f"no decomposition rule for controlled {k!r}")
     q = g.targets[0]
     if k == "x":
         return [h(q), phase(math.pi, q), h(q)]

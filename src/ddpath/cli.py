@@ -7,6 +7,7 @@ Reports are JSON on stdout; errors are JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -71,16 +72,35 @@ def _circuit_meta(source: str, c: Circuit) -> dict:
     return {"source": source, "qubits": c.num_qubits, "gates": len(c.gates)}
 
 
-def _write_output(text: str, out: str) -> None:
-    """``text`` and a newline to the file ``out``, or to stdout when it is empty."""
+@contextlib.contextmanager
+def _output(out: str):
+    """Yield a ``write(text)`` that puts ``text`` and a newline to the file
+    ``out``, or to stdout when ``out`` is empty.  The file is opened on
+    entry, so a name that cannot be written fails before any work."""
     if not out:
-        print(text)
+        yield print
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        fh = open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise InvalidArgumentError(f"cannot write output file {out!r}: {exc}") from exc
+
+    def write(text: str) -> None:
+        try:
+            fh.write(text + "\n")
+            fh.flush()
+        except OSError as exc:
+            raise InvalidArgumentError(
+                f"cannot write output file {out!r}: {exc}") from exc
+
+    with fh:
+        yield write
+
+
+def _write_output(text: str, out: str) -> None:
+    """``text`` and a newline to the file ``out``, or to stdout when it is empty."""
+    with _output(out) as write:
+        write(text)
 
 
 def cmd_simulate(args) -> int:
@@ -187,23 +207,25 @@ def cmd_bench(args) -> int:
     sweep goes on; the exit code is 2 when any row failed."""
     rows = ["benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"]
     failed = 0
-    # every spec is checked before the first row runs
-    for family, ns, strategies in [_parse_suite(spec) for spec in args.suite]:
-        for n in ns:
-            for strategy in strategies:
-                try:
-                    gates, stats = _bench_row(family, n, strategy)
-                except InternalError:
-                    raise
-                except DdpathError as exc:
-                    failed += 1
-                    payload = {"family": family, "n": n, "strategy": strategy}
-                    payload.update(_error_payload(type(exc).__name__, exc))
-                    print(json.dumps(payload), file=sys.stderr)
-                    continue
-                rows.append(f"{family},{n},{gates},{strategy},"
-                            f"{stats.peak_nodes},{stats.final_nodes},{stats.elapsed_ns}")
-    _write_output("\n".join(rows), args.out)
+    # every spec and the output file are checked before the first row runs
+    suite = [_parse_suite(spec) for spec in args.suite]
+    with _output(args.out) as write:
+        for family, ns, strategies in suite:
+            for n in ns:
+                for strategy in strategies:
+                    try:
+                        gates, stats = _bench_row(family, n, strategy)
+                    except InternalError:
+                        raise
+                    except DdpathError as exc:
+                        failed += 1
+                        payload = {"family": family, "n": n, "strategy": strategy}
+                        payload.update(_error_payload(type(exc).__name__, exc))
+                        print(json.dumps(payload), file=sys.stderr)
+                        continue
+                    rows.append(f"{family},{n},{gates},{strategy},{stats.peak_nodes},"
+                                f"{stats.final_nodes},{stats.elapsed_ns}")
+        write("\n".join(rows))
     return EXIT_INPUT if failed else EXIT_OK
 
 

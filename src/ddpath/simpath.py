@@ -147,57 +147,59 @@ def alternating_path(gate_count_g: int, gate_count_g_prime: int) -> SimulationPa
     return _woven_path(gate_count_g, gate_count_g_prime, [1] * gate_count_g)
 
 
-def heuristic_path(g: Circuit, g_prime: Circuit) -> SimulationPath:
-    """Follow each first-half gate with its decomposition-cost worth of
-    second-half gates, so compiled counterparts cancel as they are consumed.
+def heuristic_path(circuit: Circuit, split: int) -> SimulationPath:
+    """Weave the miter ``circuit`` = ``concat_inverse(G, G')``, whose first
+    ``split`` gates are G: follow each gate of G with its decomposition-cost
+    worth of second-half gates, so compiled counterparts cancel as they are
+    consumed.
 
     The costs fit only when they sum to the second half's gate count, as
-    they do for ``transpile(g)``; any other second half, and any ``g``
+    they do for G' = ``transpile(G)``; any other second half, and any G
     holding a gate with no decomposition rule, is woven one for one, like
     ``alternating_path``."""
-    if g.num_qubits != g_prime.num_qubits:
-        raise InvalidArgumentError(
-            f"qubit count mismatch: {g.num_qubits} vs {g_prime.num_qubits}")
-    if len(g.gates) < 1 or len(g_prime.gates) < 1:
-        raise InvalidArgumentError("both circuits need at least one gate")
+    rest = len(circuit.gates) - split
+    if split < 1 or rest < 1:
+        raise InvalidArgumentError("both halves need at least one gate")
+    g = circuit.gates[:split]
     try:
-        costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g.gates}}
-        budgets = [costs[gate.kind] for gate in reversed(g.gates)]
+        costs = {kind: decomposition_cost(kind) for kind in {x.kind for x in g}}
+        budgets = [costs[gate.kind] for gate in reversed(g)]
     except UnsupportedGateError:
         budgets = None
-    if budgets is None or sum(budgets) != len(g_prime.gates):
-        budgets = [1] * len(g.gates)
-    return _woven_path(len(g.gates), len(g_prime.gates), budgets)
+    if budgets is None or sum(budgets) != rest:
+        budgets = [1] * split
+    return _woven_path(split, rest, budgets)
 
 
-def make_path(strategy: str, g: Circuit, g_prime: Circuit | None = None) -> SimulationPath:
-    """Turn a strategy name into a path: one of ``STRATEGIES``,
-    ``file:<path.json>`` or ``plan:<plan.json>``.
+def make_path(strategy: str, circuit: Circuit, split: int | None = None) -> SimulationPath:
+    """Turn a strategy name into a path over ``circuit``, the circuit that
+    ``execute`` runs: one of ``STRATEGIES``, ``file:<path.json>`` or
+    ``plan:<plan.json>``.
 
-    With ``g_prime`` the path runs over the miter ``concat_inverse(g,
-    g_prime)``, otherwise over ``g``.  ``alternating`` and ``heuristic``
-    weave the two halves of a miter; when one half is empty they fall back
-    to the chain.  Both file prefixes read either schema (``load_path``).
-    No path is checked here: ``execute`` validates every path once, before
-    its first product, whatever built it.
+    ``split`` marks ``circuit`` as a miter ``concat_inverse(G, G')`` and is
+    the gate count of G.  ``alternating`` and ``heuristic`` weave the two
+    halves of a miter, so they need it; when one half is empty they fall
+    back to the chain.  ``greedy`` plans on ``circuit`` as given.  Both file
+    prefixes read either schema (``load_path``).  No path is checked here:
+    ``execute`` validates every path once, before its first product,
+    whatever built it.
     """
     if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
         raise InvalidArgumentError(
             f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
             f"file:<path.json> or plan:<plan.json>")
+    count = len(circuit.gates)
     if strategy == "sequential":
-        count = len(g.gates) + (len(g_prime.gates) if g_prime is not None else 0)
         return sequential_path(count)
     if strategy in ("alternating", "heuristic"):
-        if g_prime is None:
+        if split is None:
             raise InvalidArgumentError(f"strategy {strategy!r} needs a second circuit")
-        if not g.gates or not g_prime.gates:
-            return sequential_path(len(g.gates) + len(g_prime.gates))
+        if split in (0, count):
+            return sequential_path(count)
         if strategy == "alternating":
-            return alternating_path(len(g.gates), len(g_prime.gates))
-        return heuristic_path(g, g_prime)
+            return alternating_path(split, count - split)
+        return heuristic_path(circuit, split)
     if strategy == "greedy":
-        circuit = g if g_prime is None else concat_inverse(g, g_prime)
         return tnbridge.greedy_plan(tnbridge.export_tensor_network(circuit))
     return load_path(strategy.partition(":")[2])
 
@@ -442,7 +444,7 @@ def verify_equivalence(g: Circuit, g_prime: Circuit, strategy: str = "alternatin
     initial state maps to itself up to global phase.  ``strategy`` is any
     name ``make_path`` takes."""
     combined = concat_inverse(g, g_prime)
-    path = make_path(strategy, g, g_prime)
+    path = make_path(strategy, combined, len(g.gates))
     if kernel is None:
         kernel = Kernel()
     if initial is None:

@@ -159,9 +159,12 @@ class TestTranspile:
         c = Circuit(2, (Gate("u", (0,), matrix=(1, 0, 0, 1)),))
         with pytest.raises(UnsupportedGateError):
             transpile(c)
-        c2 = Circuit(3, (Gate("h", (0,), (1, 2)),))
-        with pytest.raises(UnsupportedGateError, match="no decomposition rule for 'h'"):
-            transpile(c2)
+        # a rule that took fewer controls than the gate has would drop some
+        for gate in (Gate("h", (0,), (1, 2)), Gate("cz", (0,), (1, 2)),
+                     Gate("cp", (0,), (1, 2), 0.7), Gate("swap", (0, 1), (2,))):
+            with pytest.raises(UnsupportedGateError,
+                               match=f"no decomposition rule for '{gate.kind}'"):
+                transpile(Circuit(3, (gate,)))
 
 
 class TestDecompositionCost:

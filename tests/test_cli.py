@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ddpath
-from ddpath import emit_qasm, qft
+from ddpath import cli, emit_qasm, qft
 from ddpath.cli import main
 from ddpath.circuit import Circuit, Gate
 from ddpath.simpath import STRATEGIES
@@ -323,7 +323,10 @@ def test_bad_path_or_plan_file_is_input_error(capsys, tmp_path, command, content
     ("bench", "ghz:3", "--out"),
     ("simulate", "ghz:3", "--stats-out"),
 ], ids=["export-tn", "dot", "bench", "simulate-stats"])
-def test_unwritable_output_file_is_input_error(capsys, tmp_path, command):
+def test_unwritable_output_file_is_input_error(capsys, tmp_path, monkeypatch, command):
+    # bench fails on its output file before the first row runs
+    rows = []
+    monkeypatch.setattr(cli, "_bench_row", lambda *row: rows.append(row))
     f = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *command, str(f))
     assert code == 2
@@ -331,6 +334,7 @@ def test_unwritable_output_file_is_input_error(capsys, tmp_path, command):
     payload = json.loads(err)
     assert payload["error"] == "InvalidArgumentError"
     assert str(f) in payload["message"]
+    assert rows == []
 
 
 class TestExportTn:

@@ -457,7 +457,8 @@ class TestGarbageCollection:
         k._add = add
         g = qft(n)
         g_prime = transpile(g)
-        final, _ = execute(concat_inverse(g, g_prime), make_path(strategy, g, g_prime),
+        combined = concat_inverse(g, g_prime)
+        final, _ = execute(combined, make_path(strategy, combined, len(g.gates)),
                            kernel=k, initial=initial, observer=observer)
         assert max(filled) > 0
         assert abs(k.inner_product(initial, final)) > 1 - 1e-9

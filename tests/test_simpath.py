@@ -180,7 +180,8 @@ class TestValidate:
         rejected = 0
         for g, g_prime, names in cases:
             combined = g if g_prime is None else concat_inverse(g, g_prime)
-            paths = [make_path(name, g, g_prime) for name in names]
+            split = None if g_prime is None else len(g.gates)
+            paths = [make_path(name, combined, split) for name in names]
             if "greedy" in names and len(combined.gates) <= 160:
                 paths.append(reference_greedy_plan(export_tensor_network(combined),
                                                    convex=False))
@@ -262,13 +263,14 @@ class TestHeuristicPath:
         # a native circuit (cx, h, p) costs one gate per gate
         g = transpile(qft(3))
         count = len(g.gates)
-        assert heuristic_path(g, g).tasks == alternating_path(count, count).tasks
+        assert heuristic_path(concat_inverse(g, g), count).tasks == \
+            alternating_path(count, count).tasks
 
     def test_consumption_schedule_follows_costs(self):
         g = qft(3)
         gp = transpile(g)
-        p = heuristic_path(g, gp)
         ng = len(g.gates)
+        p = heuristic_path(concat_inverse(g, gp), ng)
         schedule = []
         for a, b in p.tasks[:-1]:
             if 1 <= a <= ng or 1 <= b <= ng:
@@ -284,7 +286,7 @@ class TestHeuristicPath:
         gp = transpile(g)
         combined = concat_inverse(g, gp)
         k = Kernel()
-        f_heur, _ = execute(combined, heuristic_path(g, gp), k)
+        f_heur, _ = execute(combined, heuristic_path(combined, len(g.gates)), k)
         f_seq, _ = execute(combined, sequential_path(len(combined.gates)), k)
         assert root_equal(f_heur, f_seq)
 
@@ -295,13 +297,15 @@ class TestHeuristicPath:
         costs = sum(decomposition_cost(gate.kind) for gate in g.gates)
         assert costs == len(gp.gates) != len(g.gates)
         count = len(g.gates)
-        assert heuristic_path(g, g).tasks == alternating_path(count, count).tasks
-        assert heuristic_path(g, gp).tasks != alternating_path(count, len(gp.gates)).tasks
+        assert heuristic_path(concat_inverse(g, g), count).tasks == \
+            alternating_path(count, count).tasks
+        assert heuristic_path(concat_inverse(g, gp), count).tasks != \
+            alternating_path(count, len(gp.gates)).tasks
 
     def test_missing_cost_weaves_one_for_one(self):
         # a u gate has no decomposition rule, so G' cannot be the transpiled G
         c = Circuit(2, (Gate("u", (0,), matrix=(0, 1, 1, 0)), h(1)))
-        assert heuristic_path(c, c).tasks == alternating_path(2, 2).tasks
+        assert heuristic_path(concat_inverse(c, c), 2).tasks == alternating_path(2, 2).tasks
         assert verify_equivalence(c, c, "heuristic").verdict == "consistent"
 
 
@@ -509,11 +513,29 @@ class TestPathFiles:
         assert set(data) == {"gate_count", "path"}
 
     def test_make_path_dispatch(self):
-        g = qft(3)
-        assert make_path("sequential", g, g).tasks == sequential_path(14).tasks
-        assert make_path("alternating", g, g).tasks == alternating_path(7, 7).tasks
+        miter = concat_inverse(qft(3), qft(3))
+        assert make_path("sequential", miter, 7).tasks == sequential_path(14).tasks
+        assert make_path("alternating", miter, 7).tasks == alternating_path(7, 7).tasks
         with pytest.raises(InvalidArgumentError):
-            make_path("nope", g, g)
+            make_path("nope", miter, 7)
+
+    @pytest.mark.parametrize("name", ["alternating", "heuristic"])
+    def test_woven_strategies_need_the_split(self, name):
+        g = qft(3)
+        with pytest.raises(InvalidArgumentError, match="needs a second circuit"):
+            make_path(name, concat_inverse(g, g))
+        # a miter with an empty half runs the chain
+        for split in (0, 7):
+            assert make_path(name, g, split).tasks == sequential_path(7).tasks
+        for split in (-1, 15):
+            with pytest.raises(InvalidArgumentError, match="both halves"):
+                make_path(name, concat_inverse(g, g), split)
+
+    def test_greedy_plans_on_the_circuit_as_given(self):
+        miter = concat_inverse(qft(3), transpile(qft(3)))
+        want = greedy_plan(export_tensor_network(miter)).tasks
+        assert make_path("greedy", miter, 7).tasks == want
+        assert make_path("greedy", miter).tasks == want
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 10), st.booleans())
@@ -525,7 +547,7 @@ class TestPathFiles:
         k = Kernel()
         reference, _ = execute(combined, kernel=k)
         for name in STRATEGIES:
-            final, _ = execute(combined, make_path(name, g, g_prime), k)
+            final, _ = execute(combined, make_path(name, combined, len(g.gates)), k)
             assert root_equal(final, reference), name
 
 
@@ -693,7 +715,7 @@ class TestOneValidation:
         combined = concat_inverse(g, g_prime)
         for name in STRATEGIES + self._files(tmp_path, greedy_plan(
                 export_tensor_network(combined)), "miter"):
-            make_path(name, g, g_prime)
+            make_path(name, combined, len(g.gates))
         for name in ("sequential", "greedy") + self._files(
                 tmp_path, sequential_path(len(g.gates)), "single"):
             make_path(name, g)
@@ -718,6 +740,21 @@ class TestOneValidation:
             calls.clear()
             assert verify_equivalence(g, g_prime, name).verdict == "consistent"
             assert len(calls) == 1, name
+
+    def test_each_verify_builds_the_miter_once(self, monkeypatch):
+        builds = []
+        real = simpath.concat_inverse
+
+        def counted(g, g_prime):
+            builds.append((g, g_prime))
+            return real(g, g_prime)
+
+        monkeypatch.setattr(simpath, "concat_inverse", counted)
+        g, g_prime = qft(3), transpile(qft(3))
+        for name in STRATEGIES:
+            builds.clear()
+            assert verify_equivalence(g, g_prime, name).verdict == "consistent"
+            assert len(builds) == 1, name
 
     def test_reordering_file_fails_in_execute_before_the_first_product(
             self, calls, tmp_path):

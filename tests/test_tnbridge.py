@@ -27,7 +27,7 @@ from ddpath.errors import InvalidArgumentError, PathValidationError, PlanningErr
 from ddpath.simpath import SimulationPath, load_path
 from ddpath.tnbridge import LiveOrder, Tensor, TensorNetworkDescription
 
-from helpers import _LiveOrder, random_circuit, reference_greedy_plan
+from helpers import _LiveOrder, _reach, random_circuit, reference_greedy_plan
 
 
 def layered_circuit(rng: random.Random, n: int, depth: int) -> Circuit:
@@ -247,12 +247,11 @@ class TestGreedyPlanMatchesReference:
 
 
 class TestLiveOrder:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(0, 10 ** 9))
-    def test_legal_matches_reference_after_random_merges(self, seed):
-        # after each random legal merge, every pair of live tensors, sharing
-        # a label or not, is legal exactly when the reference search finds
-        # no live tensor both after and before it
+    @staticmethod
+    def _random_merges(seed):
+        """Merge random legal pairs of a random circuit's network until one
+        tensor is left; yield the live labels, the ``LiveOrder`` and the
+        reference order at the start and after every merge."""
         rng = random.Random(seed)
         c = random_circuit(rng, rng.randint(2, 6), rng.randint(2, 25))
         labels = {t.id: frozenset(t.indices) for t in export_tensor_network(c).tensors}
@@ -260,17 +259,48 @@ class TestLiveOrder:
                                    if a < b and labels[a] & labels[b]})
         reference = _LiveOrder(labels)
         next_id = len(labels)
-        while len(labels) > 1:
+        while True:
+            yield labels, order, reference
+            if len(labels) == 1:
+                return
             ids = sorted(labels)
-            legal = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
-                     if order.legal(a, b)]
-            assert legal == [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
-                             if reference.convex(a, b)]
-            a, b = rng.choice([(a, b) for a, b in legal if labels[a] & labels[b]])
+            a, b = rng.choice([(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                               if labels[a] & labels[b] and order.legal(a, b)])
             labels[next_id] = labels.pop(a) ^ labels.pop(b)
             order.merge(a, b, next_id)
             reference.merge(a, b, next_id)
             next_id += 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 9))
+    def test_legal_matches_reference_after_random_merges(self, seed):
+        # after each random legal merge, every pair of live tensors, sharing
+        # a label or not, is legal exactly when the reference search finds
+        # no live tensor both after and before it
+        for labels, order, reference in self._random_merges(seed):
+            ids = sorted(labels)
+            assert [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                    if order.legal(a, b)] == \
+                [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                 if reference.convex(a, b)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 9))
+    def test_sets_hold_exactly_the_order_after_random_merges(self, seed):
+        # the class invariant: a live tensor's up (down) set holds the rep
+        # bit of every live tensor before (after) it, itself included, and
+        # no bit outside the members of those tensors; the network's ids are
+        # 0..G, so member m holds bit m
+        for labels, order, reference in self._random_merges(seed):
+            sets = order._sets
+            for x in labels:
+                for bits, step in ((sets[x][2], reference.earlier),
+                                   (sets[x][3], reference.later)):
+                    reach = _reach((x,), step)
+                    reps = sum(sets[y][1] for y in reach)
+                    members = sum(1 << m for y in reach for m in reference.members[y])
+                    assert bits & reps == reps
+                    assert not bits & ~members
 
 
 class TestImportPath:
