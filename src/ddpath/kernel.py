@@ -64,9 +64,16 @@ only ZERO, ONE, gate-matrix entries and successor weights of stored nodes.
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
 which builds only the nodes of the sum and not those of the two products.
-A third table memoises these sums, keyed by the four operand nodes and the
-ratio of the two terms' weights.  It too lives for one ``multiply_mv``
-call.
+The sum table memoises these sums too, keyed by the four operand nodes and
+the ratio of the two terms' weights; a five-item key never equals the
+three-item key of a plain sum.
+
+A walk over a diagram is a method that recurses, a loop over an explicit
+stack, or a loop over ``_reachable``'s nodes sorted by level, which puts
+every successor before its node (``signature``, ``to_vector``,
+``to_matrix``).  No nested function calls itself: such a closure is a
+reference cycle that keeps its memo alive until Python's cyclic collector
+runs.
 
 Inside the kernel an edge is a plain ``(weight, node)`` tuple, read by
 unpacking: the results of the recursions, the compute-table entries and the
@@ -161,10 +168,10 @@ class Kernel:
 
     The product table and the gate memo are exact memos that never drop an
     entry between two ``gc`` sweeps; each sweep empties them.  The sum
-    table and the ratio table are emptied at the end of every
-    ``multiply_mv`` and ``multiply_mm``, the two-term table at the end of
-    every ``multiply_mv``.  Only ``intern`` stores into the value table;
-    sums only read it.  Its occupancy byte maps hold at least 8 bytes per
+    table, which also holds the two-term sums of ``_mac``, and the ratio
+    table are emptied at the end of every ``multiply_mv`` and
+    ``multiply_mm``.  Only ``intern`` stores into the value table; sums
+    only read it.  Its occupancy byte maps hold at least 8 bytes per
     bucket, in a power of two of at least 4096.
     """
 
@@ -181,13 +188,12 @@ class Kernel:
         # vector nodes keyed (e0, e1), operator nodes (level, e0, e1, e2, e3)
         self._unique: dict = {}
         self._uid = 0
-        # products keyed (M, V) or (A, B), sums (A, B, ratio); vector and
-        # operator nodes are distinct objects, so the kinds never share a key.
-        # Sums live for one public product
+        # products keyed (M, V) or (A, B), sums (A, B, ratio) and two-term
+        # sums a·x + b·y (A, X, B, Y, ratio); vector and operator nodes are
+        # distinct objects, so the kinds never share a key.  Sums live for
+        # one public product
         self._ct_mul: dict = {}
         self._ct_add: dict = {}
-        # a·x + b·y keyed (A, X, B, Y, ratio); lives for one multiply_mv
-        self._ct_mac: dict = {}
         # bucket -> first memo-key ratio of the running product that missed
         # the value table; lives for one public product, like _ct_add
         self._ratios: dict = {}
@@ -560,7 +566,6 @@ class Kernel:
         try:
             return _edge(self._mul_mv(m, v))
         finally:
-            self._ct_mac.clear()
             self._ct_add.clear()
             self._ratios.clear()
 
@@ -619,7 +624,7 @@ class Kernel:
         if ratio == 0:
             return self._mul_mv(a, x)
         key = (an, xn, bn, yn, ratio)
-        r = self._ct_mac.get(key)
+        r = self._ct_add.get(key)
         if r is None:
             level = xn.level
             if (an is None or an.level < level) and (bn is None or bn.level < level):
@@ -633,7 +638,7 @@ class Kernel:
                 r = self._vnode(level, mac(ua, x0, ub, y0), mac(ua, x1, ub, y1))
             else:
                 r = self._mac_quadrants(level, an, xn, ratio, bn, yn)
-            self._ct_mac[key] = r
+            self._ct_add[key] = r
         return self._scale(r, w)
 
     def _mac_quadrants(self, level: int, an: Node | None, xn: Node,
@@ -827,8 +832,6 @@ class Kernel:
         return self._inner(a, b, {})
 
     def _inner(self, ea: tuple, eb: tuple, memo: dict) -> complex:
-        # a method, not a nested closure: a closure that calls itself is a
-        # reference cycle, left for the cyclic collector with its memo
         aw, an = ea
         bw, bn = eb
         if (an is None and aw == 0) or (bn is None and bw == 0):
@@ -847,14 +850,20 @@ class Kernel:
 
     def signature(self, e: Edge):
         """Kernel-independent structural fingerprint (for cross-instance
-        equality), built level by level from the bottom rather than by
-        recursion: every successor of a node sits at a lower level."""
+        equality), built level by level from the bottom."""
         w, root = e
+        memo = self._bottom_up(root, lambda node, memo: (
+            node.level, tuple((sw.real, sw.imag, memo[x]) for sw, x in node.edges)))
+        return (w.real, w.imag, memo[root])
+
+    def _bottom_up(self, root: Node | None, build) -> dict:
+        """``memo[node] = build(node, memo)`` for every node reachable from
+        ``root``, lowest level first, so ``memo`` already holds every
+        successor a node names; ``memo[None]`` is None."""
         memo: dict = {None: None}
         for node in sorted(self._reachable((root,)), key=lambda x: x.level):
-            memo[node] = (node.level,
-                          tuple((sw.real, sw.imag, memo[x]) for sw, x in node.edges))
-        return (w.real, w.imag, memo[root])
+            memo[node] = build(node, memo)
+        return memo
 
     # ------------------------------------------------------------------
     # dense reconstruction (n must stay small; intended for checks and export)
@@ -867,58 +876,54 @@ class Kernel:
                     raise InvalidArgumentError("zero edge needs an explicit qubit count")
                 return np.zeros(1 << n, dtype=complex)
             return np.array([w], dtype=complex)
-        memo: dict = {}
+        if len(root.edges) != 2:
+            raise InvalidArgumentError("to_vector needs a vector diagram")
 
-        def sub(edge: tuple, size: int) -> np.ndarray:
+        def sub(edge: tuple, size: int, memo: dict) -> np.ndarray:
             w, node = edge
             if node is None:
                 if w == 0:
                     return np.zeros(size, dtype=complex)
                 return np.array([w], dtype=complex)
-            return w * arr(node)
+            return w * memo[node]
 
-        def arr(node) -> np.ndarray:
-            a = memo.get(node)
-            if a is None:
-                half = 1 << node.level
-                a = np.concatenate([sub(node.edges[0], half), sub(node.edges[1], half)])
-                memo[node] = a
-            return a
+        def build(node: Node, memo: dict) -> np.ndarray:
+            half = 1 << node.level
+            s0, s1 = node.edges
+            return np.concatenate([sub(s0, half, memo), sub(s1, half, memo)])
 
-        return w * arr(root)
+        return w * self._bottom_up(root, build)[root]
 
     def to_matrix(self, e: Edge, n: int) -> np.ndarray:
         """Dense 2^n x 2^n matrix of an operator edge; the levels an edge
         skips are expanded as identity levels."""
         root = e[1]
-        if root is not None and root.level >= n:
-            raise InvalidArgumentError(
-                f"operator on {root.level + 1} qubits does not fit {n}")
-        memo: dict = {}
+        if root is not None:
+            if len(root.edges) != 4:
+                raise InvalidArgumentError("to_matrix needs an operator diagram")
+            if root.level >= n:
+                raise InvalidArgumentError(
+                    f"operator on {root.level + 1} qubits does not fit {n}")
 
-        def sub(edge: tuple, level: int) -> np.ndarray:
+        def sub(edge: tuple, level: int, memo: dict) -> np.ndarray:
             dim = 1 << (level + 1)
             w, node = edge
             if node is None:
                 if w == 0:
                     return np.zeros((dim, dim), dtype=complex)
                 return w * np.eye(dim, dtype=complex)
-            a = arr(node)
+            a = memo[node]
             if node.level < level:
                 a = np.kron(np.eye(1 << (level - node.level)), a)
             return w * a
 
-        def arr(node) -> np.ndarray:
-            a = memo.get(node)
-            if a is None:
-                lo = node.level - 1
-                s = node.edges
-                a = np.block([[sub(s[0], lo), sub(s[1], lo)],
-                              [sub(s[2], lo), sub(s[3], lo)]])
-                memo[node] = a
-            return a
+        def build(node: Node, memo: dict) -> np.ndarray:
+            lo = node.level - 1
+            s = node.edges
+            return np.block([[sub(s[0], lo, memo), sub(s[1], lo, memo)],
+                             [sub(s[2], lo, memo), sub(s[3], lo, memo)]])
 
-        return sub(e, n - 1)
+        return sub(e, n - 1, self._bottom_up(root, build))
 
     # ------------------------------------------------------------------
     # memory management
@@ -944,10 +949,10 @@ class Kernel:
         table and the rest dropped; the count dropped is returned.  The
         compute tables and the gate memo are emptied wholesale, since
         their entries may name swept nodes; the sum and ratio tables are
-        empty already unless ``_add`` was called outside a product.  The
-        value table, which holds no value of a sum, keeps
-        the buckets whose representative is ZERO, ONE or a successor weight
-        of a kept node, so every weight a kept node holds still interns to
+        empty already unless ``_add`` or ``_mac`` was called outside a
+        product.  The value table, which holds no value of a sum, keeps the
+        buckets whose representative is ZERO, ONE or a successor weight of
+        a kept node, so every weight a kept node holds still interns to
         itself; root weights are plain products and need no bucket.  The
         byte maps are rebuilt at the smallest power of two above 8 bytes per
         kept bucket, and at least 4096.
@@ -986,24 +991,18 @@ class Kernel:
                 lines.append(f'  root -> t [label="{_fmt_weight(w)}"];')
             lines.append("}")
             return "\n".join(lines)
-        order: list = []
-        seen = set()
-
-        def visit(node):
-            if node in seen:
-                return
-            seen.add(node)
-            order.append(node)
-            for s in node.edges:
-                if s.node is not None:
-                    visit(s.node)
-
-        visit(root)
-        names = {node: f"n{i}" for i, node in enumerate(order)}
+        # nodes named in preorder, successors in edge order
+        names: dict = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node not in names:
+                names[node] = f"n{len(names)}"
+                stack.extend(x for _, x in reversed(node.edges) if x is not None)
         lines.append('  t [shape=box, label="1"];')
         lines.append(f'  root -> n0 [label="{_fmt_weight(w)}"];')
         stub = 0
-        for node in order:
+        for node in names:
             lines.append(f'  {names[node]} [shape=circle, label="{node.level}"];')
             for i, s in enumerate(node.edges):
                 if s.node is None and s.w == 0:

@@ -26,7 +26,6 @@ from . import tnbridge
 from .circuit import Circuit, concat_inverse, decomposition_cost
 from .errors import (
     CapacityError,
-    InternalError,
     InvalidArgumentError,
     PathValidationError,
     UnsupportedGateError,
@@ -325,11 +324,6 @@ def _too_deep(n: int) -> str:
             f"({sys.getrecursionlimit()})")
 
 
-def _is_operator(e: Edge) -> bool:
-    """An operator node, or a terminal edge: the identity, scaled."""
-    return e.node is None or len(e.node.edges) == 4
-
-
 def execute(circuit: Circuit, path: SimulationPath | None = None,
             kernel: Kernel | None = None, initial: Edge | None = None,
             observer=None) -> tuple[Edge, RunStats]:
@@ -386,16 +380,15 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
 
         count = len(circuit.gates)
         counts: list[int] = []
+        # the index that holds the state; validate keeps it the right factor
+        state = 0
         try:
-            for ti, (a, b) in enumerate(tasks, start=1):
-                left = fetch(a)
-                right = fetch(b)
-                if not _is_operator(left):
-                    raise InternalError(f"task {ti}: left operand is not an operator")
-                if _is_operator(right):
-                    result = kernel.multiply_mm(left, right)
+            for ti, (left, right) in enumerate(tasks, start=1):
+                if right == state:
+                    result = kernel.multiply_mv(fetch(left), fetch(right))
+                    state = count + ti
                 else:
-                    result = kernel.multiply_mv(left, right)
+                    result = kernel.multiply_mm(fetch(left), fetch(right))
                 env[count + ti] = result
                 size = kernel.node_count(result, n)
                 counts.append(size)

@@ -386,7 +386,6 @@ class MemoFreeKernel(Kernel):
         super().__init__()
         self._ct_mul = _Forgetful()
         self._ct_add = _Forgetful()
-        self._ct_mac = _Forgetful()
 
 
 class UnfusedKernel(Kernel):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -418,23 +419,39 @@ class TestGarbageCollection:
             k.inc_ref(e)
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
         assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
-            == ["_ct_add", "_ct_mac", "_ct_mul"]
-        # the sum, ratio and two-term tables live for one public product
-        assert not k._ct_mac and not k._ct_add and not k._ratios
+            == ["_ct_add", "_ct_mul"]
+        # the sum table, two-term sums included, and the ratio table live
+        # for one public product
+        assert not k._ct_add and not k._ratios
         assert all((k._ct_mul, k._gates))
         # called directly, _add leaves its entries and the ratios keying
         # them for gc to empty
         k._add(a, b)
         assert k._ct_add and k._ratios
         k.gc([])
-        assert not any((k._ct_mul, k._ct_add, k._ct_mac, k._ratios, k._gates))
+        assert not any((k._ct_mul, k._ct_add, k._ratios, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
-        assert not k._ct_mac
+        assert not k._ct_add
         assert (k.signature(again[0]), k.signature(again[1])) == before
         # rebuilt into the unique table, not the swept nodes from before gc
         live = set(k._unique.values())
         for e in again:
             assert all(node in live for node in _walk_nodes(e))
+
+    def test_gc_empties_two_term_sums_of_a_direct_mac(self):
+        # called outside multiply_mv, _mac leaves its entries in the sum
+        # table; a sweep that drops every node must drop them too
+        n = 3
+        k = Kernel()
+        a = k.make_gate(h(2), n)
+        b = k.make_gate(cx(0, 2), n)
+        x = run_gates(k, Circuit(n, tuple(h(q) for q in range(n))))
+        y = run_gates(k, ghz(n))
+        k._mac(a, x, b, y)
+        assert k._ct_add and k._ratios
+        assert k.gc([]) > 0 and k.unique_size == 0
+        tables = [v for name, v in vars(k).items() if name.startswith("_ct_")]
+        assert not any(tables + [k._ratios, k._gates])
 
     @pytest.mark.parametrize("strategy", ["sequential", "heuristic", "greedy"])
     def test_sum_tables_emptied_after_every_product(self, strategy):
@@ -450,7 +467,7 @@ class TestGarbageCollection:
             return r
 
         def observer(ti, result):
-            assert not k._ct_add and not k._ct_mac and not k._ratios
+            assert not k._ct_add and not k._ratios
             # sums only read the value table
             assert set(k._values.values()) <= _value_owners(k)
 
@@ -502,7 +519,7 @@ class TestGarbageCollection:
             else:
                 k.multiply_mm(op, op)
         assert ratios[0] > 0
-        assert not k._ct_add and not k._ct_mac and not k._ratios
+        assert not k._ct_add and not k._ratios
 
     def test_external_refs_survive_gc(self):
         k = Kernel()
@@ -938,7 +955,7 @@ class TestFusedSums:
 
             def run(k):
                 def observer(ti, result):
-                    emptied.append(not k._ct_mac)
+                    emptied.append(not k._ct_add)
                 final, stats = execute(c, kernel=k, observer=observer)
                 return final, stats, None
 
@@ -1027,14 +1044,14 @@ class TestFusedSums:
         def failing(level, e0, e1):
             if len(seen) == 6:
                 raise RecursionError
-            seen.append(len(k._ct_mac))
+            seen.append(len(k._ct_add))
             return real(level, e0, e1)
 
         k._vnode = failing
         with pytest.raises(RecursionError):
             k.multiply_mv(op, state)
         assert max(seen) > 0
-        assert not k._ct_mac
+        assert not k._ct_add
 
 
 def _value_owners(k):
@@ -1165,3 +1182,68 @@ class TestDotExport:
         assert text.startswith("digraph")
         assert "->" in text
         assert "style=filled" in text
+
+    def test_literal_text_names_nodes_in_preorder(self):
+        # both diagrams reach a node twice; names follow the first visit,
+        # successors in edge order
+        k = Kernel()
+        state = run_gates(k, Circuit(3, (h(0), h(2), cx(0, 1))))
+        assert k.to_dot(state) == "\n".join([
+            "digraph dd {", "  rankdir=TB;", '  root [shape=point, label=""];',
+            '  t [shape=box, label="1"];', '  root -> n0 [label="0.5"];',
+            '  n0 [shape=circle, label="2"];',
+            '  n0 -> n1 [label="0: 1"];', '  n0 -> n1 [label="1: 1"];',
+            '  n1 [shape=circle, label="1"];',
+            '  n1 -> n2 [label="0: 1"];', '  n1 -> n3 [label="1: 1"];',
+            '  n2 [shape=circle, label="0"];', '  n2 -> t [label="0: 1"];',
+            "  z0 [shape=point, style=filled];", '  n2 -> z0 [label="1"];',
+            '  n3 [shape=circle, label="0"];',
+            "  z1 [shape=point, style=filled];", '  n3 -> z1 [label="0"];',
+            '  n3 -> t [label="1: 1"];', "}"])
+        assert k.to_dot(k.make_gate(cx(0, 2), 3)) == "\n".join([
+            "digraph dd {", "  rankdir=TB;", '  root [shape=point, label=""];',
+            '  t [shape=box, label="1"];', '  root -> n0 [label="1"];',
+            '  n0 [shape=circle, label="2"];',
+            '  n0 -> n1 [label="0: 1"];', '  n0 -> n2 [label="1: 1"];',
+            '  n0 -> n2 [label="2: 1"];', '  n0 -> n1 [label="3: 1"];',
+            '  n1 [shape=circle, label="0"];', '  n1 -> t [label="0: 1"];',
+            "  z0 [shape=point, style=filled];", '  n1 -> z0 [label="1"];',
+            "  z1 [shape=point, style=filled];", '  n1 -> z1 [label="2"];',
+            "  z2 [shape=point, style=filled];", '  n1 -> z2 [label="3"];',
+            '  n2 [shape=circle, label="0"];',
+            "  z3 [shape=point, style=filled];", '  n2 -> z3 [label="0"];',
+            "  z4 [shape=point, style=filled];", '  n2 -> z4 [label="1"];',
+            "  z5 [shape=point, style=filled];", '  n2 -> z5 [label="2"];',
+            '  n2 -> t [label="3: 1"];', "}"])
+
+
+class TestReaders:
+    @pytest.mark.parametrize("reader", ["to_vector", "to_matrix", "to_dot"])
+    def test_leave_no_reference_cycle(self, reader):
+        # a reader whose walk is a self-recursive closure leaves a cycle
+        # holding its memo for Python's cyclic collector
+        n = 10
+        k = Kernel()
+        state = run_gates(k, qft(n))
+        gate = k.make_gate(cx(0, n - 1), n)
+        calls = {"to_vector": lambda: k.to_vector(state),
+                 "to_matrix": lambda: k.to_matrix(gate, n),
+                 "to_dot": lambda: (k.to_dot(state), k.to_dot(gate))}
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            # a first call may set up numpy's lazily built state
+            calls[reader]()
+            gc.collect()
+            calls[reader]()
+            assert gc.collect() == 0
+        finally:
+            if was_on:
+                gc.enable()
+
+    def test_wrong_diagram_kind_is_invalid_argument(self):
+        k = Kernel()
+        with pytest.raises(InvalidArgumentError, match="vector diagram"):
+            k.to_vector(k.make_gate(h(0), 3))
+        with pytest.raises(InvalidArgumentError, match="operator diagram"):
+            k.to_matrix(run_gates(k, ghz(3)), 3)
