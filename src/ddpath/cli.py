@@ -184,6 +184,10 @@ def _parse_suite(spec: str) -> tuple[str, list[int], list[str]]:
         raise InvalidArgumentError(f"bad size {span!r} in suite spec {spec!r}")
     if not ns:
         raise InvalidArgumentError(f"empty size range {span!r} in suite spec {spec!r}")
+    if family != "qft-verify" and family not in GENERATORS:
+        raise InvalidArgumentError(f"unknown bench family {family!r} in suite spec {spec!r}")
+    for strategy in strategies:
+        simpath._check_strategy(strategy)
     return family, ns, strategies
 
 
@@ -194,10 +198,7 @@ def _bench_row(family: str, n: int, strategy: str) -> tuple[int, simpath.RunStat
         initial = _initial_edge("ghz", kernel, n)
         result = simpath.verify_equivalence(g, g, strategy, kernel, initial)
         return len(result.combined.gates), result.stats
-    gen = GENERATORS.get(family)
-    if gen is None:
-        raise InvalidArgumentError(f"unknown bench family {family!r}")
-    circuit = gen(n)
+    circuit = GENERATORS[family](n)
     _, stats = simpath.execute(circuit, simpath.make_path(strategy, circuit), kernel)
     return len(circuit.gates), stats
 
@@ -207,7 +208,9 @@ def cmd_bench(args) -> int:
     sweep goes on; the exit code is 2 when any row failed."""
     rows = ["benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"]
     failed = 0
-    # every spec and the output file are checked before the first row runs
+    # every spec, with its family and strategy names, and the output file
+    # are checked before the first row runs; file: and plan: files are
+    # read by their rows
     suite = [_parse_suite(spec) for spec in args.suite]
     with _output(args.out) as write:
         for family, ns, strategies in suite:

@@ -27,7 +27,7 @@ the table (``lookup``): the ratio of two summands and one plus the ratio of
 two scalar or scaled-identity summands take the stored representative
 within EPS, else keep their own value.  A ratio that keys a sum's memo
 entry and misses takes instead the first value of its bucket in the running
-product, from a ratio table that lives as long as the sum table, so keys
+product, from a ratio table that lives as long as the compute table, so keys
 that differ only in the last bits still meet.  A root weight, the norm a
 node passes up its incoming edge, shrinks like 2^(-n/2) and stays a plain
 product, never looked up.  Two scalars sum by the same relative rule, as
@@ -49,24 +49,26 @@ sit at any lower level, so it keys an operator node by the level plus the
 four successors.  The keys have different lengths, so the two kinds never
 share one.
 
-Sums and products are memoised in two compute tables, one for sums and one
-for products: plain dicts, exact per kernel, keyed by operand nodes (and the
-weight ratio, for sums).  Vector and operator nodes are distinct objects, so
-one table serves both kinds.  The product table lives until the next
-``Kernel.gc`` sweep, which empties it together with the gate memo, so no
-entry outlives a node it names, and sweeps the value table down to ZERO,
-ONE and the successor weights of the nodes it keeps.  The sum table and the
-ratio table live for one public product: ``multiply_mv`` and
-``multiply_mm`` empty them when they return or raise, since a later
-product rarely hits their entries.  Between sweeps the value table holds
-only ZERO, ONE, gate-matrix entries and successor weights of stored nodes.
+Sums and products are memoised in one compute table, a plain dict, exact
+per kernel, keyed by operand nodes: a product by its two nodes, a sum by
+its two nodes and the weight ratio.  The keys differ in length, and vector
+and operator nodes are distinct objects, so one table serves every kind.
+It lives for one public product, together with the ratio table:
+``multiply_mv`` and ``multiply_mm`` empty both when they return or raise,
+since a later product rarely hits their entries, so no compute entry
+outlives the product that made it.  Gate diagrams are memoised apart, until
+the next ``Kernel.gc`` sweep, which empties that memo, so no entry outlives
+a node it names, and sweeps the value table down to ZERO, ONE and the
+successor weights of the nodes it keeps.  Between sweeps the value table
+holds only ZERO, ONE, gate-matrix entries and successor weights of stored
+nodes.
 
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
 which builds only the nodes of the sum and not those of the two products.
-The sum table memoises these sums too, keyed by the four operand nodes and
-the ratio of the two terms' weights; a five-item key never equals the
-three-item key of a plain sum.
+The compute table memoises these sums too, keyed by the four operand nodes
+and the ratio of the two terms' weights; a five-item key never equals the
+two-item key of a product or the three-item key of a plain sum.
 
 A walk over a diagram is a method that recurses, a loop over an explicit
 stack, or a loop over ``_reachable``'s nodes sorted by level, which puts
@@ -164,13 +166,13 @@ _edge = functools.partial(tuple.__new__, Edge)
 
 class Kernel:
     """One unique table, for vector and operator nodes alike, plus the
-    compute tables and the value table.
+    compute table, the gate memo and the value table.
 
-    The product table and the gate memo are exact memos that never drop an
-    entry between two ``gc`` sweeps; each sweep empties them.  The sum
-    table, which also holds the two-term sums of ``_mac``, and the ratio
-    table are emptied at the end of every ``multiply_mv`` and
-    ``multiply_mm``.  Only ``intern`` stores into the value table; sums
+    The compute table holds the products, sums and two-term sums of one
+    public product; it and the ratio table are emptied at the end of every
+    ``multiply_mv`` and ``multiply_mm``.  The gate memo is an exact memo of
+    gate diagrams that never drops an entry between two ``gc`` sweeps; each
+    sweep empties it.  Only ``intern`` stores into the value table; sums
     only read it.  Its occupancy byte maps hold at least 8 bytes per
     bucket, in a power of two of at least 4096.
     """
@@ -188,17 +190,16 @@ class Kernel:
         # vector nodes keyed (e0, e1), operator nodes (level, e0, e1, e2, e3)
         self._unique: dict = {}
         self._uid = 0
-        # products keyed (M, V) or (A, B), sums (A, B, ratio) and two-term
-        # sums a·x + b·y (A, X, B, Y, ratio); vector and operator nodes are
-        # distinct objects, so the kinds never share a key.  Sums live for
-        # one public product
-        self._ct_mul: dict = {}
-        self._ct_add: dict = {}
+        # the compute table of the running product: products keyed (M, V)
+        # or (A, B), sums (A, B, ratio) and two-term sums a·x + b·y
+        # (A, X, B, Y, ratio); the lengths differ and vector and operator
+        # nodes are distinct objects, so no two kinds share a key
+        self._ct: dict = {}
         # bucket -> first memo-key ratio of the running product that missed
-        # the value table; lives for one public product, like _ct_add
+        # the value table; lives as long as _ct
         self._ratios: dict = {}
-        # (gate diagram, its node count) by (kind, parameter, matrix,
-        # controls, targets, n); emptied by gc, never a root
+        # gate diagram by (kind, parameter, matrix, controls, targets, n);
+        # emptied by gc, never a root
         self._gates: dict = {}
 
     # ------------------------------------------------------------------
@@ -434,20 +435,13 @@ class Kernel:
         matrix for kind "u").  Positive controls only.  Gate diagrams are
         memoised per kernel until the next ``gc``, which empties the memo.
         """
-        return self._gate(gate, n)[0]
-
-    def gate_node_count(self, gate, n: int) -> int:
-        """``node_count(make_gate(gate, n), n)``, counted once per memo entry."""
-        return self._gate(gate, n)[1]
-
-    def _gate(self, gate, n: int) -> tuple[Edge, int]:
         targets = tuple(gate.targets)
         controls = tuple(gate.controls)
         matrix = getattr(gate, "matrix", None)
         key = (gate.kind, gate.parameter, matrix, controls, targets, n)
-        entry = self._gates.get(key)
-        if entry is not None:
-            return entry
+        e = self._gates.get(key)
+        if e is not None:
+            return e
         used = targets + controls
         if len(set(used)) != len(used):
             raise InvalidArgumentError(f"duplicate qubit in gate {gate.kind}: {used}")
@@ -464,9 +458,7 @@ class Kernel:
                     f"gate {gate.kind} expects one target, got {targets}")
             mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
             e = self._controlled_single(mat, targets[0], controls)
-        e = _edge(e)
-        entry = self._gates[key] = (e, self.node_count(e, n))
-        return entry
+        return self._gates.setdefault(key, _edge(e))
 
     def _controlled_single(self, mat, target: int, controls: tuple) -> tuple:
         """Nodes at the target and control levels only; the levels between
@@ -531,7 +523,7 @@ class Kernel:
         if ratio == 0:
             return a
         key = (an, bn, ratio)
-        r = self._ct_add.get(key)
+        r = self._ct.get(key)
         if r is None:
             add = self._add
             scale = self._scale
@@ -546,7 +538,7 @@ class Kernel:
                                 add(ae[1], scale(be[1], ratio)),
                                 add(ae[2], scale(be[2], ratio)),
                                 add(ae[3], scale(be[3], ratio)))
-            self._ct_add[key] = r
+            self._ct[key] = r
         return self._scale(r, aw)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
@@ -566,7 +558,7 @@ class Kernel:
         try:
             return _edge(self._mul_mv(m, v))
         finally:
-            self._ct_add.clear()
+            self._ct.clear()
             self._ratios.clear()
 
     def _mul_mv(self, m: tuple, v: tuple) -> tuple:
@@ -579,7 +571,7 @@ class Kernel:
             # the identity, or below level 0 a scalar
             return (w, vn)
         key = (mn, vn)
-        r = self._ct_mul.get(key)
+        r = self._ct.get(key)
         if r is None:
             mul = self._mul_mv
             level = vn.level
@@ -600,7 +592,7 @@ class Kernel:
                 mac = self._mac
                 r = self._vnode(level, mac(me[0], ve[0], me[1], ve[1]),
                                 mac(me[2], ve[0], me[3], ve[1]))
-            self._ct_mul[key] = r
+            self._ct[key] = r
         return self._scale(r, w)
 
     def _mac(self, a: tuple, x: tuple, b: tuple, y: tuple) -> tuple:
@@ -624,7 +616,7 @@ class Kernel:
         if ratio == 0:
             return self._mul_mv(a, x)
         key = (an, xn, bn, yn, ratio)
-        r = self._ct_add.get(key)
+        r = self._ct.get(key)
         if r is None:
             level = xn.level
             if (an is None or an.level < level) and (bn is None or bn.level < level):
@@ -638,7 +630,7 @@ class Kernel:
                 r = self._vnode(level, mac(ua, x0, ub, y0), mac(ua, x1, ub, y1))
             else:
                 r = self._mac_quadrants(level, an, xn, ratio, bn, yn)
-            self._ct_add[key] = r
+            self._ct[key] = r
         return self._scale(r, w)
 
     def _mac_quadrants(self, level: int, an: Node | None, xn: Node,
@@ -701,7 +693,7 @@ class Kernel:
         try:
             return _edge(self._mul_mm(a, b))
         finally:
-            self._ct_add.clear()
+            self._ct.clear()
             self._ratios.clear()
 
     def _mul_mm(self, a: tuple, b: tuple) -> tuple:
@@ -715,7 +707,7 @@ class Kernel:
         if bn is None:
             return (w, an)
         key = (an, bn)
-        r = self._ct_mul.get(key)
+        r = self._ct.get(key)
         if r is None:
             # above the higher node both factors, and so the product, are
             # the identity; the product starts at that node's level, where
@@ -740,7 +732,7 @@ class Kernel:
                                 add(mul(ae[0], be[1]), mul(ae[1], be[3])),
                                 add(mul(ae[2], be[0]), mul(ae[3], be[2])),
                                 add(mul(ae[2], be[1]), mul(ae[3], be[3])))
-            self._ct_mul[key] = r
+            self._ct[key] = r
         return self._scale(r, w)
 
     # ------------------------------------------------------------------
@@ -774,12 +766,14 @@ class Kernel:
         A run of skipped levels above a node, or above the terminal, is one
         chain of identity nodes, shared by every edge into that target, so
         the explicit form adds the longest skip into each target to the
-        stored nodes.  Vector diagrams skip no level.
+        stored nodes.  Vector diagrams skip no level, and a vector's ``n``,
+        when given, must be its width.
         """
         w, root = e
         if root is None:
             return 0 if w == 0 or n is None else n
         if len(root.edges) == 2:
+            _check_width(root, n)
             return len(self._reachable((root,)))
         top = root.level if n is None else n - 1
         if top < root.level:
@@ -869,15 +863,18 @@ class Kernel:
     # dense reconstruction (n must stay small; intended for checks and export)
 
     def to_vector(self, e: Edge, n: int | None = None) -> np.ndarray:
+        """Dense amplitudes of a vector edge; ``n``, when given, must be
+        its width.  The zero edge has every width and needs ``n``."""
         w, root = e
-        if root is None:
-            if w == 0:
-                if n is None:
-                    raise InvalidArgumentError("zero edge needs an explicit qubit count")
-                return np.zeros(1 << n, dtype=complex)
-            return np.array([w], dtype=complex)
-        if len(root.edges) != 2:
+        if root is None and w == 0:
+            if n is None:
+                raise InvalidArgumentError("zero edge needs an explicit qubit count")
+            return np.zeros(1 << n, dtype=complex)
+        if root is not None and len(root.edges) != 2:
             raise InvalidArgumentError("to_vector needs a vector diagram")
+        _check_width(root, n)
+        if root is None:
+            return np.array([w], dtype=complex)
 
         def sub(edge: tuple, size: int, memo: dict) -> np.ndarray:
             w, node = edge
@@ -947,15 +944,15 @@ class Kernel:
 
         The nodes ``_reachable`` finds from both are kept in the one unique
         table and the rest dropped; the count dropped is returned.  The
-        compute tables and the gate memo are emptied wholesale, since
-        their entries may name swept nodes; the sum and ratio tables are
-        empty already unless ``_add`` or ``_mac`` was called outside a
-        product.  The value table, which holds no value of a sum, keeps the
-        buckets whose representative is ZERO, ONE or a successor weight of
-        a kept node, so every weight a kept node holds still interns to
-        itself; root weights are plain products and need no bucket.  The
-        byte maps are rebuilt at the smallest power of two above 8 bytes per
-        kept bucket, and at least 4096.
+        gate memo is emptied wholesale, since its entries may name swept
+        nodes; so are the compute and ratio tables, which are empty already
+        unless ``_add``, ``_mac``, ``_mul_mv`` or ``_mul_mm`` was called
+        outside a public product.  The value table, which holds no value of
+        a sum, keeps the buckets whose representative is ZERO, ONE or a
+        successor weight of a kept node, so every weight a kept node holds
+        still interns to itself; root weights are plain products and need no
+        bucket.  The byte maps are rebuilt at the smallest power of two
+        above 8 bytes per kept bucket, and at least 4096.
         """
         table = self._unique
         marked = self._reachable(itertools.chain(
@@ -964,8 +961,7 @@ class Kernel:
         live.update(w for node in marked for w, _ in node.edges)
         self._unique = {k: v for k, v in table.items() if v in marked}
         self._sweep_values(live)
-        self._ct_mul.clear()
-        self._ct_add.clear()
+        self._ct.clear()
         self._ratios.clear()
         self._gates.clear()
         return len(table) - len(self._unique)
@@ -1017,6 +1013,14 @@ class Kernel:
                         f'  {names[node]} -> {names[s.node]} [label="{i}: {_fmt_weight(s.w)}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _check_width(root: Node | None, n: int | None) -> None:
+    """Reject a width ``n`` other than that of the vector edge into
+    ``root``; the terminal is a vector on no qubit, and None fits any."""
+    width = 0 if root is None else root.level + 1
+    if n is not None and n != width:
+        raise InvalidArgumentError(f"vector on {width} qubits read as {n} qubits")
 
 
 def _fmt_weight(w: complex) -> str:

@@ -170,6 +170,15 @@ def heuristic_path(circuit: Circuit, split: int) -> SimulationPath:
     return _woven_path(split, rest, budgets)
 
 
+def _check_strategy(strategy: str) -> None:
+    """Reject a name ``make_path`` does not take; a file name is read only
+    when the path is made."""
+    if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
+        raise InvalidArgumentError(
+            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
+            f"file:<path.json> or plan:<plan.json>")
+
+
 def make_path(strategy: str, circuit: Circuit, split: int | None = None) -> SimulationPath:
     """Turn a strategy name into a path over ``circuit``, the circuit that
     ``execute`` runs: one of ``STRATEGIES``, ``file:<path.json>`` or
@@ -183,10 +192,7 @@ def make_path(strategy: str, circuit: Circuit, split: int | None = None) -> Simu
     ``execute`` validates every path once, before its first product,
     whatever built it.
     """
-    if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
-        raise InvalidArgumentError(
-            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
-            f"file:<path.json> or plan:<plan.json>")
+    _check_strategy(strategy)
     count = len(circuit.gates)
     if strategy == "sequential":
         return sequential_path(count)
@@ -338,6 +344,11 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     An operator operand may be a terminal edge, a scaled identity; node
     counts are taken over all ``n`` levels (``Kernel.node_count(e, n)``).
 
+    ``peak_nodes`` is the largest node count, in the explicit form, of the
+    initial state, of each distinct gate diagram the run fetches, and of
+    each task result.  A gate diagram is counted once per run, keyed by its
+    node, whether the kernel's gate memo held it already or not.
+
     Python's cyclic garbage collector is paused while this runs if it was
     on; a run that finds it off, perhaps paused by an overlapping run,
     leaves it alone.  Nodes, edges and compute-table entries form a DAG and
@@ -364,18 +375,17 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             raise InvalidArgumentError(
                 f"initial state has {initial.num_qubits} qubits, circuit has {n}")
         env: dict[int, Edge] = {0: initial}
-        peak = kernel.node_count(initial)
+        initial_nodes = kernel.node_count(initial)
+        # node -> node count of each distinct gate diagram fetched so far
+        gate_sizes: dict = {}
         gc_threshold = _GC_FLOOR
 
         def fetch(idx: int) -> Edge:
-            nonlocal peak
             e = env.pop(idx, None)
             if e is None:
-                gate = circuit.gates[idx - 1]
-                e = kernel.make_gate(gate, n)
-                size = kernel.gate_node_count(gate, n)
-                if size > peak:
-                    peak = size
+                e = kernel.make_gate(circuit.gates[idx - 1], n)
+                if e.node not in gate_sizes:
+                    gate_sizes[e.node] = kernel.node_count(e, n)
             return e
 
         count = len(circuit.gates)
@@ -390,10 +400,7 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                 else:
                     result = kernel.multiply_mm(fetch(left), fetch(right))
                 env[count + ti] = result
-                size = kernel.node_count(result, n)
-                counts.append(size)
-                if size > peak:
-                    peak = size
+                counts.append(kernel.node_count(result, n))
                 if observer is not None:
                     observer(ti, result)
                 if kernel.unique_size > gc_threshold:
@@ -407,8 +414,8 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
         stats = RunStats(
             task_count=len(tasks),
             result_nodes=counts,
-            peak_nodes=peak,
-            final_nodes=counts[-1] if counts else kernel.node_count(final),
+            peak_nodes=max([initial_nodes, *gate_sizes.values(), *counts]),
+            final_nodes=counts[-1] if counts else initial_nodes,
             elapsed_ns=elapsed,
         )
         return final, stats

@@ -377,15 +377,14 @@ class _Forgetful(dict):
 
 
 class MemoFreeKernel(Kernel):
-    """``Kernel`` whose compute tables never keep an entry, so every
+    """``Kernel`` whose compute table never keeps an entry, so every
     sub-result is recomputed.  That changes the cost of a product (it grows
     exponentially with the qubit count) but never its result: kept as the
     reference the memoising ``Kernel`` is compared against."""
 
     def __init__(self):
         super().__init__()
-        self._ct_mul = _Forgetful()
-        self._ct_add = _Forgetful()
+        self._ct = _Forgetful()
 
 
 class UnfusedKernel(Kernel):

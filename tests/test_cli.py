@@ -398,6 +398,18 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "nope:3")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["ghz:3:nope", "ghz:3:sequential,nope", "nope:3"])
+    def test_unknown_name_is_rejected_before_any_row(self, capsys, monkeypatch, spec):
+        rows = []
+        monkeypatch.setattr(cli, "_bench_row", lambda *row: rows.append(row))
+        code, out, err = run_cli(capsys, "bench", "qft-verify:14:sequential", spec)
+        assert code == 2
+        assert out == ""
+        assert rows == []
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidArgumentError"
+        assert "'nope'" in payload["message"]
+
     @pytest.mark.parametrize("spec", ["ghz:x", "ghz:3..2", "ghz:5.."])
     def test_bad_size_spec_is_input_error(self, capsys, spec):
         code, out, err = run_cli(capsys, "bench", "ghz:4", spec)

@@ -418,20 +418,21 @@ class TestGarbageCollection:
         for e in (a, b, v):
             k.inc_ref(e)
         before = (k.signature(k.multiply_mm(a, b)), k.signature(k.multiply_mv(a, v)))
-        assert sorted(name for name in vars(k) if name.startswith("_ct_")) \
-            == ["_ct_add", "_ct_mul"]
-        # the sum table, two-term sums included, and the ratio table live
-        # for one public product
-        assert not k._ct_add and not k._ratios
-        assert all((k._ct_mul, k._gates))
-        # called directly, _add leaves its entries and the ratios keying
-        # them for gc to empty
+        assert [name for name in vars(k) if name.startswith("_ct")] == ["_ct"]
+        # the compute table, products and two-term sums included, and the
+        # ratio table live for one public product
+        assert not k._ct and not k._ratios
+        assert k._gates
+        # called directly, _add and _mul_mm leave their entries and the
+        # ratios keying them for gc to empty
         k._add(a, b)
-        assert k._ct_add and k._ratios
+        assert k._ct and k._ratios
+        k._mul_mm(a, b)
+        assert any(len(key) == 2 for key in k._ct)
         k.gc([])
-        assert not any((k._ct_mul, k._ct_add, k._ratios, k._gates))
+        assert not any((k._ct, k._ratios, k._gates))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
-        assert not k._ct_add
+        assert not k._ct
         assert (k.signature(again[0]), k.signature(again[1])) == before
         # rebuilt into the unique table, not the swept nodes from before gc
         live = set(k._unique.values())
@@ -448,10 +449,9 @@ class TestGarbageCollection:
         x = run_gates(k, Circuit(n, tuple(h(q) for q in range(n))))
         y = run_gates(k, ghz(n))
         k._mac(a, x, b, y)
-        assert k._ct_add and k._ratios
+        assert any(len(key) == 5 for key in k._ct) and k._ratios
         assert k.gc([]) > 0 and k.unique_size == 0
-        tables = [v for name, v in vars(k).items() if name.startswith("_ct_")]
-        assert not any(tables + [k._ratios, k._gates])
+        assert not any((k._ct, k._ratios, k._gates))
 
     @pytest.mark.parametrize("strategy", ["sequential", "heuristic", "greedy"])
     def test_sum_tables_emptied_after_every_product(self, strategy):
@@ -463,11 +463,11 @@ class TestGarbageCollection:
 
         def add(a, b):
             r = real_add(a, b)
-            filled.append(len(k._ct_add))
+            filled.append(len(k._ct))
             return r
 
         def observer(ti, result):
-            assert not k._ct_add and not k._ratios
+            assert not k._ct and not k._ratios
             # sums only read the value table
             assert set(k._values.values()) <= _value_owners(k)
 
@@ -507,7 +507,8 @@ class TestGarbageCollection:
         ratios = []
 
         def failing(*args):
-            if k._ct_add:
+            # raise once a sum has been memoised; products have two-item keys
+            if any(len(key) > 2 for key in k._ct):
                 ratios.append(len(k._ratios))
                 raise RecursionError
             return real(*args)
@@ -519,7 +520,7 @@ class TestGarbageCollection:
             else:
                 k.multiply_mm(op, op)
         assert ratios[0] > 0
-        assert not k._ct_add and not k._ratios
+        assert not k._ct and not k._ratios
 
     def test_external_refs_survive_gc(self):
         k = Kernel()
@@ -561,6 +562,19 @@ class TestGarbageCollection:
         assert runs[0] == runs[1]
 
 
+def _ct_sizes(k):
+    """The sizes of ``k``'s compute table, read as each vector node is built."""
+    sizes = []
+    real = k._vnode
+
+    def vnode(level, e0, e1):
+        sizes.append(len(k._ct))
+        return real(level, e0, e1)
+
+    k._vnode = vnode
+    return sizes
+
+
 class TestCanonicity:
     @pytest.mark.parametrize("a,b", [(a, b) for a in range(5) for b in range(5) if a != b])
     def test_swap_equals_three_cx(self, a, b):
@@ -582,10 +596,13 @@ class TestCanonicity:
             c = random_circuit(rng, 4, 10)
             k_on = Kernel()
             k_off = MemoFreeKernel()
+            # the compute table lives for one product, so it is read
+            # while one runs
+            held_on, held_off = _ct_sizes(k_on), _ct_sizes(k_off)
             sig_on = k_on.signature(run_gates(k_on, c))
             sig_off = k_off.signature(run_gates(k_off, c))
             assert sig_on == sig_off
-            assert k_on._ct_mul and not k_off._ct_mul and not k_off._ct_add
+            assert max(held_on) > 0 and max(held_off) == 0
 
     def test_interning_collapses_close_values(self):
         k = Kernel()
@@ -955,7 +972,7 @@ class TestFusedSums:
 
             def run(k):
                 def observer(ti, result):
-                    emptied.append(not k._ct_add)
+                    emptied.append(not k._ct)
                 final, stats = execute(c, kernel=k, observer=observer)
                 return final, stats, None
 
@@ -1044,14 +1061,14 @@ class TestFusedSums:
         def failing(level, e0, e1):
             if len(seen) == 6:
                 raise RecursionError
-            seen.append(len(k._ct_add))
+            seen.append(sum(len(key) == 5 for key in k._ct))
             return real(level, e0, e1)
 
         k._vnode = failing
         with pytest.raises(RecursionError):
             k.multiply_mv(op, state)
         assert max(seen) > 0
-        assert not k._ct_add
+        assert not k._ct
 
 
 def _value_owners(k):
@@ -1120,7 +1137,7 @@ class TestExplicitNodeCount:
             n = rng.randint(1, 9)
             g = random_gate(rng, n)
             e = k.make_gate(g, n)
-            assert k.node_count(e, n) == explicit_node_count(e, n) == k.gate_node_count(g, n), g
+            assert k.node_count(e, n) == explicit_node_count(e, n), g
         _check_unique_tables(k)
 
     def test_random_gate_products(self):
@@ -1161,7 +1178,7 @@ class TestExplicitNodeCount:
         before = k.unique_size
         e = k.make_gate(h(0), 200)
         assert k.unique_size - before == 1
-        assert k.gate_node_count(h(0), 200) == 200 == k.node_count(e, 200)
+        assert k.node_count(e, 200) == 200
 
     def test_identity_counts_every_level(self):
         k = Kernel()
@@ -1247,3 +1264,22 @@ class TestReaders:
             k.to_vector(k.make_gate(h(0), 3))
         with pytest.raises(InvalidArgumentError, match="operator diagram"):
             k.to_matrix(run_gates(k, ghz(3)), 3)
+
+    @pytest.mark.parametrize("reader,n", [
+        ("to_vector", 5), ("to_vector", 2), ("node_count", 7), ("node_count", 1)])
+    def test_wrong_vector_width_is_invalid_argument(self, reader, n):
+        k = Kernel()
+        state = run_gates(k, ghz(3))
+        with pytest.raises(InvalidArgumentError, match=f"on 3 qubits read as {n} qubits"):
+            getattr(k, reader)(state, n)
+
+    def test_vector_width_rules(self):
+        k = Kernel()
+        state = run_gates(k, ghz(3))
+        assert k.to_vector(state, 3).shape == (8,)
+        assert k.node_count(state, 3) == 5
+        # the terminal is a vector on no qubit; the zero edge has every width
+        with pytest.raises(InvalidArgumentError, match="on 0 qubits read as 4 qubits"):
+            k.to_vector(k.one_terminal, 4)
+        assert k.to_vector(k.one_terminal, 0).shape == (1,)
+        assert k.to_vector(k.zero_edge, 4).shape == (16,)

@@ -362,7 +362,6 @@ class TestExecute:
         c = Circuit(n, (swap(0, n - 1), swap(1, n - 2), swap(0, n - 1), h(2)))
         k = Kernel()
         sizes = [k.node_count(k.make_gate(g, n), n) for g in c.gates]
-        assert [k.gate_node_count(g, n) for g in c.gates] == sizes
         _, first = execute(c, kernel=k)
         _, second = execute(c, kernel=k)
         _, fresh = execute(c, kernel=Kernel())
@@ -853,7 +852,11 @@ def _ghz_miter(g, g_prime, n, strategy):
     ``execute`` and ``verify_equivalence``, and the result."""
     k = _RecordingKernel()
     initial, _ = execute(ghz(n), kernel=k)
+    start = k._uid
     res = verify_equivalence(g, g_prime, strategy, k, initial)
+    # every stored node takes the next uid, so this counts the nodes the
+    # verify run built
+    k.created = k._uid - start
     return k, (initial, res.final), res
 
 
@@ -887,6 +890,11 @@ class TestBenchmarkMiters:
         assert res.verdict == "consistent"
         assert (res.stats.task_count, res.stats.peak_nodes,
                 res.stats.final_nodes) == (tasks, peak, final)
+
+    @pytest.mark.parametrize("name,created", [("sequential", 50376), ("heuristic", 4652)])
+    def test_nodes_created(self, benchmark_runs, name, created):
+        # the GHZ preparation is left out
+        assert benchmark_runs[name][0].created == created
 
 
 class TestEdgeBoundary:
