@@ -186,8 +186,9 @@ def _parse_suite(spec: str) -> tuple[str, list[int], list[str]]:
         raise InvalidArgumentError(f"empty size range {span!r} in suite spec {spec!r}")
     if family != "qft-verify" and family not in GENERATORS:
         raise InvalidArgumentError(f"unknown bench family {family!r} in suite spec {spec!r}")
+    # only a qft-verify row runs a miter
     for strategy in strategies:
-        simpath._check_strategy(strategy)
+        simpath._check_strategy(strategy, family == "qft-verify")
     return family, ns, strategies
 
 
@@ -208,9 +209,9 @@ def cmd_bench(args) -> int:
     sweep goes on; the exit code is 2 when any row failed."""
     rows = ["benchmark,n,gates,strategy,peak_nodes,final_nodes,elapsed_ns"]
     failed = 0
-    # every spec, with its family and strategy names, and the output file
-    # are checked before the first row runs; file: and plan: files are
-    # read by their rows
+    # every spec, with its family and strategy names, whether the family
+    # takes each strategy, and the output file are checked before the
+    # first row runs; file: and plan: files are read by their rows
     suite = [_parse_suite(spec) for spec in args.suite]
     with _output(args.out) as write:
         for family, ns, strategies in suite:

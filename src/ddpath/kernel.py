@@ -40,14 +40,17 @@ buckets, unless two byte maps show that no neighbour exists.  Byte
 for every key, so three zero bytes around ``kr`` (or ``ki``) prove that
 no neighbouring row (column) is occupied; a set byte may be a collision,
 and then the probe runs.  The maps hold a power of two bytes, at least 8
-per key and at least 4096; they grow 4x when the table outgrows them and
-are rebuilt from the keys then and after every sweep.  The unique table
-keys a vector node by its successor pair, which is also its ``edges``:
+per key and at least 4096; they grow 2x when the table outgrows them, so
+above 4096 bytes they hold at most 16 per key, and are rebuilt from the
+keys then and after every sweep.
+
+A node keeps its successors in one flat tuple ``succ``, weight then node
+per edge: ``(w0, x0, w1, x1)`` for a vector node, eight items for an
+operator node.  The unique table keys a vector node by ``succ`` itself:
 terminal successors occur only at level 0 and every other successor sits
 one level down, so the successors fix the level.  Operator successors may
-sit at any lower level, so it keys an operator node by the level plus the
-four successors.  The keys have different lengths, so the two kinds never
-share one.
+sit at any lower level, so it keys an operator node by ``(level, succ)``.
+The keys have four and two items, so the two kinds never share one.
 
 Sums and products are memoised in one compute table, a plain dict, exact
 per kernel, keyed by operand nodes: a product by its two nodes, a sum by
@@ -79,15 +82,14 @@ runs.
 
 Inside the kernel an edge is a plain ``(weight, node)`` tuple, read by
 unpacking: the results of the recursions, the compute-table entries and the
-candidate successors of a node are all plain pairs.  ``Edge``, the one
-public type, is built only where an edge is kept or leaves the kernel: the
-successors of a newly stored node (``node.edges`` is a tuple of ``Edge``s),
-the gate memo, and the edges ``make_zero_state``, ``make_basis_state``,
-``make_gate``, ``multiply_mv`` and ``multiply_mm`` return.  A unique-table
-lookup keys on the plain candidate pairs: ``Edge`` is a tuple subclass that
-keeps tuple hashing and equality, so a plain pair finds the stored key with
-the same items, a hit builds no ``Edge`` and only a miss converts its
-successors.  The public readers take any ``(weight, node)`` pair.
+candidate successors of a node are all plain pairs, and a stored node's
+successors are read as slices of ``succ``.  ``Edge``, the one public type,
+is built only where an edge leaves the kernel: the gate memo, and the
+edges ``make_zero_state``, ``make_basis_state``, ``make_gate``,
+``multiply_mv`` and ``multiply_mm`` return.  ``node.edges`` is a view for
+callers outside the kernel, a tuple of ``Edge``s built from ``succ`` on
+each read; nothing in the package reads it.  The public readers take any
+``(weight, node)`` pair.
 
 A ``Kernel`` instance is single-writer: serialize all operations against one
 instance externally.  Distinct instances are fully independent and edges are
@@ -122,17 +124,33 @@ _MAP_MIN = 4096
 
 
 class Node:
-    __slots__ = ("level", "edges", "uid", "ref")
+    """A stored node.  ``succ`` is the flat tuple of its successor edges,
+    weight then node per edge: ``(w0, x0, w1, x1)`` for a vector node,
+    eight items for an operator node."""
 
-    def __init__(self, level: int, edges: tuple, uid: int):
+    __slots__ = ("level", "succ", "uid", "ref")
+
+    def __init__(self, level: int, succ: tuple, uid: int):
         self.level = level
-        self.edges = edges
+        self.succ = succ
         self.uid = uid
         self.ref = 0
 
+    @property
+    def edges(self) -> tuple:
+        """The successors as ``Edge``s, built on each read, for callers
+        outside the kernel."""
+        return tuple(_edge(pair) for pair in _pairs(self.succ))
+
     def __repr__(self):  # pragma: no cover - debugging aid
-        kind = "v" if len(self.edges) == 2 else "m"
+        kind = "v" if len(self.succ) == 4 else "m"
         return f"<{kind}node L{self.level} #{self.uid}>"
+
+
+def _pairs(succ: tuple):
+    """The ``(weight, node)`` pairs of a flat successor tuple."""
+    it = iter(succ)
+    return zip(it, it)
 
 
 class Edge(NamedTuple):
@@ -143,10 +161,10 @@ class Edge(NamedTuple):
     and for an operator edge that scalar times the identity on every level
     it skips.
 
-    The kernel builds an ``Edge`` only where it keeps or returns one (see
-    the module docstring); inside its recursions an edge is a plain
-    ``(w, node)`` tuple, which hashes and compares equal to the ``Edge``
-    with the same items.
+    The kernel builds an ``Edge`` only where it returns one, in its gate
+    memo and for ``Node.edges`` (see the module docstring); inside its
+    recursions an edge is a plain ``(w, node)`` tuple, which hashes and
+    compares equal to the ``Edge`` with the same items.
     """
 
     w: complex
@@ -168,13 +186,17 @@ class Kernel:
     """One unique table, for vector and operator nodes alike, plus the
     compute table, the gate memo and the value table.
 
+    The unique table keys a vector node by its flat successor tuple
+    ``succ``, the very tuple the node keeps, and an operator node by
+    ``(level, succ)``.
+
     The compute table holds the products, sums and two-term sums of one
     public product; it and the ratio table are emptied at the end of every
     ``multiply_mv`` and ``multiply_mm``.  The gate memo is an exact memo of
     gate diagrams that never drops an entry between two ``gc`` sweeps; each
     sweep empties it.  Only ``intern`` stores into the value table; sums
-    only read it.  Its occupancy byte maps hold at least 8 bytes per
-    bucket, in a power of two of at least 4096.
+    only read it.  Its occupancy byte maps hold a power of two bytes, at
+    least 4096 and at least 8 per bucket; above 4096, at most 16.
     """
 
     def __init__(self):
@@ -187,7 +209,8 @@ class Kernel:
         self._rebuild_maps(_MAP_MIN)
         self.zero_edge = Edge(self.ZERO, None)
         self.one_terminal = Edge(self.ONE, None)
-        # vector nodes keyed (e0, e1), operator nodes (level, e0, e1, e2, e3)
+        # vector nodes keyed by succ = (w0, x0, w1, x1), operator nodes by
+        # (level, succ), succ their eight successor items
         self._unique: dict = {}
         self._uid = 0
         # the compute table of the running product: products keyed (M, V)
@@ -267,7 +290,7 @@ class Kernel:
         rows = self._occupied_re
         mask = len(rows) - 1
         if 8 * len(table) > mask:
-            self._rebuild_maps(4 * (mask + 1))
+            self._rebuild_maps(2 * (mask + 1))
         else:
             rows[int(key.real) & mask] = 1
             self._occupied_im[int(key.imag) & mask] = 1
@@ -323,22 +346,17 @@ class Kernel:
         a1 = abs(w1)
         if a1 - a0 > _MAG_TOL * a0:
             norm = w1
-            n0 = self._scale_succ(w0, x0, norm)
-            n1 = (self.ONE, x1)
+            succ = self._scale_succ(w0, x0, norm) + (self.ONE, x1)
         elif a0 > 0.0:
             norm = w0
-            n0 = (self.ONE, x0)
-            n1 = self._scale_succ(w1, x1, norm)
+            succ = (self.ONE, x0) + self._scale_succ(w1, x1, norm)
         else:
             return self.zero_edge
-        # a plain pair hashes and compares like the Edge of a stored key
-        node = self._unique.get((n0, n1))
+        # the successors are the key
+        node = self._unique.get(succ)
         if node is None:
             self._uid += 1
-            zero = self.zero_edge
-            edges = (n0 if n0 is zero else _edge(n0), n1 if n1 is zero else _edge(n1))
-            node = Node(level, edges, self._uid)
-            self._unique[edges] = node
+            node = self._unique[succ] = Node(level, succ, self._uid)
         return (norm, node)
 
     def _mnode(self, level: int, e0: tuple, e1: tuple, e2: tuple, e3: tuple) -> tuple:
@@ -360,37 +378,33 @@ class Kernel:
         one = self.ONE
         if a0 >= tied:
             norm = w0
-            out = ((one, x0), scale(w1, x1, norm), scale(w2, x2, norm), scale(w3, x3, norm))
+            succ = (one, x0) + scale(w1, x1, norm) + scale(w2, x2, norm) + scale(w3, x3, norm)
         elif a1 >= tied:
             norm = w1
-            out = (scale(w0, x0, norm), (one, x1), scale(w2, x2, norm), scale(w3, x3, norm))
+            succ = scale(w0, x0, norm) + (one, x1) + scale(w2, x2, norm) + scale(w3, x3, norm)
         elif a2 >= tied:
             norm = w2
-            out = (scale(w0, x0, norm), scale(w1, x1, norm), (one, x2), scale(w3, x3, norm))
+            succ = scale(w0, x0, norm) + scale(w1, x1, norm) + (one, x2) + scale(w3, x3, norm)
         else:
             norm = w3
-            out = (scale(w0, x0, norm), scale(w1, x1, norm), scale(w2, x2, norm), (one, x3))
-        n0, n1, n2, n3 = out
-        if n1[0] == 0 and n2[0] == 0 and n0 == n3:
+            succ = scale(w0, x0, norm) + scale(w1, x1, norm) + scale(w2, x2, norm) + (one, x3)
+        if succ[2] == 0 and succ[4] == 0 and succ[0] == succ[6] and succ[1] is succ[7]:
             # an identity level (ONE·x, 0, 0, ONE·x) is not stored: the edge
             # goes straight to x
-            return (norm, n0[1])
-        node = self._unique.get((level, n0, n1, n2, n3))
+            return (norm, succ[1])
+        key = (level, succ)
+        node = self._unique.get(key)
         if node is None:
             self._uid += 1
-            zero = self.zero_edge
-            edges = (n0 if n0 is zero else _edge(n0), n1 if n1 is zero else _edge(n1),
-                     n2 if n2 is zero else _edge(n2), n3 if n3 is zero else _edge(n3))
-            node = Node(level, edges, self._uid)
-            self._unique[(level,) + edges] = node
+            node = self._unique[key] = Node(level, succ, self._uid)
         return (norm, node)
 
     def _diag(self, node: Node | None) -> tuple:
-        """Successors of an identity level above ``node``: diag(x, x), x the
-        unit edge into ``node`` (None: the identity)."""
-        half = (self.ONE, node)
-        zero = self.zero_edge
-        return (half, zero, zero, half)
+        """Flat successors of an identity level above ``node``: diag(x, x),
+        x the unit edge into ``node`` (None: the identity)."""
+        one = self.ONE
+        zero = self.ZERO
+        return (one, node, zero, None, zero, None, one, node)
 
     def _scale_succ(self, w: complex, node: Node | None, norm: complex) -> tuple:
         """The successor ``(w, node)`` divided by its node's norm, the
@@ -528,16 +542,16 @@ class Kernel:
             add = self._add
             scale = self._scale
             level = an.level
-            ae = an.edges
-            be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
-            if len(ae) == 2:
-                r = self._vnode(level, add(ae[0], scale(be[0], ratio)),
-                                add(ae[1], scale(be[1], ratio)))
+            sa = an.succ
+            sb = bn.succ if bn is not None and bn.level == level else self._diag(bn)
+            if len(sa) == 4:
+                r = self._vnode(level, add(sa[:2], scale(sb[:2], ratio)),
+                                add(sa[2:], scale(sb[2:], ratio)))
             else:
-                r = self._mnode(level, add(ae[0], scale(be[0], ratio)),
-                                add(ae[1], scale(be[1], ratio)),
-                                add(ae[2], scale(be[2], ratio)),
-                                add(ae[3], scale(be[3], ratio)))
+                r = self._mnode(level, add(sa[:2], scale(sb[:2], ratio)),
+                                add(sa[2:4], scale(sb[2:4], ratio)),
+                                add(sa[4:6], scale(sb[4:6], ratio)),
+                                add(sa[6:], scale(sb[6:], ratio)))
             self._ct[key] = r
         return self._scale(r, aw)
 
@@ -548,9 +562,9 @@ class Kernel:
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
-        if mn is not None and len(mn.edges) != 4:
+        if mn is not None and len(mn.succ) != 8:
             raise InvalidArgumentError("left operand must be a matrix diagram")
-        if vn is None or len(vn.edges) != 2:
+        if vn is None or len(vn.succ) != 4:
             raise InvalidArgumentError("right operand must be a vector diagram")
         if mn is not None and mn.level > vn.level:
             raise InvalidArgumentError(
@@ -575,23 +589,27 @@ class Kernel:
         if r is None:
             mul = self._mul_mv
             level = vn.level
-            ve = vn.edges
-            me = mn.edges
-            zero = self.zero_edge
+            sv = vn.succ
+            v0 = sv[:2]
+            v1 = sv[2:]
             if mn.level < level:
                 # an identity level of the operator, diag(M, M); the most
                 # frequent case on a state wider than the gate
                 half = (self.ONE, mn)
-                r = self._vnode(level, mul(half, ve[0]), mul(half, ve[1]))
-            elif me[1] == zero and me[2] == zero:
-                # block-diagonal diag(M0, M3): the two off-diagonal products
-                # are zero and _add(x, zero) is x, so this is the general
-                # case below without the calls that return at once
-                r = self._vnode(level, mul(me[0], ve[0]), mul(me[3], ve[1]))
+                r = self._vnode(level, mul(half, v0), mul(half, v1))
             else:
-                mac = self._mac
-                r = self._vnode(level, mac(me[0], ve[0], me[1], ve[1]),
-                                mac(me[2], ve[0], me[3], ve[1]))
+                sm = mn.succ
+                # a stored successor of weight 0 is the zero stub
+                if sm[2] == 0 and sm[4] == 0:
+                    # block-diagonal diag(M0, M3): the two off-diagonal
+                    # products are zero and _add(x, zero) is x, so this is
+                    # the general case below without the calls that return
+                    # at once
+                    r = self._vnode(level, mul(sm[:2], v0), mul(sm[6:], v1))
+                else:
+                    mac = self._mac
+                    r = self._vnode(level, mac(sm[:2], v0, sm[2:4], v1),
+                                    mac(sm[4:6], v0, sm[6:], v1))
             self._ct[key] = r
         return self._scale(r, w)
 
@@ -625,9 +643,10 @@ class Kernel:
                 mac = self._mac
                 ua = (self.ONE, an)
                 ub = (ratio, bn)
-                x0, x1 = xn.edges
-                y0, y1 = yn.edges
-                r = self._vnode(level, mac(ua, x0, ub, y0), mac(ua, x1, ub, y1))
+                sx = xn.succ
+                sy = yn.succ
+                r = self._vnode(level, mac(ua, sx[:2], ub, sy[:2]),
+                                mac(ua, sx[2:], ub, sy[2:]))
             else:
                 r = self._mac_quadrants(level, an, xn, ratio, bn, yn)
             self._ct[key] = r
@@ -642,25 +661,29 @@ class Kernel:
         share) makes the whole pair a sum of two products."""
         zero = self.zero_edge
         scale = self._scale
-        ae = an.edges if an is not None and an.level == level else self._diag(an)
-        be = bn.edges if bn is not None and bn.level == level else self._diag(bn)
-        x0, x1 = xn.edges
-        y0, y1 = yn.edges
+        sa = an.succ if an is not None and an.level == level else self._diag(an)
+        sb = bn.succ if bn is not None and bn.level == level else self._diag(bn)
+        sx = xn.succ
+        sy = yn.succ
+        x0 = sx[:2]
+        x1 = sx[2:]
+        y0 = sy[:2]
+        y1 = sy[2:]
         halves = []
-        for i in (0, 2):
-            # the products of quadrants i and i + 1 with the halves of x
-            # and y, in the order x0, x1, y0, y1; a zero factor drops one
+        for i in (0, 4):
+            # the products of quadrants i/2 and i/2 + 1 with the halves of
+            # x and y, in the order x0, x1, y0, y1; a zero factor drops one
             terms = []
-            if x0 != zero and ae[i] != zero:
-                terms.append((ae[i], x0))
-            if x1 != zero and ae[i + 1] != zero:
-                terms.append((ae[i + 1], x1))
+            if x0 != zero and sa[i] != 0:
+                terms.append((sa[i:i + 2], x0))
+            if x1 != zero and sa[i + 2] != 0:
+                terms.append((sa[i + 2:i + 4], x1))
             if y0 != zero:
-                m = scale(be[i], ratio)
+                m = scale(sb[i:i + 2], ratio)
                 if m != zero:
                     terms.append((m, y0))
             if y1 != zero:
-                m = scale(be[i + 1], ratio)
+                m = scale(sb[i + 2:i + 4], ratio)
                 if m != zero:
                     terms.append((m, y1))
             if len(terms) > 2:
@@ -688,7 +711,7 @@ class Kernel:
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
         for node in (an, bn):
-            if node is not None and len(node.edges) != 4:
+            if node is not None and len(node.succ) != 8:
                 raise InvalidArgumentError("multiply_mm needs two matrix diagrams")
         try:
             return _edge(self._mul_mm(a, b))
@@ -714,24 +737,32 @@ class Kernel:
             # the other factor may be an identity level diag(x, x)
             mul = self._mul_mm
             level = an.level if an.level >= bn.level else bn.level
-            ae = an.edges if an.level == level else self._diag(an)
-            be = bn.edges if bn.level == level else self._diag(bn)
-            zero = self.zero_edge
-            if ae[1] == zero and ae[2] == zero:
+            sa = an.succ if an.level == level else self._diag(an)
+            sb = bn.succ if bn.level == level else self._diag(bn)
+            a0 = sa[:2]
+            a3 = sa[6:]
+            b0 = sb[:2]
+            b3 = sb[6:]
+            # a successor of weight 0 is the zero stub
+            if sa[2] == 0 and sa[4] == 0:
                 # a = diag(A0, A3): each quadrant keeps one of its two
                 # products, in the order the general case computes them
-                r = self._mnode(level, mul(ae[0], be[0]), mul(ae[0], be[1]),
-                                mul(ae[3], be[2]), mul(ae[3], be[3]))
-            elif be[1] == zero and be[2] == zero:
+                r = self._mnode(level, mul(a0, b0), mul(a0, sb[2:4]),
+                                mul(a3, sb[4:6]), mul(a3, b3))
+            elif sb[2] == 0 and sb[4] == 0:
                 # b = diag(B0, B3), likewise
-                r = self._mnode(level, mul(ae[0], be[0]), mul(ae[1], be[3]),
-                                mul(ae[2], be[0]), mul(ae[3], be[3]))
+                r = self._mnode(level, mul(a0, b0), mul(sa[2:4], b3),
+                                mul(sa[4:6], b0), mul(a3, b3))
             else:
                 add = self._add
-                r = self._mnode(level, add(mul(ae[0], be[0]), mul(ae[1], be[2])),
-                                add(mul(ae[0], be[1]), mul(ae[1], be[3])),
-                                add(mul(ae[2], be[0]), mul(ae[3], be[2])),
-                                add(mul(ae[2], be[1]), mul(ae[3], be[3])))
+                a1 = sa[2:4]
+                a2 = sa[4:6]
+                b1 = sb[2:4]
+                b2 = sb[4:6]
+                r = self._mnode(level, add(mul(a0, b0), mul(a1, b2)),
+                                add(mul(a0, b1), mul(a1, b3)),
+                                add(mul(a2, b0), mul(a3, b2)),
+                                add(mul(a2, b1), mul(a3, b3)))
             self._ct[key] = r
         return self._scale(r, w)
 
@@ -749,10 +780,11 @@ class Kernel:
         if len(bits) != n or any(c not in "01" for c in bits):
             raise InvalidArgumentError(
                 f"basis string {bits!r} does not address {n} qubits")
-        if len(node.edges) != 2:
+        if len(node.succ) != 4:
             raise InvalidArgumentError("amplitude extraction needs a vector diagram")
         for c in bits:
-            sw, node = node.edges[1 if c == "1" else 0]
+            i = 2 if c == "1" else 0
+            sw, node = node.succ[i:i + 2]
             w *= sw
             if w == 0:
                 return 0j
@@ -772,7 +804,7 @@ class Kernel:
         w, root = e
         if root is None:
             return 0 if w == 0 or n is None else n
-        if len(root.edges) == 2:
+        if len(root.succ) == 4:
             _check_width(root, n)
             return len(self._reachable((root,)))
         top = root.level if n is None else n - 1
@@ -786,7 +818,7 @@ class Kernel:
         while stack:
             node = stack.pop()
             lo = node.level - 1
-            for sw, x in node.edges:
+            for sw, x in _pairs(node.succ):
                 if x is None:
                     if sw == 0:
                         continue
@@ -805,7 +837,7 @@ class Kernel:
         stack = [x for x in roots if x is not None]
         seen = set(stack)
         while stack:
-            for _, x in stack.pop().edges:
+            for x in stack.pop().succ[1::2]:
                 if x is not None and x not in seen:
                     seen.add(x)
                     stack.append(x)
@@ -818,7 +850,7 @@ class Kernel:
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return 0j
         for node in (an, bn):
-            if node is None or len(node.edges) != 2:
+            if node is None or len(node.succ) != 4:
                 raise InvalidArgumentError("inner_product needs two vector diagrams")
         if an.level != bn.level:
             raise InvalidArgumentError(
@@ -836,9 +868,9 @@ class Kernel:
         key = (an, bn)
         s = memo.get(key)
         if s is None:
-            sa = an.edges
-            sb = bn.edges
-            s = self._inner(sa[0], sb[0], memo) + self._inner(sa[1], sb[1], memo)
+            sa = an.succ
+            sb = bn.succ
+            s = self._inner(sa[:2], sb[:2], memo) + self._inner(sa[2:], sb[2:], memo)
             memo[key] = s
         return aw.conjugate() * bw * s
 
@@ -847,7 +879,7 @@ class Kernel:
         equality), built level by level from the bottom."""
         w, root = e
         memo = self._bottom_up(root, lambda node, memo: (
-            node.level, tuple((sw.real, sw.imag, memo[x]) for sw, x in node.edges)))
+            node.level, tuple((sw.real, sw.imag, memo[x]) for sw, x in _pairs(node.succ))))
         return (w.real, w.imag, memo[root])
 
     def _bottom_up(self, root: Node | None, build) -> dict:
@@ -870,7 +902,7 @@ class Kernel:
             if n is None:
                 raise InvalidArgumentError("zero edge needs an explicit qubit count")
             return np.zeros(1 << n, dtype=complex)
-        if root is not None and len(root.edges) != 2:
+        if root is not None and len(root.succ) != 4:
             raise InvalidArgumentError("to_vector needs a vector diagram")
         _check_width(root, n)
         if root is None:
@@ -886,8 +918,8 @@ class Kernel:
 
         def build(node: Node, memo: dict) -> np.ndarray:
             half = 1 << node.level
-            s0, s1 = node.edges
-            return np.concatenate([sub(s0, half, memo), sub(s1, half, memo)])
+            s = node.succ
+            return np.concatenate([sub(s[:2], half, memo), sub(s[2:], half, memo)])
 
         return w * self._bottom_up(root, build)[root]
 
@@ -896,7 +928,7 @@ class Kernel:
         skips are expanded as identity levels."""
         root = e[1]
         if root is not None:
-            if len(root.edges) != 4:
+            if len(root.succ) != 8:
                 raise InvalidArgumentError("to_matrix needs an operator diagram")
             if root.level >= n:
                 raise InvalidArgumentError(
@@ -916,9 +948,9 @@ class Kernel:
 
         def build(node: Node, memo: dict) -> np.ndarray:
             lo = node.level - 1
-            s = node.edges
-            return np.block([[sub(s[0], lo, memo), sub(s[1], lo, memo)],
-                             [sub(s[2], lo, memo), sub(s[3], lo, memo)]])
+            s = node.succ
+            return np.block([[sub(s[:2], lo, memo), sub(s[2:4], lo, memo)],
+                             [sub(s[4:6], lo, memo), sub(s[6:], lo, memo)]])
 
         return sub(e, n - 1, self._bottom_up(root, build))
 
@@ -958,7 +990,8 @@ class Kernel:
         marked = self._reachable(itertools.chain(
             (e[1] for e in roots), (x for x in table.values() if x.ref > 0)))
         live = {self.ZERO, self.ONE}
-        live.update(w for node in marked for w, _ in node.edges)
+        for node in marked:
+            live.update(node.succ[::2])
         self._unique = {k: v for k, v in table.items() if v in marked}
         self._sweep_values(live)
         self._ct.clear()
@@ -994,23 +1027,23 @@ class Kernel:
             node = stack.pop()
             if node not in names:
                 names[node] = f"n{len(names)}"
-                stack.extend(x for _, x in reversed(node.edges) if x is not None)
+                stack.extend(x for x in node.succ[-1::-2] if x is not None)
         lines.append('  t [shape=box, label="1"];')
         lines.append(f'  root -> n0 [label="{_fmt_weight(w)}"];')
         stub = 0
         for node in names:
             lines.append(f'  {names[node]} [shape=circle, label="{node.level}"];')
-            for i, s in enumerate(node.edges):
-                if s.node is None and s.w == 0:
+            for i, (sw, x) in enumerate(_pairs(node.succ)):
+                if x is None and sw == 0:
                     lines.append(f"  z{stub} [shape=point, style=filled];")
                     lines.append(f'  {names[node]} -> z{stub} [label="{i}"];')
                     stub += 1
-                elif s.node is None:
+                elif x is None:
                     lines.append(
-                        f'  {names[node]} -> t [label="{i}: {_fmt_weight(s.w)}"];')
+                        f'  {names[node]} -> t [label="{i}: {_fmt_weight(sw)}"];')
                 else:
                     lines.append(
-                        f'  {names[node]} -> {names[s.node]} [label="{i}: {_fmt_weight(s.w)}"];')
+                        f'  {names[node]} -> {names[x]} [label="{i}: {_fmt_weight(sw)}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -170,13 +170,16 @@ def heuristic_path(circuit: Circuit, split: int) -> SimulationPath:
     return _woven_path(split, rest, budgets)
 
 
-def _check_strategy(strategy: str) -> None:
-    """Reject a name ``make_path`` does not take; a file name is read only
+def _check_strategy(strategy: str, miter: bool) -> None:
+    """Reject a name ``make_path`` does not take, and ``alternating`` or
+    ``heuristic`` unless the circuit is a miter; a file name is read only
     when the path is made."""
     if strategy not in STRATEGIES and not strategy.startswith(("file:", "plan:")):
         raise InvalidArgumentError(
             f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}, "
             f"file:<path.json> or plan:<plan.json>")
+    if not miter and strategy in ("alternating", "heuristic"):
+        raise InvalidArgumentError(f"strategy {strategy!r} needs a second circuit")
 
 
 def make_path(strategy: str, circuit: Circuit, split: int | None = None) -> SimulationPath:
@@ -192,13 +195,11 @@ def make_path(strategy: str, circuit: Circuit, split: int | None = None) -> Simu
     ``execute`` validates every path once, before its first product,
     whatever built it.
     """
-    _check_strategy(strategy)
+    _check_strategy(strategy, split is not None)
     count = len(circuit.gates)
     if strategy == "sequential":
         return sequential_path(count)
     if strategy in ("alternating", "heuristic"):
-        if split is None:
-            raise InvalidArgumentError(f"strategy {strategy!r} needs a second circuit")
         if split in (0, count):
             return sequential_path(count)
         if strategy == "alternating":
@@ -369,7 +370,7 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
         t0 = time.perf_counter_ns()
         if initial is None:
             initial = kernel.make_zero_state(n)
-        if initial.node is None or len(initial.node.edges) != 2:
+        if initial.node is None or len(initial.node.succ) != 4:
             raise InvalidArgumentError("initial state must be a vector diagram")
         if initial.num_qubits != n:
             raise InvalidArgumentError(

@@ -410,6 +410,19 @@ class TestBench:
         assert payload["error"] == "InvalidArgumentError"
         assert "'nope'" in payload["message"]
 
+    @pytest.mark.parametrize("spec", [
+        "ghz:3:alternating", "ghz:3:sequential,heuristic", "qft:4:alternating"])
+    def test_two_sided_strategy_needs_qft_verify(self, capsys, monkeypatch, spec):
+        rows = []
+        monkeypatch.setattr(cli, "_bench_row", lambda *row: rows.append(row))
+        code, out, err = run_cli(capsys, "bench", "ghz:3", spec)
+        assert code == 2
+        assert out == ""
+        assert rows == []
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidArgumentError"
+        assert "needs a second circuit" in payload["message"]
+
     @pytest.mark.parametrize("spec", ["ghz:x", "ghz:3..2", "ghz:5.."])
     def test_bad_size_spec_is_input_error(self, capsys, spec):
         code, out, err = run_cli(capsys, "bench", "ghz:4", spec)

@@ -838,21 +838,28 @@ def _kind_gates(n: int) -> list[Gate]:
 def _check_unique_tables(k: Kernel) -> int:
     checked = 0
     for key, node in k._unique.items():
-        if len(node.edges) == 2:
-            assert key is node.edges
-            for s in node.edges:
+        succ = node.succ
+        assert not any(isinstance(item, tuple) for item in succ)
+        pairs = list(zip(succ[::2], succ[1::2]))
+        assert node.edges == tuple(Edge(w, x) for w, x in pairs)
+        assert all(type(s) is Edge for s in node.edges)
+        if len(succ) == 4:
+            # the successors fix a vector node's level, so they are its key
+            assert key is succ
+            for w, x in pairs:
                 if node.level == 0:
-                    assert s.node is None
+                    assert x is None
                 else:
-                    assert (s.node is None and s.w == 0) or s.node.level == node.level - 1
+                    assert (x is None and w == 0) or x.level == node.level - 1
         else:
             # operator successors may skip identity levels, so the level is
             # part of the key; no stored node is itself an identity level
-            assert key == (node.level,) + node.edges
-            for s in node.edges:
-                assert s.node is None or s.node.level < node.level
-            e0, e1, e2, e3 = node.edges
-            assert not (e1.w == 0 and e2.w == 0 and e0 == e3 and e0.w == k.ONE)
+            assert len(succ) == 8
+            assert key == (node.level, succ)
+            for _, x in pairs:
+                assert x is None or x.level < node.level
+            e0, e1, e2, e3 = pairs
+            assert not (e1[0] == 0 and e2[0] == 0 and e0 == e3 and e0[0] == k.ONE)
         checked += 1
     return checked
 

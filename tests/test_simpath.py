@@ -898,9 +898,10 @@ class TestBenchmarkMiters:
 
 
 class TestEdgeBoundary:
-    """Inside the kernel an edge is a plain ``(weight, node)`` pair; what a
-    node keeps and what the kernel returns is an ``Edge``, whose ``.w`` and
-    ``.node`` callers read."""
+    """Inside the kernel an edge is a plain ``(weight, node)`` pair and a
+    node keeps its successors in one flat tuple ``succ``; ``node.edges``
+    builds ``Edge``s from it on each read, and what the kernel returns is an
+    ``Edge``, whose ``.w`` and ``.node`` callers read."""
 
     @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
     def test_stored_successors_are_edges(self, benchmark_runs, name):
@@ -908,6 +909,16 @@ class TestEdgeBoundary:
         assert k._unique
         for node in k._unique.values():
             assert all(type(s) is Edge for s in node.edges), node
+
+    @pytest.mark.parametrize("name", ["sequential", "heuristic"])
+    def test_stored_vector_node_size(self, benchmark_runs, name):
+        # a 64-byte node and its flat 4-tuple; a node holding a tuple of
+        # two Edges took 232 bytes
+        k = benchmark_runs[name][0]
+        vectors = [node for node in k._unique.values() if len(node.succ) == 4]
+        assert vectors
+        for node in vectors:
+            assert sys.getsizeof(node) + sys.getsizeof(node.succ) <= 136, node
 
     @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
     def test_public_results_are_edges(self, benchmark_runs, name):
