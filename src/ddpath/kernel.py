@@ -73,6 +73,20 @@ The compute table memoises these sums too, keyed by the four operand nodes
 and the ratio of the two terms' weights; a five-item key never equals the
 two-item key of a product or the three-item key of a plain sum.
 
+A matrix-vector product skips the table where no key can recur.  A vector
+diagram of 2^n - 1 nodes is a complete binary tree, so none of its nodes is
+shared; if no node of the operator is reached by two edges either, every
+key of ``_mul_mv``, ``_mac`` and of ``_add`` on operand subtrees names
+operand nodes reached by one path each, and the recursion makes the same
+calls in the same order without the table.  ``_mac_quadrants``' fallback
+for dense operators, the sum of two full products (``_sum_of_products``),
+still memoises: the two products may share nodes, and once a dense block
+is split into products, its rows may pair the same two state subtrees.
+``_ratio`` still canonicalises the ratios.  The shapes come from a cache
+that ``node_count`` fills and ``gc`` empties: a vector root's node count,
+counted level by level, and whether an operator root is a tree.  An
+operand the cache has not seen counts as shared.
+
 A walk over a diagram is a method that recurses, a loop over an explicit
 stack, or a loop over ``_reachable``'s nodes sorted by level, which puts
 every successor before its node (``signature``, ``to_vector``,
@@ -184,7 +198,7 @@ _edge = functools.partial(tuple.__new__, Edge)
 
 class Kernel:
     """One unique table, for vector and operator nodes alike, plus the
-    compute table, the gate memo and the value table.
+    compute table, the gate memo, the shape cache and the value table.
 
     The unique table keys a vector node by its flat successor tuple
     ``succ``, the very tuple the node keeps, and an operator node by
@@ -192,11 +206,14 @@ class Kernel:
 
     The compute table holds the products, sums and two-term sums of one
     public product; it and the ratio table are emptied at the end of every
-    ``multiply_mv`` and ``multiply_mm``.  The gate memo is an exact memo of
-    gate diagrams that never drops an entry between two ``gc`` sweeps; each
-    sweep empties it.  Only ``intern`` stores into the value table; sums
-    only read it.  Its occupancy byte maps hold a power of two bytes, at
-    least 4096 and at least 8 per bucket; above 4096, at most 16.
+    ``multiply_mv`` and ``multiply_mm``.  A ``multiply_mv`` whose state
+    ``node_count`` found full and whose operator it found a tree skips the
+    table outside ``_sum_of_products``.  The gate memo is an
+    exact memo of gate diagrams that never drops an entry between two
+    ``gc`` sweeps; each sweep empties it, and the shape cache.  Only
+    ``intern`` stores into the value table; sums only read it.  Its
+    occupancy byte maps hold a power of two bytes, at least 4096 and at
+    least 8 per bucket; above 4096, at most 16.
     """
 
     def __init__(self):
@@ -224,6 +241,13 @@ class Kernel:
         # gate diagram by (kind, parameter, matrix, controls, targets, n);
         # emptied by gc, never a root
         self._gates: dict = {}
+        # root node -> shape, filled by node_count and emptied by gc: a
+        # vector root's node count, and for an operator root whether no node
+        # is reached by two edges (a tree)
+        self._shapes: dict = {}
+        # False while a product on a full state and a tree operator runs,
+        # whose sums and products of operand subtrees skip the compute table
+        self._memo = True
 
     # ------------------------------------------------------------------
     # value table
@@ -537,7 +561,8 @@ class Kernel:
         if ratio == 0:
             return a
         key = (an, bn, ratio)
-        r = self._ct.get(key)
+        memo = self._memo
+        r = self._ct.get(key) if memo else None
         if r is None:
             add = self._add
             scale = self._scale
@@ -552,7 +577,8 @@ class Kernel:
                                 add(sa[2:4], scale(sb[2:4], ratio)),
                                 add(sa[4:6], scale(sb[4:6], ratio)),
                                 add(sa[6:], scale(sb[6:], ratio)))
-            self._ct[key] = r
+            if memo:
+                self._ct[key] = r
         return self._scale(r, aw)
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
@@ -569,9 +595,16 @@ class Kernel:
         if mn is not None and mn.level > vn.level:
             raise InvalidArgumentError(
                 f"level mismatch in multiply: {mn.level} vs {vn.level}")
+        shapes = self._shapes
+        # a full state is a complete binary tree; with a tree operator each
+        # key of the recursion names operand nodes reached by one path only,
+        # so no key recurs and the table would never be read
+        self._memo = not (shapes.get(mn) is True
+                          and shapes.get(vn) == (2 << vn.level) - 1)
         try:
             return _edge(self._mul_mv(m, v))
         finally:
+            self._memo = True
             self._ct.clear()
             self._ratios.clear()
 
@@ -585,7 +618,8 @@ class Kernel:
             # the identity, or below level 0 a scalar
             return (w, vn)
         key = (mn, vn)
-        r = self._ct.get(key)
+        memo = self._memo
+        r = self._ct.get(key) if memo else None
         if r is None:
             mul = self._mul_mv
             level = vn.level
@@ -610,7 +644,8 @@ class Kernel:
                     mac = self._mac
                     r = self._vnode(level, mac(sm[:2], v0, sm[2:4], v1),
                                     mac(sm[4:6], v0, sm[6:], v1))
-            self._ct[key] = r
+            if memo:
+                self._ct[key] = r
         return self._scale(r, w)
 
     def _mac(self, a: tuple, x: tuple, b: tuple, y: tuple) -> tuple:
@@ -634,7 +669,8 @@ class Kernel:
         if ratio == 0:
             return self._mul_mv(a, x)
         key = (an, xn, bn, yn, ratio)
-        r = self._ct.get(key)
+        memo = self._memo
+        r = self._ct.get(key) if memo else None
         if r is None:
             level = xn.level
             if (an is None or an.level < level) and (bn is None or bn.level < level):
@@ -649,7 +685,8 @@ class Kernel:
                                 mac(ua, sx[2:], ub, sy[2:]))
             else:
                 r = self._mac_quadrants(level, an, xn, ratio, bn, yn)
-            self._ct[key] = r
+            if memo:
+                self._ct[key] = r
         return self._scale(r, w)
 
     def _mac_quadrants(self, level: int, an: Node | None, xn: Node,
@@ -688,8 +725,7 @@ class Kernel:
                     terms.append((m, y1))
             if len(terms) > 2:
                 one = self.ONE
-                return self._add(self._mul_mv((one, an), (one, xn)),
-                                 self._mul_mv((ratio, bn), (one, yn)))
+                return self._sum_of_products((one, an), (one, xn), (ratio, bn), (one, yn))
             halves.append(terms)
         out = []
         for terms in halves:
@@ -702,6 +738,17 @@ class Kernel:
                 (m0, v0), (m1, v1) = terms
                 out.append(self._mac(m0, v0, m1, v1))
         return self._vnode(level, out[0], out[1])
+
+    def _sum_of_products(self, a: tuple, x: tuple, b: tuple, y: tuple) -> tuple:
+        """``a·x + b·y`` as the sum of the two full products, with the
+        compute table on also inside a product that skips it: the two
+        products may share nodes, and products of the rows of one dense
+        block may meet the same pair of state subtrees."""
+        memo = self._memo
+        self._memo = True
+        r = self._add(self._mul_mv(a, x), self._mul_mv(b, y))
+        self._memo = memo
+        return r
 
     def multiply_mm(self, a: Edge, b: Edge) -> Edge:
         """Matrix-matrix product ``a @ b``; each operand skips the identity
@@ -800,13 +847,22 @@ class Kernel:
         the explicit form adds the longest skip into each target to the
         stored nodes.  Vector diagrams skip no level, and a vector's ``n``,
         when given, must be its width.
+
+        Each count fills the shape cache that ``multiply_mv`` reads: a
+        vector root's count, walked once per root until the next ``gc``,
+        and whether any node of an operator root is reached by two edges,
+        which its walk sees as it goes.
         """
         w, root = e
         if root is None:
             return 0 if w == 0 or n is None else n
+        shapes = self._shapes
         if len(root.succ) == 4:
             _check_width(root, n)
-            return len(self._reachable((root,)))
+            count = shapes.get(root)
+            if count is None:
+                count = shapes[root] = _level_count(root)
+            return count
         top = root.level if n is None else n - 1
         if top < root.level:
             raise InvalidArgumentError(
@@ -815,6 +871,7 @@ class Kernel:
         skip = {root: top - root.level}
         seen = {root}
         stack = [root]
+        tree = True
         while stack:
             node = stack.pop()
             lo = node.level - 1
@@ -828,8 +885,11 @@ class Kernel:
                     if x not in seen:
                         seen.add(x)
                         stack.append(x)
+                    else:
+                        tree = False
                 if d > skip.get(x, 0):
                     skip[x] = d
+        shapes[root] = tree
         return len(seen) + sum(skip.values())
 
     def _reachable(self, roots: Iterable[Node | None]) -> set:
@@ -976,15 +1036,16 @@ class Kernel:
 
         The nodes ``_reachable`` finds from both are kept in the one unique
         table and the rest dropped; the count dropped is returned.  The
-        gate memo is emptied wholesale, since its entries may name swept
-        nodes; so are the compute and ratio tables, which are empty already
-        unless ``_add``, ``_mac``, ``_mul_mv`` or ``_mul_mm`` was called
-        outside a public product.  The value table, which holds no value of
-        a sum, keeps the buckets whose representative is ZERO, ONE or a
-        successor weight of a kept node, so every weight a kept node holds
-        still interns to itself; root weights are plain products and need no
-        bucket.  The byte maps are rebuilt at the smallest power of two
-        above 8 bytes per kept bucket, and at least 4096.
+        gate memo and the shape cache are emptied wholesale, since their
+        entries may name swept nodes; so are the compute and ratio tables,
+        which are empty already unless ``_add``, ``_mac``, ``_mul_mv`` or
+        ``_mul_mm`` was called outside a public product.  The value table,
+        which holds no value of a sum, keeps the buckets whose
+        representative is ZERO, ONE or a successor weight of a kept node, so
+        every weight a kept node holds still interns to itself; root weights
+        are plain products and need no bucket.  The byte maps are rebuilt at
+        the smallest power of two above 8 bytes per kept bucket, and at
+        least 4096.
         """
         table = self._unique
         marked = self._reachable(itertools.chain(
@@ -997,6 +1058,7 @@ class Kernel:
         self._ct.clear()
         self._ratios.clear()
         self._gates.clear()
+        self._shapes.clear()
         return len(table) - len(self._unique)
 
     def _sweep_values(self, live: set) -> None:
@@ -1046,6 +1108,23 @@ class Kernel:
                         f'  {names[node]} -> {names[x]} [label="{i}: {_fmt_weight(sw)}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _level_count(root: Node) -> int:
+    """Nodes of the vector diagram below ``root``, one level at a time:
+    every successor of a vector node sits one level down."""
+    count = 0
+    level = {root}
+    while level:
+        count += len(level)
+        below = set()
+        for node in level:
+            succ = node.succ
+            below.add(succ[1])
+            below.add(succ[3])
+        below.discard(None)
+        level = below
+    return count
 
 
 def _check_width(root: Node | None, n: int | None) -> None:

@@ -1,13 +1,14 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
 the reference path validators, the reference greedy planner, the reference
-value table, the explicit-form node count, the memo-free and unfused
-kernels and the reference OpenQASM parser."""
+value table, the explicit-form node count, the memo-free, recording and
+unfused kernels and the reference OpenQASM parser."""
 from __future__ import annotations
 
 import cmath
 import math
 import random
 import re
+from dataclasses import dataclass, field
 
 from ddpath.circuit import Circuit, Gate
 from ddpath.errors import (
@@ -62,6 +63,27 @@ def random_circuit(rng: random.Random, n: int, depth: int, allow_u: bool = True,
                    allow_controls: bool = True) -> Circuit:
     gates = tuple(random_gate(rng, n, allow_u, allow_controls) for _ in range(depth))
     return Circuit(n, gates)
+
+
+def dense_circuit(rng: random.Random, n: int, layers: int) -> Circuit:
+    """H on every qubit, then ``layers`` layers: a random one-qubit gate on
+    every qubit, cz on alternating nearest-neighbour pairs and one swap.
+    After about ``n`` layers its states are full, 2^n - 1 nodes, or close
+    to it."""
+    gates = [Gate("h", (q,)) for q in range(n)]
+    for layer in range(layers):
+        for q in range(n):
+            kind = rng.choice(["sx", "ry", "t", "u"])
+            if kind == "u":
+                gates.append(Gate("u", (q,), matrix=random_unitary_2x2(rng)))
+            elif kind == "ry":
+                gates.append(Gate("ry", (q,), parameter=rng.uniform(-math.pi, math.pi)))
+            else:
+                gates.append(Gate(kind, (q,)))
+        gates.extend(Gate("cz", (q + 1,), (q,)) for q in range(layer % 2, n - 1, 2))
+        a, b = rng.sample(range(n), 2)
+        gates.append(Gate("swap", (a, b)))
+    return Circuit(n, tuple(gates))
 
 
 def equivalent_rewrite(rng: random.Random, c: Circuit) -> Circuit:
@@ -387,13 +409,94 @@ class MemoFreeKernel(Kernel):
         self._ct = _Forgetful()
 
 
-class UnfusedKernel(Kernel):
-    """``Kernel`` that forms a two-term sum ``a·x + b·y`` as the sum of the
-    two full products, building every node of both.  Kept as the reference
-    the fused ``Kernel._mac`` recursion is compared against."""
+@dataclass
+class ProductRecord:
+    """What one ``multiply_mv`` of a ``RecordingKernel`` did."""
+
+    free: bool | None = None    # ran without the compute table; None: no recursion
+    calls: int = 0              # _mul_mv, _mac and _add calls
+    fallbacks: int = 0          # _sum_of_products calls
+    keys: list = field(default_factory=list)  # looked up outside _sum_of_products
+
+
+class _RecordingTable(dict):
+    """A compute table that hands every key it is asked for to its kernel."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def get(self, key, default=None):
+        self.kernel.looked_up(key)
+        return super().get(key, default)
+
+
+class RecordingKernel(Kernel):
+    """``Kernel`` that records each ``multiply_mv`` as a ``ProductRecord``:
+    whether it ran without the compute table, its ``_mul_mv``, ``_mac`` and
+    ``_add`` calls, and the keys it looked up outside ``_sum_of_products``,
+    the fallback that keeps the table.  With ``memo=True`` its shape cache
+    keeps nothing, so every product keeps the table: the same products with
+    the table forced on."""
+
+    def __init__(self, memo: bool = False):
+        super().__init__()
+        self._ct = _RecordingTable(self)
+        if memo:
+            self._shapes = _Forgetful()
+        self.products: list[ProductRecord] = []
+        self._product = None
+        self._fallback = 0
+
+    def looked_up(self, key) -> None:
+        if self._product is not None and not self._fallback:
+            self._product.keys.append(key)
+
+    def _count(self) -> None:
+        record = self._product
+        if record is not None:
+            if record.free is None:
+                record.free = not self._memo
+            record.calls += 1
+
+    def multiply_mv(self, m, v):
+        self._product = ProductRecord()
+        self.products.append(self._product)
+        try:
+            return super().multiply_mv(m, v)
+        finally:
+            self._product = None
+
+    def _mul_mv(self, m, v):
+        self._count()
+        return super()._mul_mv(m, v)
 
     def _mac(self, a, x, b, y):
-        return self._add(self._mul_mv(a, x), self._mul_mv(b, y))
+        self._count()
+        return super()._mac(a, x, b, y)
+
+    def _add(self, a, b):
+        self._count()
+        return super()._add(a, b)
+
+    def _sum_of_products(self, a, x, b, y):
+        if self._product is not None:
+            self._product.fallbacks += 1
+        self._fallback += 1
+        try:
+            return super()._sum_of_products(a, x, b, y)
+        finally:
+            self._fallback -= 1
+
+
+class UnfusedKernel(Kernel):
+    """``Kernel`` that forms a two-term sum ``a·x + b·y`` as the sum of the
+    two full products, building every node of both, with the table on as
+    in the fused recursion's fallback.  Kept as the reference the fused
+    ``Kernel._mac`` recursion is compared against."""
+
+    def _mac(self, a, x, b, y):
+        return self._sum_of_products(a, x, b, y)
 
 
 # gate name -> (kind, parameter count, qubit count)

@@ -18,8 +18,9 @@ from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED, base_matrix
 from ddpath.kernel import _INV_EPS, EPS, Edge
 from ddpath.simpath import make_path
 
-from helpers import (MemoFreeKernel, ReferenceKernel, UnfusedKernel, explicit_node_count,
-                     random_circuit, random_gate, random_unitary_2x2)
+from helpers import (MemoFreeKernel, RecordingKernel, ReferenceKernel, UnfusedKernel,
+                     dense_circuit, explicit_node_count, random_circuit, random_gate,
+                     random_unitary_2x2)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -1290,3 +1291,205 @@ class TestReaders:
             k.to_vector(k.one_terminal, 4)
         assert k.to_vector(k.one_terminal, 0).shape == (1,)
         assert k.to_vector(k.zero_edge, 4).shape == (16,)
+
+
+def _tree_state(k, rng, n, shared=False):
+    """A vector diagram of random amplitudes, built level by level: a full
+    state, or with ``shared`` one whose first two level-0 nodes are one
+    node, which leaves it one node short of full."""
+    def amplitude():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    leaves = [((amplitude(), None), (amplitude(), None)) for _ in range(1 << (n - 1))]
+    if shared:
+        leaves[1] = leaves[0]
+    level = [k._vnode(0, a, b) for a, b in leaves]
+    for lvl in range(1, n):
+        level = [k._vnode(lvl, level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    return Edge(*level[0])
+
+
+def _dense_tree_operator(k, rng, n):
+    """u(1)·cx(0, 1)·u(0)·u(1) on ``n`` qubits: a dense two-qubit block
+    whose four level-0 nodes are distinct, so no node is reached twice."""
+    def u(q):
+        return k.make_gate(Gate("u", (q,), matrix=random_unitary_2x2(rng)), n)
+
+    return k.multiply_mm(u(1), k.multiply_mm(k.make_gate(cx(0, 1), n),
+                                             k.multiply_mm(u(0), u(1))))
+
+
+class TestMemoFreeProducts:
+    """A ``multiply_mv`` on a full state with a tree operator skips the
+    compute table.  Each job runs on a ``RecordingKernel`` and again with
+    the table forced on: no key of a memo-free product is looked up twice
+    with the table on, and without it the product makes no more calls."""
+
+    @staticmethod
+    def _compare(job) -> list:
+        """``job(kernel)`` -> final edge, run on both kernels; returns the
+        records of the memo-free products."""
+        runs = []
+        for memo in (False, True):
+            k = RecordingKernel(memo)
+            runs.append((k, job(k)))
+        (free, final_free), (forced, final_forced) = runs
+        assert free.signature(final_free) == forced.signature(final_forced)
+        assert len(free.products) == len(forced.products)
+        out = []
+        for a, b in zip(free.products, forced.products):
+            assert not b.free
+            if a.free:
+                # without the table the product looks up no key outside
+                # _sum_of_products
+                assert not a.keys
+                assert len(set(b.keys)) == len(b.keys)
+                assert a.calls <= b.calls
+                out.append(a)
+        return out
+
+    def test_qft_self_miter_from_ghz(self):
+        n = 14
+
+        def job(k):
+            initial, _ = execute(ghz(n), kernel=k)
+            return verify_equivalence(qft(n), qft(n), "sequential", k, initial).final
+
+        # the 14 swaps on the full qft state and the h(13) that collapses it
+        assert len(self._compare(job)) == 15
+
+    @pytest.mark.parametrize("strategy", ["sequential", "greedy"])
+    def test_dense_circuits(self, strategy):
+        with_free = 0
+        fallbacks = 0
+        for seed in range(50):
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            c = dense_circuit(rng, n, rng.randint(n + 1, n + 3))
+            path = make_path(strategy, c)
+            free = self._compare(lambda k: execute(c, path, k)[0])
+            with_free += bool(free)
+            fallbacks += sum(p.fallbacks for p in free)
+        if strategy == "sequential":
+            assert with_free == 50
+        else:
+            # a greedy plan may apply its wide operators only to states
+            # short of full; its operator products reach the fallback
+            assert with_free >= 45 and fallbacks > 0
+
+
+class TestWhereTheTableStays:
+    """The compute table is written during a product unless the state is
+    full and the operator a tree; the dense operator's fallback writes it
+    in a product that otherwise skips it."""
+
+    n = 5
+
+    @staticmethod
+    def _writes_table(k, op, state) -> bool:
+        sizes = _ct_sizes(k)
+        k.multiply_mv(op, state)
+        return max(sizes) > 0
+
+    def test_full_state_and_tree_operator_skip_it(self):
+        k = Kernel()
+        state = _tree_state(k, random.Random(1), self.n)
+        op = k.make_gate(h(2), self.n)
+        assert k.node_count(state) == 2 ** self.n - 1
+        k.node_count(op, self.n)
+        assert k._shapes[op.node] is True
+        assert not self._writes_table(k, op, state)
+
+    def test_state_one_node_short_of_full(self):
+        k = Kernel()
+        state = _tree_state(k, random.Random(2), self.n, shared=True)
+        op = k.make_gate(h(2), self.n)
+        assert k.node_count(state) == 2 ** self.n - 2
+        k.node_count(op, self.n)
+        assert self._writes_table(k, op, state)
+
+    def test_cx_with_control_below_target(self):
+        # the target level's four quadrants lead to two control-level nodes
+        k = Kernel()
+        state = _tree_state(k, random.Random(3), self.n)
+        op = k.make_gate(cx(0, self.n - 1), self.n)
+        k.node_count(state)
+        k.node_count(op, self.n)
+        assert k._shapes[op.node] is False
+        assert self._writes_table(k, op, state)
+
+    def test_dense_operator_fallback(self):
+        k = RecordingKernel()
+        rng = random.Random(4)
+        state = _tree_state(k, rng, self.n)
+        op = _dense_tree_operator(k, rng, self.n)
+        assert k.node_count(state) == 2 ** self.n - 1
+        k.node_count(op, self.n)
+        assert k._shapes[op.node] is True
+        assert self._writes_table(k, op, state)
+        record = k.products[-1]
+        assert record.free and record.fallbacks > 0 and not record.keys
+
+
+class TestShapeCache:
+    """``node_count`` caches each vector root's count and whether an
+    operator root is a tree; ``gc`` empties the cache."""
+
+    def test_gc_empties_it(self):
+        n = 4
+        k = Kernel()
+        state = _tree_state(k, random.Random(5), n)
+        k.node_count(state)
+        k.node_count(k.make_gate(h(0), n), n)
+        assert len(k._shapes) == 2
+        k.inc_ref(state)
+        k.gc([])
+        assert not k._shapes
+        assert k.node_count(state) == 2 ** n - 1
+
+    def test_cached_count_checks_width(self):
+        n = 4
+        k = Kernel()
+        state = _tree_state(k, random.Random(6), n)
+        assert k.node_count(state, n) == 2 ** n - 1
+        assert k._shapes[state.node] == 2 ** n - 1
+        for wrong in (n - 1, n + 1):
+            with pytest.raises(InvalidArgumentError, match="read as"):
+                k.node_count(state, wrong)
+        assert k.node_count(state) == 2 ** n - 1
+
+    def test_level_walk_matches_reachable(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            k = Kernel()
+            if rng.random() < 0.25:
+                state = _tree_state(k, rng, n, shared=n > 1 and rng.random() < 0.5)
+            else:
+                state = run_gates(k, random_circuit(rng, n, rng.randint(0, 40)))
+            if state.node is None:
+                continue
+            assert k.node_count(state) == len(k._reachable((state.node,)))
+
+    def test_counting_first_keeps_the_signature(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            n = rng.randint(3, 6)
+            c = dense_circuit(rng, n, n + 2)
+            if rng.random() < 0.5:
+                # an operator with a shared node on the full state
+                c = Circuit(n, c.gates + (cx(0, n - 1),))
+            runs = []
+            for count_first in (False, True):
+                k = RecordingKernel()
+                state = k.make_zero_state(n)
+                for g in c.gates:
+                    op = k.make_gate(g, n)
+                    if count_first:
+                        k.node_count(op, n)
+                        k.node_count(state)
+                    state = k.multiply_mv(op, state)
+                runs.append((k.signature(state), any(p.free for p in k.products)))
+            (uncounted, free_uncounted), (counted, free_counted) = runs
+            assert uncounted == counted
+            assert not free_uncounted and free_counted
