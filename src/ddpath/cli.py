@@ -14,13 +14,7 @@ import sys
 
 from . import qasm, simpath, tnbridge
 from .circuit import Circuit, GENERATORS, ghz, qft, transpile
-from .errors import (
-    DdpathError,
-    InternalError,
-    InvalidArgumentError,
-    PathValidationError,
-    QasmError,
-)
+from .errors import DdpathError, InternalError, InvalidArgumentError
 from .kernel import Edge, Kernel
 
 EXIT_OK = 0
@@ -281,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_payload(kind: str, exc: Exception) -> dict:
+    """The error's kind and message, plus the ``task_index`` or ``line``
+    of any error that carries one."""
     payload = {"error": kind, "message": str(exc)}
-    if isinstance(exc, PathValidationError) and exc.task_index is not None:
-        payload["task_index"] = exc.task_index
-    if isinstance(exc, QasmError) and exc.line is not None:
-        payload["line"] = exc.line
+    for field in ("task_index", "line"):
+        value = getattr(exc, field, None)
+        if value is not None:
+            payload[field] = value
     return payload
 
 

@@ -2,7 +2,15 @@
 
 
 class DdpathError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  An error raised
+    for one task of a simulation path carries its ``task_index``, which
+    also prefixes the message."""
+
+    def __init__(self, message: str, task_index: int | None = None):
+        self.task_index = task_index
+        if task_index is not None:
+            message = f"task {task_index}: {message}"
+        super().__init__(message)
 
 
 class InvalidArgumentError(DdpathError, ValueError):
@@ -28,13 +36,7 @@ class QasmError(DdpathError, ValueError):
 
 
 class PathValidationError(DdpathError):
-    """A simulation path violates the interval rules; carries the task index."""
-
-    def __init__(self, message: str, task_index: int | None = None):
-        self.task_index = task_index
-        if task_index is not None:
-            message = f"task {task_index}: {message}"
-        super().__init__(message)
+    """A simulation path violates the interval rules."""
 
 
 class PlanningError(DdpathError):

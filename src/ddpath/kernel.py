@@ -61,10 +61,10 @@ It lives for one public product, together with the ratio table:
 since a later product rarely hits their entries, so no compute entry
 outlives the product that made it.  Gate diagrams are memoised apart, until
 the next ``Kernel.gc`` sweep, which empties that memo, so no entry outlives
-a node it names, and sweeps the value table down to ZERO, ONE and the
-successor weights of the nodes it keeps.  Between sweeps the value table
-holds only ZERO, ONE, gate-matrix entries and successor weights of stored
-nodes.
+a node it names, keeps the shape-cache entries of the nodes it keeps, and
+sweeps the value table down to ZERO, ONE and the successor weights of the
+nodes it keeps.  Between sweeps the value table holds only ZERO, ONE,
+gate-matrix entries and successor weights of stored nodes.
 
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
@@ -82,10 +82,11 @@ calls in the same order without the table.  ``_mac_quadrants``' fallback
 for dense operators, the sum of two full products (``_sum_of_products``),
 still memoises: the two products may share nodes, and once a dense block
 is split into products, its rows may pair the same two state subtrees.
-``_ratio`` still canonicalises the ratios.  The shapes come from a cache
-that ``node_count`` fills and ``gc`` empties: a vector root's node count,
-counted level by level, and whether an operator root is a tree.  An
-operand the cache has not seen counts as shared.
+``_ratio`` still canonicalises the ratios.  ``multiply_mv`` reads both
+operands' shapes itself, from the shape cache behind ``node_count``, which
+walks a root it has not seen: a root's node count, a vector's counted level
+by level, and whether it is a tree.  Counts are structural, so ``gc``
+keeps the entries of the nodes it keeps and drops the rest.
 
 A walk over a diagram is a method that recurses, a loop over an explicit
 stack, or a loop over ``_reachable``'s nodes sorted by level, which puts
@@ -206,14 +207,14 @@ class Kernel:
 
     The compute table holds the products, sums and two-term sums of one
     public product; it and the ratio table are emptied at the end of every
-    ``multiply_mv`` and ``multiply_mm``.  A ``multiply_mv`` whose state
-    ``node_count`` found full and whose operator it found a tree skips the
-    table outside ``_sum_of_products``.  The gate memo is an
-    exact memo of gate diagrams that never drops an entry between two
-    ``gc`` sweeps; each sweep empties it, and the shape cache.  Only
-    ``intern`` stores into the value table; sums only read it.  Its
-    occupancy byte maps hold a power of two bytes, at least 4096 and at
-    least 8 per bucket; above 4096, at most 16.
+    ``multiply_mv`` and ``multiply_mm``.  A ``multiply_mv`` whose state is
+    full and whose operator is a tree, as the shape cache says, skips the
+    table outside ``_sum_of_products``.  The gate memo is an exact memo of
+    gate diagrams that never drops an entry between two ``gc`` sweeps;
+    each sweep empties it, and keeps the shape-cache entries of the nodes
+    it keeps.  Only ``intern`` stores into the value table; sums only read
+    it.  Its occupancy byte maps hold a power of two bytes, at least 4096
+    and at least 8 per bucket; above 4096, at most 16.
     """
 
     def __init__(self):
@@ -241,9 +242,9 @@ class Kernel:
         # gate diagram by (kind, parameter, matrix, controls, targets, n);
         # emptied by gc, never a root
         self._gates: dict = {}
-        # root node -> shape, filled by node_count and emptied by gc: a
-        # vector root's node count, and for an operator root whether no node
-        # is reached by two edges (a tree)
+        # root node -> (count, tree), filled by _shape: its node count in
+        # the explicit form at its own level, and whether no node is
+        # reached by two edges; gc keeps the entries of the nodes it keeps
         self._shapes: dict = {}
         # False while a product on a full state and a tree operator runs,
         # whose sums and products of operand subtrees skip the compute table
@@ -448,10 +449,7 @@ class Kernel:
     def make_zero_state(self, n: int) -> Edge:
         if n < 1:
             raise InvalidArgumentError(f"qubit count must be >= 1, got {n}")
-        e = self.one_terminal
-        for level in range(n):
-            e = self._vnode(level, e, self.zero_edge)
-        return _edge(e)
+        return self.make_basis_state("0" * n)
 
     def make_basis_state(self, bits: str) -> Edge:
         """Computational basis state from a most-significant-first bit string."""
@@ -583,7 +581,11 @@ class Kernel:
 
     def multiply_mv(self, m: Edge, v: Edge) -> Edge:
         """Matrix-vector product; the operator's node may sit below the
-        state's top level (it skips identity levels), never above it."""
+        state's top level (it skips identity levels), never above it.
+
+        It skips the compute table when the state is full and the operator
+        a tree.  It reads both shapes from the shape cache, which walks an
+        operand that was not counted before."""
         mw, mn = m
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
@@ -595,12 +597,10 @@ class Kernel:
         if mn is not None and mn.level > vn.level:
             raise InvalidArgumentError(
                 f"level mismatch in multiply: {mn.level} vs {vn.level}")
-        shapes = self._shapes
         # a full state is a complete binary tree; with a tree operator each
         # key of the recursion names operand nodes reached by one path only,
         # so no key recurs and the table would never be read
-        self._memo = not (shapes.get(mn) is True
-                          and shapes.get(vn) == (2 << vn.level) - 1)
+        self._memo = mn is None or not (self._shape(mn)[1] and self._shape(vn)[1])
         try:
             return _edge(self._mul_mv(m, v))
         finally:
@@ -846,51 +846,39 @@ class Kernel:
         chain of identity nodes, shared by every edge into that target, so
         the explicit form adds the longest skip into each target to the
         stored nodes.  Vector diagrams skip no level, and a vector's ``n``,
-        when given, must be its width.
-
-        Each count fills the shape cache that ``multiply_mv`` reads: a
-        vector root's count, walked once per root until the next ``gc``,
-        and whether any node of an operator root is reached by two edges,
-        which its walk sees as it goes.
+        when given, must be its width.  An operator's count at width ``n``
+        is its count at its own level plus the ``n - 1 - level`` identity
+        nodes above it.  Each root is walked once until ``gc`` sweeps it
+        (``_shape``).
         """
         w, root = e
         if root is None:
             return 0 if w == 0 or n is None else n
-        shapes = self._shapes
         if len(root.succ) == 4:
             _check_width(root, n)
-            count = shapes.get(root)
-            if count is None:
-                count = shapes[root] = _level_count(root)
-            return count
+            return self._shape(root)[0]
         top = root.level if n is None else n - 1
         if top < root.level:
             raise InvalidArgumentError(
                 f"operator on {root.level + 1} qubits does not fit {n}")
-        # target (None for the terminal) -> longest skip over an edge into it
-        skip = {root: top - root.level}
-        seen = {root}
-        stack = [root]
-        tree = True
-        while stack:
-            node = stack.pop()
-            lo = node.level - 1
-            for sw, x in _pairs(node.succ):
-                if x is None:
-                    if sw == 0:
-                        continue
-                    d = node.level
-                else:
-                    d = lo - x.level
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-                    else:
-                        tree = False
-                if d > skip.get(x, 0):
-                    skip[x] = d
-        shapes[root] = tree
-        return len(seen) + sum(skip.values())
+        return self._shape(root)[0] + top - root.level
+
+    def _shape(self, root: Node) -> tuple:
+        """``(count, tree)`` of the diagram below ``root``, from the shape
+        cache, walked on a miss: its node count in the explicit form at
+        its own level, and whether no node is reached by two edges.  A
+        vector counts level by level and is such a tree exactly when it is
+        full, ``2^n - 1`` nodes; an operator's walk sees a second edge into
+        a node as it goes."""
+        shape = self._shapes.get(root)
+        if shape is None:
+            if len(root.succ) == 4:
+                count = _level_count(root)
+                shape = (count, count == (2 << root.level) - 1)
+            else:
+                shape = _operator_shape(root)
+            self._shapes[root] = shape
+        return shape
 
     def _reachable(self, roots: Iterable[Node | None]) -> set:
         """Every node reachable from ``roots``; a None root is skipped."""
@@ -1036,8 +1024,9 @@ class Kernel:
 
         The nodes ``_reachable`` finds from both are kept in the one unique
         table and the rest dropped; the count dropped is returned.  The
-        gate memo and the shape cache are emptied wholesale, since their
-        entries may name swept nodes; so are the compute and ratio tables,
+        shape cache keeps the entries of the kept nodes, whose counts still
+        hold, and drops the rest.  The gate memo is emptied wholesale, since
+        its entries may name swept nodes; so are the compute and ratio tables,
         which are empty already unless ``_add``, ``_mac``, ``_mul_mv`` or
         ``_mul_mm`` was called outside a public product.  The value table,
         which holds no value of a sum, keeps the buckets whose
@@ -1054,11 +1043,11 @@ class Kernel:
         for node in marked:
             live.update(node.succ[::2])
         self._unique = {k: v for k, v in table.items() if v in marked}
+        self._shapes = {x: s for x, s in self._shapes.items() if x in marked}
         self._sweep_values(live)
         self._ct.clear()
         self._ratios.clear()
         self._gates.clear()
-        self._shapes.clear()
         return len(table) - len(self._unique)
 
     def _sweep_values(self, live: set) -> None:
@@ -1125,6 +1114,35 @@ def _level_count(root: Node) -> int:
         below.discard(None)
         level = below
     return count
+
+
+def _operator_shape(root: Node) -> tuple:
+    """``(count, tree)`` of the operator diagram below ``root`` at its own
+    level: the stored nodes plus the longest skip over an edge into each
+    target, and whether no node is reached by two edges."""
+    # target (None for the terminal) -> longest skip over an edge into it
+    skip = {}
+    seen = {root}
+    stack = [root]
+    tree = True
+    while stack:
+        node = stack.pop()
+        lo = node.level - 1
+        for sw, x in _pairs(node.succ):
+            if x is None:
+                if sw == 0:
+                    continue
+                d = node.level
+            else:
+                d = lo - x.level
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+                else:
+                    tree = False
+            if d > skip.get(x, 0):
+                skip[x] = d
+    return len(seen) + sum(skip.values()), tree
 
 
 def _check_width(root: Node | None, n: int | None) -> None:

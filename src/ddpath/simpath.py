@@ -346,9 +346,11 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
     counts are taken over all ``n`` levels (``Kernel.node_count(e, n)``).
 
     ``peak_nodes`` is the largest node count, in the explicit form, of the
-    initial state, of each distinct gate diagram the run fetches, and of
-    each task result.  A gate diagram is counted once per run, keyed by its
-    node, whether the kernel's gate memo held it already or not.
+    initial state, of each gate diagram the run fetches, and of each task
+    result, whether the kernel's gate memo held the gate already or not.
+    Every count comes from the kernel's shape cache, so each diagram is
+    walked once; the cache is also where ``multiply_mv`` reads whether it
+    may skip its compute table.
 
     Python's cyclic garbage collector is paused while this runs if it was
     on; a run that finds it off, perhaps paused by an overlapping run,
@@ -376,17 +378,15 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
             raise InvalidArgumentError(
                 f"initial state has {initial.num_qubits} qubits, circuit has {n}")
         env: dict[int, Edge] = {0: initial}
-        initial_nodes = kernel.node_count(initial)
-        # node -> node count of each distinct gate diagram fetched so far
-        gate_sizes: dict = {}
+        initial_nodes = peak = kernel.node_count(initial)
         gc_threshold = _GC_FLOOR
 
         def fetch(idx: int) -> Edge:
+            nonlocal peak
             e = env.pop(idx, None)
             if e is None:
                 e = kernel.make_gate(circuit.gates[idx - 1], n)
-                if e.node not in gate_sizes:
-                    gate_sizes[e.node] = kernel.node_count(e, n)
+                peak = max(peak, kernel.node_count(e, n))
             return e
 
         count = len(circuit.gates)
@@ -408,14 +408,14 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
                     kernel.gc(env.values())
                     gc_threshold = max(4 * kernel.unique_size, _GC_FLOOR)
         except RecursionError as exc:
-            raise CapacityError(f"task {ti}: {_too_deep(n)}") from exc
+            raise CapacityError(_too_deep(n), ti) from exc
         final = env[2 * count]
         kernel.inc_ref(final)
         elapsed = time.perf_counter_ns() - t0
         stats = RunStats(
             task_count=len(tasks),
             result_nodes=counts,
-            peak_nodes=max([initial_nodes, *gate_sizes.values(), *counts]),
+            peak_nodes=max([peak, *counts]),
             final_nodes=counts[-1] if counts else initial_nodes,
             elapsed_ns=elapsed,
         )

@@ -435,15 +435,14 @@ class RecordingKernel(Kernel):
     """``Kernel`` that records each ``multiply_mv`` as a ``ProductRecord``:
     whether it ran without the compute table, its ``_mul_mv``, ``_mac`` and
     ``_add`` calls, and the keys it looked up outside ``_sum_of_products``,
-    the fallback that keeps the table.  With ``memo=True`` its shape cache
-    keeps nothing, so every product keeps the table: the same products with
-    the table forced on."""
+    the fallback that keeps the table.  With ``memo=True`` it reports no
+    diagram as a tree, so every product keeps the table: the same products
+    with the table forced on."""
 
     def __init__(self, memo: bool = False):
         super().__init__()
         self._ct = _RecordingTable(self)
-        if memo:
-            self._shapes = _Forgetful()
+        self._table_forced = memo
         self.products: list[ProductRecord] = []
         self._product = None
         self._fallback = 0
@@ -458,6 +457,10 @@ class RecordingKernel(Kernel):
             if record.free is None:
                 record.free = not self._memo
             record.calls += 1
+
+    def _shape(self, root):
+        count, tree = super()._shape(root)
+        return count, tree and not self._table_forced
 
     def multiply_mv(self, m, v):
         self._product = ProductRecord()

@@ -49,6 +49,7 @@ class TestSimulate:
         payload = json.loads(err)
         assert payload["error"] == "CapacityError"
         assert "task 1" in payload["message"] and "3000-qubit" in payload["message"]
+        assert payload["task_index"] == 1
 
     def test_too_deep_message_does_not_misstate_the_depth(self, capsys):
         # a diagram shallower than the limit still overflows it once the
@@ -393,6 +394,7 @@ class TestBench:
         assert [r.split(",")[:2] for r in rows[1:]] == [["ghz", "4"]]
         records = [json.loads(line) for line in err.strip().splitlines()]
         assert [(r["n"], r["error"]) for r in records] == [(3000, "CapacityError")]
+        assert records[0]["task_index"] == 1
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "bench", "nope:3")

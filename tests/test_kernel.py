@@ -1146,6 +1146,8 @@ class TestExplicitNodeCount:
             g = random_gate(rng, n)
             e = k.make_gate(g, n)
             assert k.node_count(e, n) == explicit_node_count(e, n), g
+            # the cached count is the node's own; a wider n adds levels
+            assert k.node_count(e, n + 2) == explicit_node_count(e, n + 2), g
         _check_unique_tables(k)
 
     def test_random_gate_products(self):
@@ -1309,6 +1311,45 @@ def _tree_state(k, rng, n, shared=False):
     return Edge(*level[0])
 
 
+def _is_tree(node) -> bool:
+    """Whether no node below ``node`` is reached by two edges, walked edge
+    by edge apart from the kernel's shape cache."""
+    seen = set()
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            return False
+        seen.add(x)
+        stack.extend(y for y in x.succ[1::2] if y is not None)
+    return True
+
+
+class _SweepRecordingKernel(RecordingKernel):
+    """``RecordingKernel`` that also notes, for each ``multiply_mv``,
+    whether its state is full and its operator a tree, both walked apart
+    from the shape cache, and whether a ``gc`` sweep ran since the
+    previous product."""
+
+    def __init__(self):
+        super().__init__()
+        self.full_tree: list[bool] = []
+        self.after_sweep: list[bool] = []
+        self._swept = False
+
+    def gc(self, roots=()):
+        self._swept = True
+        return super().gc(roots)
+
+    def multiply_mv(self, m, v):
+        self.full_tree.append(
+            m.node is not None and _is_tree(m.node)
+            and len(self._reachable((v.node,))) == (2 << v.node.level) - 1)
+        self.after_sweep.append(self._swept)
+        self._swept = False
+        return super().multiply_mv(m, v)
+
+
 def _dense_tree_operator(k, rng, n):
     """u(1)·cx(0, 1)·u(0)·u(1) on ``n`` qubits: a dense two-qubit block
     whose four level-0 nodes are distinct, so no node is reached twice."""
@@ -1377,6 +1418,16 @@ class TestMemoFreeProducts:
             # short of full; its operator products reach the fallback
             assert with_free >= 45 and fallbacks > 0
 
+    def test_products_after_a_sweep(self):
+        # gc keeps the shapes of the nodes it keeps, so a product right
+        # after a sweep skips the table like any other on a full state
+        c = dense_circuit(random.Random(1), 12, 14)
+        k = _SweepRecordingKernel()
+        execute(c, make_path("sequential", c), k)
+        records = list(zip(k.products, k.full_tree, k.after_sweep))
+        assert any(full and after for _, full, after in records)
+        assert [p for p, full, _ in records if full and not p.free] == []
+
 
 class TestWhereTheTableStays:
     """The compute table is written during a product unless the state is
@@ -1396,8 +1447,14 @@ class TestWhereTheTableStays:
         state = _tree_state(k, random.Random(1), self.n)
         op = k.make_gate(h(2), self.n)
         assert k.node_count(state) == 2 ** self.n - 1
-        k.node_count(op, self.n)
-        assert k._shapes[op.node] is True
+        assert _is_tree(op.node)
+        assert not self._writes_table(k, op, state)
+
+    def test_uncounted_operands_are_counted(self):
+        # multiply_mv reads the shapes itself; no caller counts first
+        k = Kernel()
+        state = _tree_state(k, random.Random(1), self.n)
+        op = k.make_gate(h(2), self.n)
         assert not self._writes_table(k, op, state)
 
     def test_state_one_node_short_of_full(self):
@@ -1413,9 +1470,7 @@ class TestWhereTheTableStays:
         k = Kernel()
         state = _tree_state(k, random.Random(3), self.n)
         op = k.make_gate(cx(0, self.n - 1), self.n)
-        k.node_count(state)
-        k.node_count(op, self.n)
-        assert k._shapes[op.node] is False
+        assert not _is_tree(op.node)
         assert self._writes_table(k, op, state)
 
     def test_dense_operator_fallback(self):
@@ -1424,27 +1479,31 @@ class TestWhereTheTableStays:
         state = _tree_state(k, rng, self.n)
         op = _dense_tree_operator(k, rng, self.n)
         assert k.node_count(state) == 2 ** self.n - 1
-        k.node_count(op, self.n)
-        assert k._shapes[op.node] is True
+        assert _is_tree(op.node)
         assert self._writes_table(k, op, state)
         record = k.products[-1]
         assert record.free and record.fallbacks > 0 and not record.keys
 
 
 class TestShapeCache:
-    """``node_count`` caches each vector root's count and whether an
-    operator root is a tree; ``gc`` empties the cache."""
+    """``node_count`` caches each root's count and whether it is a tree;
+    ``gc`` keeps the entries of the nodes it keeps."""
 
-    def test_gc_empties_it(self):
+    def test_gc_keeps_kept_nodes(self):
         n = 4
         k = Kernel()
         state = _tree_state(k, random.Random(5), n)
+        gate = k.make_gate(h(0), n)
         k.node_count(state)
-        k.node_count(k.make_gate(h(0), n), n)
-        assert len(k._shapes) == 2
+        k.node_count(gate, n)
+        assert set(k._shapes) == {state.node, gate.node}
+        shape = k._shapes[state.node]
         k.inc_ref(state)
         k.gc([])
-        assert not k._shapes
+        # the kept state's entry survives, not walked again; the swept
+        # gate's entry is gone
+        assert set(k._shapes) == {state.node}
+        assert k._shapes[state.node] is shape
         assert k.node_count(state) == 2 ** n - 1
 
     def test_cached_count_checks_width(self):
@@ -1452,7 +1511,7 @@ class TestShapeCache:
         k = Kernel()
         state = _tree_state(k, random.Random(6), n)
         assert k.node_count(state, n) == 2 ** n - 1
-        assert k._shapes[state.node] == 2 ** n - 1
+        assert k._shapes[state.node] == (2 ** n - 1, True)
         for wrong in (n - 1, n + 1):
             with pytest.raises(InvalidArgumentError, match="read as"):
                 k.node_count(state, wrong)
@@ -1492,4 +1551,5 @@ class TestShapeCache:
                 runs.append((k.signature(state), any(p.free for p in k.products)))
             (uncounted, free_uncounted), (counted, free_counted) = runs
             assert uncounted == counted
-            assert not free_uncounted and free_counted
+            # multiply_mv counts what its caller did not
+            assert free_uncounted and free_counted
