@@ -51,8 +51,19 @@ class Gate:
         if self.parameter is not None and not math.isfinite(self.parameter):
             raise InvalidArgumentError(
                 f"gate {self.kind} has a non-finite angle {self.parameter!r}")
-        if self.matrix is not None and not all(cmath.isfinite(x) for x in self.matrix):
-            raise InvalidArgumentError(f"gate {self.kind} has a non-finite matrix entry")
+        if self.matrix is not None:
+            if self.kind != "u":
+                raise InvalidArgumentError(f"gate {self.kind} takes no matrix")
+            try:
+                matrix = tuple(self.matrix)
+                ok = len(matrix) == 4 and all(cmath.isfinite(x) for x in matrix)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise InvalidArgumentError(
+                    f"gate u needs four finite matrix entries, got {self.matrix!r}")
+            # a tuple, since Kernel.make_gate keys its matrix cache by it
+            object.__setattr__(self, "matrix", matrix)
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -45,12 +45,13 @@ above 4096 bytes they hold at most 16 per key, and are rebuilt from the
 keys then and after every sweep.
 
 A node keeps its successors in one flat tuple ``succ``, weight then node
-per edge: ``(w0, x0, w1, x1)`` for a vector node, eight items for an
-operator node.  The unique table keys a vector node by ``succ`` itself:
-terminal successors occur only at level 0 and every other successor sits
-one level down, so the successors fix the level.  Operator successors may
-sit at any lower level, so it keys an operator node by ``(level, succ)``.
-The keys have four and two items, so the two kinds never share one.
+per edge: ``(w0, x0, w1, x1)`` for a vector node, and for an operator node
+its four edges followed by its level, ``(w0, x0, ..., w3, x3, level)``.
+The unique table keys every node by its own ``succ``, so no node has a
+second key object.  A vector's successors fix its level: terminal
+successors occur only at level 0 and every other successor sits one level
+down.  Operator successors may sit at any lower level, hence the ninth
+item.  The keys have four and nine items, so the two kinds never share one.
 
 Sums and products are memoised in one compute table, a plain dict, exact
 per kernel, keyed by operand nodes: a product by its two nodes, a sum by
@@ -59,12 +60,15 @@ and operator nodes are distinct objects, so one table serves every kind.
 It lives for one public product, together with the ratio table:
 ``multiply_mv`` and ``multiply_mm`` empty both when they return or raise,
 since a later product rarely hits their entries, so no compute entry
-outlives the product that made it.  Gate diagrams are memoised apart, until
-the next ``Kernel.gc`` sweep, which empties that memo, so no entry outlives
-a node it names, keeps the shape-cache entries of the nodes it keeps, and
-sweeps the value table down to ZERO, ONE and the successor weights of the
-nodes it keeps.  Between sweeps the value table holds only ZERO, ONE,
-gate-matrix entries and successor weights of stored nodes.
+outlives the product that made it.  Gate diagrams are not memoised: the
+matrix cache keeps the four interned entry edges of each base matrix, and
+a placement runs only the ``_mnode`` calls of its target and control
+levels, which find the nodes of an earlier placement in the unique table.
+The next ``Kernel.gc`` sweep empties the matrix cache, keeps the
+shape-cache entries of the nodes it keeps, and sweeps the value table down
+to ZERO, ONE and the successor weights of the nodes it keeps.  Between
+sweeps the value table holds only ZERO, ONE, gate-matrix entries and
+successor weights of stored nodes.
 
 Where an operator has off-diagonal blocks, a matrix-vector product forms
 each half as a two-term sum ``a·x + b·y`` in one recursion (``_mac``),
@@ -85,8 +89,9 @@ is split into products, its rows may pair the same two state subtrees.
 ``_ratio`` still canonicalises the ratios.  ``multiply_mv`` reads both
 operands' shapes itself, from the shape cache behind ``node_count``, which
 walks a root it has not seen: a root's node count, a vector's counted level
-by level, and whether it is a tree.  Counts are structural, so ``gc``
-keeps the entries of the nodes it keeps and drops the rest.
+by level, and whether it is a tree, packed into one int ``count << 1 |
+tree``.  Counts are structural, so ``gc`` keeps the entries of the nodes
+it keeps and drops the rest.
 
 A walk over a diagram is a method that recurses, a loop over an explicit
 stack, or a loop over ``_reachable``'s nodes sorted by level, which puts
@@ -99,9 +104,9 @@ Inside the kernel an edge is a plain ``(weight, node)`` tuple, read by
 unpacking: the results of the recursions, the compute-table entries and the
 candidate successors of a node are all plain pairs, and a stored node's
 successors are read as slices of ``succ``.  ``Edge``, the one public type,
-is built only where an edge leaves the kernel: the gate memo, and the
-edges ``make_zero_state``, ``make_basis_state``, ``make_gate``,
-``multiply_mv`` and ``multiply_mm`` return.  ``node.edges`` is a view for
+is built only where an edge leaves the kernel: the edges
+``make_zero_state``, ``make_basis_state``, ``make_gate``, ``multiply_mv``
+and ``multiply_mm`` return.  ``node.edges`` is a view for
 callers outside the kernel, a tuple of ``Edge``s built from ``succ`` on
 each read; nothing in the package reads it.  The public readers take any
 ``(weight, node)`` pair.
@@ -141,7 +146,8 @@ _MAP_MIN = 4096
 class Node:
     """A stored node.  ``succ`` is the flat tuple of its successor edges,
     weight then node per edge: ``(w0, x0, w1, x1)`` for a vector node,
-    eight items for an operator node."""
+    eight items and then the level for an operator node.  It is also the
+    node's unique-table key."""
 
     __slots__ = ("level", "succ", "uid", "ref")
 
@@ -176,8 +182,8 @@ class Edge(NamedTuple):
     and for an operator edge that scalar times the identity on every level
     it skips.
 
-    The kernel builds an ``Edge`` only where it returns one, in its gate
-    memo and for ``Node.edges`` (see the module docstring); inside its
+    The kernel builds an ``Edge`` only where it returns one and for
+    ``Node.edges`` (see the module docstring); inside its
     recursions an edge is a plain ``(w, node)`` tuple, which hashes and
     compares equal to the ``Edge`` with the same items.
     """
@@ -199,22 +205,22 @@ _edge = functools.partial(tuple.__new__, Edge)
 
 class Kernel:
     """One unique table, for vector and operator nodes alike, plus the
-    compute table, the gate memo, the shape cache and the value table.
+    compute table, the matrix cache, the shape cache and the value table.
 
-    The unique table keys a vector node by its flat successor tuple
-    ``succ``, the very tuple the node keeps, and an operator node by
-    ``(level, succ)``.
+    The unique table keys every node by its flat successor tuple ``succ``,
+    the very tuple the node keeps; an operator's ends with its level.
 
     The compute table holds the products, sums and two-term sums of one
     public product; it and the ratio table are emptied at the end of every
     ``multiply_mv`` and ``multiply_mm``.  A ``multiply_mv`` whose state is
     full and whose operator is a tree, as the shape cache says, skips the
-    table outside ``_sum_of_products``.  The gate memo is an exact memo of
-    gate diagrams that never drops an entry between two ``gc`` sweeps;
-    each sweep empties it, and keeps the shape-cache entries of the nodes
-    it keeps.  Only ``intern`` stores into the value table; sums only read
-    it.  Its occupancy byte maps hold a power of two bytes, at least 4096
-    and at least 8 per bucket; above 4096, at most 16.
+    table outside ``_sum_of_products``.  The matrix cache maps each base
+    matrix to its four interned entry edges and never drops an entry
+    between two ``gc`` sweeps; each sweep empties it, and keeps the
+    shape-cache entries of the nodes it keeps.  The shape cache holds one
+    int per counted root.  Only ``intern`` stores into the value table;
+    sums only read it.  Its occupancy byte maps hold a power of two bytes,
+    at least 4096 and at least 8 per bucket; above 4096, at most 16.
     """
 
     def __init__(self):
@@ -227,8 +233,8 @@ class Kernel:
         self._rebuild_maps(_MAP_MIN)
         self.zero_edge = Edge(self.ZERO, None)
         self.one_terminal = Edge(self.ONE, None)
-        # vector nodes keyed by succ = (w0, x0, w1, x1), operator nodes by
-        # (level, succ), succ their eight successor items
+        # every node keyed by its own succ: (w0, x0, w1, x1) for a vector
+        # node, (w0, x0, ..., w3, x3, level) for an operator node
         self._unique: dict = {}
         self._uid = 0
         # the compute table of the running product: products keyed (M, V)
@@ -239,11 +245,10 @@ class Kernel:
         # bucket -> first memo-key ratio of the running product that missed
         # the value table; lives as long as _ct
         self._ratios: dict = {}
-        # gate diagram by (kind, parameter, matrix, controls, targets, n);
-        # emptied by gc, never a root
-        self._gates: dict = {}
-        # root node -> (count, tree), filled by _shape: its node count in
-        # the explicit form at its own level, and whether no node is
+        # base matrix -> its four interned entries as edges; emptied by gc
+        self._matrices: dict = {}
+        # root node -> count << 1 | tree, filled by _shape: its node count
+        # in the explicit form at its own level, and whether no node is
         # reached by two edges; gc keeps the entries of the nodes it keeps
         self._shapes: dict = {}
         # False while a product on a full state and a tree operator runs,
@@ -417,11 +422,12 @@ class Kernel:
             # an identity level (ONE·x, 0, 0, ONE·x) is not stored: the edge
             # goes straight to x
             return (norm, succ[1])
-        key = (level, succ)
-        node = self._unique.get(key)
+        # the level ends succ, which is then the node's key
+        succ += (level,)
+        node = self._unique.get(succ)
         if node is None:
             self._uid += 1
-            node = self._unique[key] = Node(level, succ, self._uid)
+            node = self._unique[succ] = Node(level, succ, self._uid)
         return (norm, node)
 
     def _diag(self, node: Node | None) -> tuple:
@@ -468,16 +474,14 @@ class Kernel:
         """Operator diagram of ``gate`` extended to ``n`` qubits.
 
         ``gate`` needs fields kind / parameter / controls / targets (and
-        matrix for kind "u").  Positive controls only.  Gate diagrams are
-        memoised per kernel until the next ``gc``, which empties the memo.
+        matrix, a 4-tuple, for kind "u").  Positive controls only.  The
+        interned entries of each base matrix are cached until the next
+        ``gc``, which empties the cache; a placement runs only its
+        ``_mnode`` calls, which find the nodes of an earlier placement in
+        the unique table.
         """
         targets = tuple(gate.targets)
         controls = tuple(gate.controls)
-        matrix = getattr(gate, "matrix", None)
-        key = (gate.kind, gate.parameter, matrix, controls, targets, n)
-        e = self._gates.get(key)
-        if e is not None:
-            return e
         used = targets + controls
         if len(set(used)) != len(used):
             raise InvalidArgumentError(f"duplicate qubit in gate {gate.kind}: {used}")
@@ -492,19 +496,20 @@ class Kernel:
             if len(targets) != 1:
                 raise InvalidArgumentError(
                     f"gate {gate.kind} expects one target, got {targets}")
-            mat = _gates.base_matrix(gate.kind, gate.parameter, matrix)
+            mat = _gates.base_matrix(gate.kind, gate.parameter, getattr(gate, "matrix", None))
             e = self._controlled_single(mat, targets[0], controls)
-        return self._gates.setdefault(key, _edge(e))
+        return _edge(e)
 
     def _controlled_single(self, mat, target: int, controls: tuple) -> tuple:
         """Nodes at the target and control levels only; the levels between
-        them act as the identity and are skipped."""
+        them act as the identity and are skipped.  The four entry edges
+        come from the matrix cache, interned on a miss."""
         zero = self.zero_edge
         one = self.one_terminal
-        em = []
-        for x in mat:
-            w = self.intern(x)
-            em.append(zero if w == 0 else (w, None))
+        em = self._matrices.get(mat)
+        if em is None:
+            em = self._matrices[mat] = tuple(
+                zero if w == 0 else (w, None) for w in map(self.intern, mat))
         for level in sorted(c for c in controls if c < target):
             # the inactive control branch is the identity below the control,
             # which only the diagonal entry blocks pick up
@@ -574,7 +579,7 @@ class Kernel:
                 r = self._mnode(level, add(sa[:2], scale(sb[:2], ratio)),
                                 add(sa[2:4], scale(sb[2:4], ratio)),
                                 add(sa[4:6], scale(sb[4:6], ratio)),
-                                add(sa[6:], scale(sb[6:], ratio)))
+                                add(sa[6:8], scale(sb[6:8], ratio)))
             if memo:
                 self._ct[key] = r
         return self._scale(r, aw)
@@ -590,7 +595,7 @@ class Kernel:
         vw, vn = v
         if (mn is None and mw == 0) or (vn is None and vw == 0):
             return self.zero_edge
-        if mn is not None and len(mn.succ) != 8:
+        if mn is not None and len(mn.succ) != 9:
             raise InvalidArgumentError("left operand must be a matrix diagram")
         if vn is None or len(vn.succ) != 4:
             raise InvalidArgumentError("right operand must be a vector diagram")
@@ -639,11 +644,11 @@ class Kernel:
                     # products are zero and _add(x, zero) is x, so this is
                     # the general case below without the calls that return
                     # at once
-                    r = self._vnode(level, mul(sm[:2], v0), mul(sm[6:], v1))
+                    r = self._vnode(level, mul(sm[:2], v0), mul(sm[6:8], v1))
                 else:
                     mac = self._mac
                     r = self._vnode(level, mac(sm[:2], v0, sm[2:4], v1),
-                                    mac(sm[4:6], v0, sm[6:], v1))
+                                    mac(sm[4:6], v0, sm[6:8], v1))
             if memo:
                 self._ct[key] = r
         return self._scale(r, w)
@@ -758,7 +763,7 @@ class Kernel:
         if (an is None and aw == 0) or (bn is None and bw == 0):
             return self.zero_edge
         for node in (an, bn):
-            if node is not None and len(node.succ) != 8:
+            if node is not None and len(node.succ) != 9:
                 raise InvalidArgumentError("multiply_mm needs two matrix diagrams")
         try:
             return _edge(self._mul_mm(a, b))
@@ -787,9 +792,9 @@ class Kernel:
             sa = an.succ if an.level == level else self._diag(an)
             sb = bn.succ if bn.level == level else self._diag(bn)
             a0 = sa[:2]
-            a3 = sa[6:]
+            a3 = sa[6:8]
             b0 = sb[:2]
-            b3 = sb[6:]
+            b3 = sb[6:8]
             # a successor of weight 0 is the zero stub
             if sa[2] == 0 and sa[4] == 0:
                 # a = diag(A0, A3): each quadrant keeps one of its two
@@ -866,7 +871,8 @@ class Kernel:
     def _shape(self, root: Node) -> tuple:
         """``(count, tree)`` of the diagram below ``root``, from the shape
         cache, walked on a miss: its node count in the explicit form at
-        its own level, and whether no node is reached by two edges.  A
+        its own level, and whether no node is reached by two edges.  The
+        cache keeps the pair as one int, ``count << 1 | tree``.  A
         vector counts level by level and is such a tree exactly when it is
         full, ``2^n - 1`` nodes; an operator's walk sees a second edge into
         a node as it goes."""
@@ -874,11 +880,11 @@ class Kernel:
         if shape is None:
             if len(root.succ) == 4:
                 count = _level_count(root)
-                shape = (count, count == (2 << root.level) - 1)
+                tree = count == (2 << root.level) - 1
             else:
-                shape = _operator_shape(root)
-            self._shapes[root] = shape
-        return shape
+                count, tree = _operator_shape(root)
+            shape = self._shapes[root] = count << 1 | tree
+        return shape >> 1, shape & 1 == 1
 
     def _reachable(self, roots: Iterable[Node | None]) -> set:
         """Every node reachable from ``roots``; a None root is skipped."""
@@ -976,7 +982,7 @@ class Kernel:
         skips are expanded as identity levels."""
         root = e[1]
         if root is not None:
-            if len(root.succ) != 8:
+            if len(root.succ) != 9:
                 raise InvalidArgumentError("to_matrix needs an operator diagram")
             if root.level >= n:
                 raise InvalidArgumentError(
@@ -998,7 +1004,7 @@ class Kernel:
             lo = node.level - 1
             s = node.succ
             return np.block([[sub(s[:2], lo, memo), sub(s[2:4], lo, memo)],
-                             [sub(s[4:6], lo, memo), sub(s[6:], lo, memo)]])
+                             [sub(s[4:6], lo, memo), sub(s[6:8], lo, memo)]])
 
         return sub(e, n - 1, self._bottom_up(root, build))
 
@@ -1025,29 +1031,29 @@ class Kernel:
         The nodes ``_reachable`` finds from both are kept in the one unique
         table and the rest dropped; the count dropped is returned.  The
         shape cache keeps the entries of the kept nodes, whose counts still
-        hold, and drops the rest.  The gate memo is emptied wholesale, since
-        its entries may name swept nodes; so are the compute and ratio tables,
-        which are empty already unless ``_add``, ``_mac``, ``_mul_mv`` or
-        ``_mul_mm`` was called outside a public product.  The value table,
-        which holds no value of a sum, keeps the buckets whose
-        representative is ZERO, ONE or a successor weight of a kept node, so
-        every weight a kept node holds still interns to itself; root weights
-        are plain products and need no bucket.  The byte maps are rebuilt at
-        the smallest power of two above 8 bytes per kept bucket, and at
-        least 4096.
+        hold, and drops the rest.  The matrix cache is emptied wholesale, as
+        its entries may be swept from the value table; so are the compute
+        and ratio tables, which are empty already unless ``_add``, ``_mac``,
+        ``_mul_mv`` or ``_mul_mm`` was called outside a public product.  The
+        value table, which holds no value of a sum, keeps the buckets whose
+        representative is ZERO, ONE or a successor weight of a kept node,
+        so every weight a kept node holds still interns to itself; root
+        weights are plain products and need no bucket.  The byte maps are
+        rebuilt at the smallest power of two above 8 bytes per kept bucket,
+        and at least 4096.
         """
         table = self._unique
         marked = self._reachable(itertools.chain(
             (e[1] for e in roots), (x for x in table.values() if x.ref > 0)))
         live = {self.ZERO, self.ONE}
         for node in marked:
-            live.update(node.succ[::2])
+            live.update(node.succ[0:8:2])
         self._unique = {k: v for k, v in table.items() if v in marked}
         self._shapes = {x: s for x, s in self._shapes.items() if x in marked}
         self._sweep_values(live)
         self._ct.clear()
         self._ratios.clear()
-        self._gates.clear()
+        self._matrices.clear()
         return len(table) - len(self._unique)
 
     def _sweep_values(self, live: set) -> None:
@@ -1078,7 +1084,7 @@ class Kernel:
             node = stack.pop()
             if node not in names:
                 names[node] = f"n{len(names)}"
-                stack.extend(x for x in node.succ[-1::-2] if x is not None)
+                stack.extend(x for x in reversed(node.succ[1::2]) if x is not None)
         lines.append('  t [shape=box, label="1"];')
         lines.append(f'  root -> n0 [label="{_fmt_weight(w)}"];')
         stub = 0

@@ -347,7 +347,7 @@ def execute(circuit: Circuit, path: SimulationPath | None = None,
 
     ``peak_nodes`` is the largest node count, in the explicit form, of the
     initial state, of each gate diagram the run fetches, and of each task
-    result, whether the kernel's gate memo held the gate already or not.
+    result, whether the kernel built the gate before or not.
     Every count comes from the kernel's shape cache, so each diagram is
     walked once; the cache is also where ``multiply_mv`` reads whether it
     may skip its compute table.

@@ -1,7 +1,7 @@
 """Shared test utilities: random circuits, equivalence-preserving rewrites,
 the reference path validators, the reference greedy planner, the reference
-value table, the explicit-form node count, the memo-free, recording and
-unfused kernels and the reference OpenQASM parser."""
+value table, the explicit-form node count, the memo-free, recording,
+re-interning and unfused kernels and the reference OpenQASM parser."""
 from __future__ import annotations
 
 import cmath
@@ -490,6 +490,16 @@ class RecordingKernel(Kernel):
             return super()._sum_of_products(a, x, b, y)
         finally:
             self._fallback -= 1
+
+
+class ReinterningKernel(Kernel):
+    """``Kernel`` that interns a gate's four matrix entries on every
+    ``make_gate``, as a memo of whole gate diagrams did on each miss: kept
+    as the reference the matrix cache is compared against."""
+
+    def _controlled_single(self, mat, target, controls):
+        self._matrices.clear()
+        return super()._controlled_single(mat, target, controls)
 
 
 class UnfusedKernel(Kernel):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ddpath import (
+    Kernel,
     concat_inverse,
     decomposition_cost,
     deutsch_jozsa,
@@ -13,6 +14,7 @@ from ddpath import (
     graph_state,
     invert,
     qft,
+    root_equal,
     transpile,
     w_state,
 )
@@ -215,3 +217,22 @@ class TestGateValidation:
     def test_non_finite_matrix_entry(self, entry):
         with pytest.raises(InvalidArgumentError):
             Gate("u", (0,), matrix=(1, 0, 0, entry))
+
+    @pytest.mark.parametrize("matrix", [(1, 0, 0), (1, 0, 0, 1, 0), (), 5, (1, 0, 0, "1")])
+    def test_matrix_needs_four_numbers(self, matrix):
+        # make_gate reads exactly four entries
+        with pytest.raises(InvalidArgumentError, match="four finite"):
+            Gate("u", (0,), matrix=matrix)
+
+    def test_matrix_only_on_u(self):
+        with pytest.raises(InvalidArgumentError, match="takes no matrix"):
+            Gate("x", (0,), matrix=(0, 1, 1, 0))
+
+    def test_matrix_is_stored_as_a_tuple(self):
+        # make_gate keys its matrix cache by the matrix, which must hash
+        g = Gate("u", (0,), matrix=[0, 1, 1, 0])
+        assert g.matrix == (0, 1, 1, 0) and type(g.matrix) is tuple
+        assert g.inverse().matrix == (0, 1, 1, 0)
+        k = Kernel()
+        assert root_equal(k.make_gate(g, 1), k.make_gate(Gate("x", (0,)), 1))
+        assert list(k._matrices) == [(0, 1, 1, 0)]

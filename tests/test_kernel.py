@@ -18,9 +18,9 @@ from ddpath.gates import ALL_KINDS, CONTROLLED_BASE, PARAMETERIZED, base_matrix
 from ddpath.kernel import _INV_EPS, EPS, Edge
 from ddpath.simpath import make_path
 
-from helpers import (MemoFreeKernel, RecordingKernel, ReferenceKernel, UnfusedKernel,
-                     dense_circuit, explicit_node_count, random_circuit, random_gate,
-                     random_unitary_2x2)
+from helpers import (MemoFreeKernel, RecordingKernel, ReferenceKernel, ReinterningKernel,
+                     UnfusedKernel, dense_circuit, explicit_node_count, random_circuit,
+                     random_gate, random_unitary_2x2)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -423,7 +423,7 @@ class TestGarbageCollection:
         # the compute table, products and two-term sums included, and the
         # ratio table live for one public product
         assert not k._ct and not k._ratios
-        assert k._gates
+        assert k._matrices
         # called directly, _add and _mul_mm leave their entries and the
         # ratios keying them for gc to empty
         k._add(a, b)
@@ -431,7 +431,7 @@ class TestGarbageCollection:
         k._mul_mm(a, b)
         assert any(len(key) == 2 for key in k._ct)
         k.gc([])
-        assert not any((k._ct, k._ratios, k._gates))
+        assert not any((k._ct, k._ratios, k._matrices))
         again = (k.multiply_mm(a, b), k.multiply_mv(a, v))
         assert not k._ct
         assert (k.signature(again[0]), k.signature(again[1])) == before
@@ -452,7 +452,7 @@ class TestGarbageCollection:
         k._mac(a, x, b, y)
         assert any(len(key) == 5 for key in k._ct) and k._ratios
         assert k.gc([]) > 0 and k.unique_size == 0
-        assert not any((k._ct, k._ratios, k._gates))
+        assert not any((k._ct, k._ratios, k._matrices))
 
     @pytest.mark.parametrize("strategy", ["sequential", "heuristic", "greedy"])
     def test_sum_tables_emptied_after_every_product(self, strategy):
@@ -840,23 +840,23 @@ def _check_unique_tables(k: Kernel) -> int:
     checked = 0
     for key, node in k._unique.items():
         succ = node.succ
+        # every node is keyed by the very tuple it keeps
+        assert key is succ
         assert not any(isinstance(item, tuple) for item in succ)
-        pairs = list(zip(succ[::2], succ[1::2]))
+        pairs = list(zip(succ[0:8:2], succ[1::2]))
         assert node.edges == tuple(Edge(w, x) for w, x in pairs)
         assert all(type(s) is Edge for s in node.edges)
         if len(succ) == 4:
-            # the successors fix a vector node's level, so they are its key
-            assert key is succ
+            # the successors fix a vector node's level
             for w, x in pairs:
                 if node.level == 0:
                     assert x is None
                 else:
                     assert (x is None and w == 0) or x.level == node.level - 1
         else:
-            # operator successors may skip identity levels, so the level is
-            # part of the key; no stored node is itself an identity level
-            assert len(succ) == 8
-            assert key == (node.level, succ)
+            # operator successors may skip identity levels, so the level
+            # ends the key; no stored node is itself an identity level
+            assert len(succ) == 9 and succ[8] == node.level
             for _, x in pairs:
                 assert x is None or x.level < node.level
             e0, e1, e2, e3 = pairs
@@ -1080,13 +1080,12 @@ class TestFusedSums:
 
 
 def _value_owners(k):
-    """ZERO, ONE, the representatives of the entries of every gate in the
-    gate memo, and the successor weights of every stored node: the values
+    """ZERO, ONE, the interned entries of every base matrix in the matrix
+    cache, and the successor weights of every stored node: the values
     ``intern`` is asked to keep."""
     owners = {k.ZERO, k.ONE}
-    for kind, parameter, matrix, _, _, _ in k._gates:
-        if kind != "swap":
-            owners.update(k.lookup(x) for x in base_matrix(kind, parameter, matrix))
+    for entries in k._matrices.values():
+        owners.update(w for w, _ in entries)
     for node in k._unique.values():
         owners.update(s.w for s in node.edges)
     return owners
@@ -1485,6 +1484,75 @@ class TestWhereTheTableStays:
         assert record.free and record.fallbacks > 0 and not record.keys
 
 
+class TestMatrixCache:
+    """``make_gate`` keeps the four interned entry edges of each base
+    matrix until ``gc``; a placement runs only its node constructions."""
+
+    def test_one_entry_per_base_matrix_until_gc(self):
+        n = 5
+        k = Kernel()
+        kinds = _kind_gates(n)
+        for g in kinds:
+            k.make_gate(g, n)
+        matrices = {base_matrix(g.kind, g.parameter, g.matrix)
+                    for g in kinds if g.kind != "swap"}
+        assert set(k._matrices) == matrices
+        for matrix, entries in k._matrices.items():
+            assert entries == tuple(k.zero_edge if x == 0 else (k.lookup(x), None)
+                                    for x in matrix)
+        k.gc([])
+        assert not k._matrices
+
+    def test_warm_cache_builds_the_same_gates(self):
+        n = 5
+        kinds = _kind_gates(n)
+        k = Kernel()
+        ref = ReinterningKernel()
+        first = [k.make_gate(g, n) for g in kinds]
+        for g in kinds:
+            ref.make_gate(g, n)
+        made = k._uid
+        values = dict(k._values)
+        for g, e in zip(kinds, first):
+            again = k.make_gate(g, n)
+            # the same nodes, found in the unique table
+            assert again == e and again.node is e.node, g
+            fresh = Kernel()
+            assert k.signature(again) == fresh.signature(fresh.make_gate(g, n)), g
+        # a warm cache builds no node and stores no value
+        assert k._uid == made and k._values == values
+        # a new placement of a cached matrix interns only the weights of
+        # its new nodes: four calls fewer than interning the entries again
+        calls = {k: 0, ref: 0}
+        for kernel in calls:
+            def counted(w, kernel=kernel, intern=kernel.intern):
+                calls[kernel] += 1
+                return intern(w)
+            kernel.intern = counted
+        moved = [Gate(g.kind, tuple((q + 1) % n for q in g.targets),
+                      tuple((q + 1) % n for q in g.controls), g.parameter, g.matrix)
+                 for g in kinds]
+        for g in moved:
+            a = k.make_gate(g, n)
+            b = ref.make_gate(g, n)
+            assert (a.node.uid, k.signature(a)) == (b.node.uid, ref.signature(b)), g
+        assert k._uid > made
+        assert calls[ref] - calls[k] == 4 * sum(g.kind != "swap" for g in moved)
+
+    def test_reinterning_kernel_gives_equal_signatures(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            c = random_circuit(rng, n, rng.randint(1, 30))
+            runs = []
+            for cls in (Kernel, ReinterningKernel):
+                k = cls()
+                state = run_gates(k, c)
+                final, stats = execute(c, make_path("greedy", c), k)
+                runs.append((k.signature(state), k.signature(final), stats.result_nodes, k._uid))
+            assert runs[0] == runs[1]
+
+
 class TestShapeCache:
     """``node_count`` caches each root's count and whether it is a tree;
     ``gc`` keeps the entries of the nodes it keeps."""
@@ -1511,7 +1579,8 @@ class TestShapeCache:
         k = Kernel()
         state = _tree_state(k, random.Random(6), n)
         assert k.node_count(state, n) == 2 ** n - 1
-        assert k._shapes[state.node] == (2 ** n - 1, True)
+        # the count and the tree bit in one int
+        assert k._shapes[state.node] == (2 ** n - 1) << 1 | 1
         for wrong in (n - 1, n + 1):
             with pytest.raises(InvalidArgumentError, match="read as"):
                 k.node_count(state, wrong)

@@ -32,6 +32,8 @@ from ddpath import (
 from ddpath import oracle, simpath
 from ddpath.circuit import GENERATORS, Circuit, Gate, cx, decomposition_cost, h, swap
 from ddpath.errors import CapacityError, InvalidArgumentError, PathValidationError
+from ddpath.gates import base_matrix
+from ddpath.kernel import _level_count, _operator_shape
 from ddpath.simpath import STRATEGIES, SimulationPath, load_path, make_path, save_path
 
 from helpers import (random_circuit, reference_convex_validate, reference_greedy_plan,
@@ -356,12 +358,14 @@ class TestExecute:
 
     def test_peak_counts_gate_diagrams_on_a_warm_kernel(self):
         # the state stays a basis state (n nodes) while each swap diagram is
-        # larger, so the peak is a gate size; a second run finds every gate
-        # in the kernel's memo and must report the same peak
+        # larger, so the peak is a gate size; runs on a kernel whose matrix
+        # cache and unique table already hold every gate find their nodes
+        # there and must report the same peak
         n = 6
         c = Circuit(n, (swap(0, n - 1), swap(1, n - 2), swap(0, n - 1), h(2)))
         k = Kernel()
         sizes = [k.node_count(k.make_gate(g, n), n) for g in c.gates]
+        assert list(k._matrices) == [base_matrix("h")]
         _, first = execute(c, kernel=k)
         _, second = execute(c, kernel=k)
         _, fresh = execute(c, kernel=Kernel())
@@ -812,7 +816,7 @@ class TestInRunGc:
         assert k.signature(final) == plain.signature(want_final)
         assert stats.peak_nodes == want.peak_nodes
         assert stats.result_nodes == want.result_nodes
-        # rebuilt after the gate memo was emptied, onto the held nodes
+        # rebuilt after the matrix cache was emptied, onto the held nodes
         assert root_equal(held, k.make_gate(swap(0, 4), 5))
         live = {node for node in k._unique.values() if node.ref > 0}
         assert live == {held.node, final.node}
@@ -932,3 +936,46 @@ class TestEdgeBoundary:
     @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
     def test_final_edges_are_edges(self, benchmark_runs, name):
         assert all(type(e) is Edge for e in benchmark_runs[name][1])
+
+
+class TestKernelBookkeeping:
+    """On the heuristic miter every operator stays gate-sized, so what the
+    kernel keeps beside its nodes is most of what the run holds: one key
+    object per node, one matrix-cache entry per base matrix and one int per
+    counted root."""
+
+    @pytest.mark.parametrize("name", ["sequential", "heuristic", "greedy"])
+    def test_every_key_is_the_node_succ(self, benchmark_runs, name):
+        k = benchmark_runs[name][0]
+        for key, node in k._unique.items():
+            assert key is node.succ, node
+
+    def test_stored_operator_node_size(self, benchmark_runs):
+        # a 64-byte node and its 9-tuple, the level last, which is also
+        # its key
+        k = benchmark_runs["heuristic"][0]
+        operators = [node for node in k._unique.values() if len(node.succ) != 4]
+        assert len(operators) > 1000
+        for node in operators:
+            assert len(node.succ) == 9 and node.succ[8] == node.level, node
+            assert sys.getsizeof(node) + sys.getsizeof(node.succ) <= 176, node
+
+    def test_one_matrix_entry_per_base_matrix(self, benchmark_runs):
+        k, _, res = benchmark_runs["heuristic"]
+        gates = ghz(32).gates + res.combined.gates
+        matrices = {base_matrix(g.kind, g.parameter, g.matrix)
+                    for g in gates if g.kind != "swap"}
+        assert set(k._matrices) == matrices
+        assert len(matrices) < len(gates) / 10
+
+    def test_shape_entries_are_ints(self, benchmark_runs):
+        k = benchmark_runs["heuristic"][0]
+        assert len(k._shapes) > 1000
+        for root, shape in k._shapes.items():
+            assert type(shape) is int
+            if len(root.succ) == 4:
+                count = _level_count(root)
+                want = (count, count == (2 << root.level) - 1)
+            else:
+                want = _operator_shape(root)
+            assert (shape >> 1, shape & 1 == 1) == want == k._shape(root)
